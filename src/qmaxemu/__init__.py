@@ -14,10 +14,10 @@ from .fxp import (CFx, Fx, FxContext, FxFormat, QuadrantFlags, apply_flags,
                   normalize_rad, reduce_mod_2pi)
 from .graph import (WeightedGraph, assignment_from_index, brute_force_max_cut,
                     cut_value, cut_values_all, index_from_assignment, parse_graph)
-from .pipeline import (CLOCK_HZ, PIPELINE_LATENCY, SETUP_CYCLES, CycleReport,
-                       PipelineConfig, QaoaParams, StateVector, hadamard_sign,
-                       init_uniform_state, run_elemental_ansatz, run_layer, run_qaoa)
-from .reference import (OpCounts, align_global_phase, decomposed_run_qaoa_f64,
+from .pipeline import (CLOCK_HZ, PIPELINE_LATENCY, OpCounts, PipelineConfig,
+                       QaoaParams, StateVector, hadamard_sign, init_uniform_state,
+                       run_elemental_ansatz, run_layer, run_qaoa)
+from .reference import (align_global_phase, decomposed_run_qaoa_f64,
                         dense_cost_unitary, dense_mixer_unitary, dense_run_qaoa,
                         fwht_inplace, walsh_streamed)
 from .variational import (ExpectationResult, OptimizationTrace, OptimizerConfig,

@@ -24,8 +24,8 @@ import numpy as np
 from .diagonals import build_cost_diagonal, build_mixer_exponents
 from .engines import ENGINE_NAMES, make_engine, run_engine
 from .fxp import FxFormat
-from .graph import (GraphFormatError, WeightedGraph, brute_force_max_cut,
-                    cut_value, parse_graph)
+from .graph import (MAX_QUBITS, GraphFormatError, WeightedGraph, brute_force_max_cut,
+                    parse_graph)
 from .pipeline import CLOCK_HZ, QaoaParams
 from .variational import OptimizerConfig, expectation, grid_search_p1, optimize
 
@@ -80,16 +80,14 @@ def parse_float_list(text: str, name: str) -> tuple[float, ...]:
 
 
 def parse_qubit_range(text: str) -> range:
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if lo < 1 or hi < lo:
-            raise InputError(f"bad qubit range {text!r}")
-        return range(lo, hi + 1)
-    if text.isdigit():
-        n = int(text)
-        return range(n, n + 1)
-    raise InputError(f"bad qubit range {text!r}; expected e.g. 2..9")
+    m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
+    if not m:
+        raise InputError(f"bad qubit range {text!r}; expected e.g. 2..9")
+    lo = int(m.group(1))
+    hi = int(m.group(2) or lo)
+    if not 1 <= lo <= hi <= MAX_QUBITS:
+        raise InputError(f"bad qubit range {text!r}; qubit counts run 1..{MAX_QUBITS}")
+    return range(lo, hi + 1)
 
 
 def load_graph(path: str) -> WeightedGraph:
@@ -149,21 +147,20 @@ def _open_trace(args):
 
 
 def _engine_sections(report: dict, run, fmt: FxFormat):
-    if run.cycle_report is not None:
-        rep = run.cycle_report
+    counts = run.counts
+    if counts.cycles_per_op:
         report["cycles"] = {
-            "total": rep.cycles_total,
-            "per_op": list(rep.cycles_per_op),
-            "mults": rep.mults,
-            "adds": rep.adds,
+            "total": counts.cycles_total,
+            "per_op": list(counts.cycles_per_op),
+            "mults": counts.mults,
+            "adds": counts.adds,
         }
-        report["derived_time_s"] = rep.derived_seconds()
+        report["derived_time_s"] = counts.derived_seconds()
         report["clock_hz"] = CLOCK_HZ
-        report["overflow"] = rep.overflow
+        report["overflow"] = counts.overflow
     else:
-        report["overflow"] = False
-    if run.op_counts is not None:
-        report["op_counts"] = {"mults": run.op_counts.mults, "adds": run.op_counts.adds}
+        report["overflow"] = counts.overflow
+        report["op_counts"] = {"mults": counts.mults, "adds": counts.adds}
     report["fixed_point"] = fmt.name
 
 
@@ -211,8 +208,7 @@ def cmd_solve(args) -> int:
         raise InputError("--layers must be given and >= 1")
     fmt = parse_fixed_point(args.fixed_point)
     seed = args.seed if args.seed is not None else 0
-    cfg = OptimizerConfig(method=args.optimizer, restarts=args.restarts,
-                          max_evals=args.max_evals)
+    cfg = OptimizerConfig(restarts=args.restarts, max_evals=args.max_evals)
 
     if args.optimizer == "grid":
         if args.layers != 1:
@@ -292,16 +288,13 @@ def cmd_bench(args) -> int:
                 "wall_clock_s": 0.0 if args.seed is not None else elapsed,
                 "seed": args.seed,
             }
-            if run.cycle_report is not None:
-                row["cycles_total"] = run.cycle_report.cycles_total
-                row["mults"] = run.cycle_report.mults
-                row["adds"] = run.cycle_report.adds
-                row["derived_time_s"] = run.cycle_report.derived_seconds()
-                row["overflow"] = run.cycle_report.overflow
+            counts = run.counts
+            if counts.cycles_per_op:
+                row.update(cycles_total=counts.cycles_total, mults=counts.mults,
+                           adds=counts.adds, derived_time_s=counts.derived_seconds(),
+                           overflow=counts.overflow)
             else:
-                row["mults"] = run.op_counts.mults
-                row["adds"] = run.op_counts.adds
-                row["overflow"] = False
+                row.update(mults=counts.mults, adds=counts.adds, overflow=counts.overflow)
             rows.append(row)
 
     if args.format == "csv":
@@ -344,13 +337,14 @@ def _numeric_exit(report: dict, args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, graph: bool = True):
+def _add_common(parser: argparse.ArgumentParser, graph: bool = True,
+                numeric: bool = True):
     if graph:
         parser.add_argument("--graph", required=True, help="edge-list graph file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--fixed-point", default="q7.25", dest="fixed_point")
-    parser.add_argument("--strict", action="store_true")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    if numeric:
+        parser.add_argument("--fixed-point", default="q7.25", dest="fixed_point")
+        parser.add_argument("--strict", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,10 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--layers", type=int, required=True)
     bench.add_argument("--engine", default="pipeline,decomposed-f64,dense",
                        help="comma list of engines")
+    bench.add_argument("--format", choices=("json", "csv"), default="json")
     bench.set_defaults(func=cmd_bench)
 
     oracle = sub.add_parser("oracle", help="brute-force maximum cut")
-    _add_common(oracle)
+    _add_common(oracle, numeric=False)
     oracle.set_defaults(func=cmd_oracle)
 
     return parser

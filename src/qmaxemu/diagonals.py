@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, cut_values_all
+from .graph import WeightedGraph, check_qubit_count, cut_values_all
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,6 @@ class MixerExponents:
 
 def build_cost_diagonal(g: WeightedGraph, n: int) -> CostDiagonal:
     """Accumulate 2*weight into every index whose endpoint bits differ."""
-    if n < g.num_vertices:
-        raise ValueError(f"need n >= {g.num_vertices} qubits, got {n}")
     return CostDiagonal(entries=2.0 * cut_values_all(g, n), n=n)
 
 
@@ -50,8 +48,7 @@ def popcount(values: np.ndarray) -> np.ndarray:
 
 
 def build_mixer_exponents(n: int) -> MixerExponents:
-    if not (1 <= n <= 24):
-        raise ValueError(f"qubit count {n} outside 1..24")
+    check_qubit_count(n)
     idx = np.arange(1 << n, dtype=np.int64)
     return MixerExponents(u=2 * popcount(idx) - n, n=n)
 

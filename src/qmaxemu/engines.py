@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 from .fxp import FxFormat
 from .graph import WeightedGraph
-from .pipeline import (CycleReport, PipelineConfig, QaoaParams, StateVector,
+from .pipeline import (OpCounts, PipelineConfig, QaoaParams, StateVector,
                        TraceWriter, run_qaoa)
-from .reference import OpCounts, decomposed_run_qaoa_f64, dense_run_qaoa
+from .reference import decomposed_run_qaoa_f64, dense_run_qaoa
 
 ENGINE_NAMES = ("pipeline", "decomposed-f64", "dense")
 
@@ -16,25 +16,21 @@ ENGINE_NAMES = ("pipeline", "decomposed-f64", "dense")
 @dataclass
 class EngineRun:
     state: StateVector
-    cycle_report: CycleReport | None = None
-    op_counts: OpCounts | None = None
+    counts: OpCounts
 
 
 def run_engine(name: str, g: WeightedGraph, params: QaoaParams,
                fmt: FxFormat | None = None, fast: bool = False,
                trace_writer: TraceWriter | None = None) -> EngineRun:
     if name == "pipeline":
-        cfg = PipelineConfig(fmt=fmt or FxFormat(), trace=trace_writer is not None)
-        state, report = run_qaoa(g, params, cfg, trace_writer)
-        return EngineRun(state=state, cycle_report=report)
+        cfg = PipelineConfig(fmt=fmt or FxFormat())
+        state, counts = run_qaoa(g, params, cfg, trace_writer)
+        return EngineRun(state, counts)
+    counts = OpCounts()
     if name == "decomposed-f64":
-        counts = OpCounts()
-        return EngineRun(state=decomposed_run_qaoa_f64(g, params, fast=fast, counts=counts),
-                         op_counts=counts)
+        return EngineRun(decomposed_run_qaoa_f64(g, params, fast=fast, counts=counts), counts)
     if name == "dense":
-        counts = OpCounts()
-        return EngineRun(state=dense_run_qaoa(g, params, counts=counts),
-                         op_counts=counts)
+        return EngineRun(dense_run_qaoa(g, params, counts=counts), counts)
     raise ValueError(f"unknown engine {name!r}; expected one of {ENGINE_NAMES}")
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BRUTE_FORCE_MAX_VERTICES = 24
+# Largest qubit count any engine or table accepts: 2**24 amplitudes.
+MAX_QUBITS = 24
 
 
 class GraphFormatError(ValueError):
@@ -40,18 +41,7 @@ class WeightedGraph:
             raise ValueError("graph needs at least one vertex")
         seen = set()
         for i, j, w in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop on vertex {i}")
-            if not (0 <= i < self.num_vertices and 0 <= j < self.num_vertices):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add(key)
-            if not math.isfinite(w):
-                raise ValueError(f"non-finite weight on edge ({i},{j})")
-            if w < 0:
-                raise ValueError(f"negative weight on edge ({i},{j})")
+            _check_edge(i, j, w, self.num_vertices, seen)
 
     @property
     def num_edges(self) -> int:
@@ -60,6 +50,32 @@ class WeightedGraph:
     @property
     def total_weight(self) -> float:
         return float(sum(w for _, _, w in self.edges))
+
+
+def _check_edge(i: int, j: int, w: float, num_vertices: int,
+               seen: set[tuple[int, int]], base: int = 0) -> None:
+    """Raise ValueError unless 0-indexed (i, j, w) is a valid new edge; record it
+    in seen.  Messages name vertex v as v + base, the numbering of the input."""
+    for v in (i, j):
+        if not 0 <= v < num_vertices:
+            raise ValueError(f"vertex {v + base} out of range "
+                             f"{base}..{num_vertices - 1 + base}")
+    if i == j:
+        raise ValueError(f"self-loop on vertex {i + base}")
+    if not math.isfinite(w):
+        raise ValueError(f"non-finite weight on edge ({i + base},{j + base})")
+    if w < 0:
+        raise ValueError(f"negative weight {w} on edge ({i + base},{j + base})")
+    key = (min(i, j), max(i, j))
+    if key in seen:
+        raise ValueError(f"duplicate edge ({i + base},{j + base})")
+    seen.add(key)
+
+
+def check_qubit_count(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_QUBITS; call before allocating 2**n."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count {n} outside 1..{MAX_QUBITS}")
 
 
 def assignment_from_index(index: int, num_vertices: int) -> str:
@@ -106,20 +122,10 @@ def parse_graph(source) -> WeightedGraph:
             w = float(parts[2])
         except ValueError:
             raise GraphFormatError(line_no, f"bad weight in {line!r}")
-        if not (1 <= i <= num_vertices):
-            raise GraphFormatError(line_no, f"vertex {i} out of range 1..{num_vertices}")
-        if not (1 <= j <= num_vertices):
-            raise GraphFormatError(line_no, f"vertex {j} out of range 1..{num_vertices}")
-        if i == j:
-            raise GraphFormatError(line_no, f"self-loop on vertex {i}")
-        if not math.isfinite(w):
-            raise GraphFormatError(line_no, f"non-finite weight {parts[2]!r}")
-        if w < 0:
-            raise GraphFormatError(line_no, f"negative weight {w}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphFormatError(line_no, f"duplicate edge ({i},{j})")
-        seen.add(key)
+        try:
+            _check_edge(i - 1, j - 1, w, num_vertices, seen, base=1)
+        except ValueError as exc:
+            raise GraphFormatError(line_no, str(exc))
         edges.append((i - 1, j - 1, w))
 
     if num_vertices is None:
@@ -143,6 +149,7 @@ def cut_values_all(g: WeightedGraph, n: int | None = None) -> np.ndarray:
         n = g.num_vertices
     if n < g.num_vertices:
         raise ValueError(f"need n >= {g.num_vertices} qubits, got {n}")
+    check_qubit_count(n)
     idx = np.arange(1 << n, dtype=np.int64)
     values = np.zeros(1 << n, dtype=np.float64)
     for i, j, w in g.edges:
@@ -154,13 +161,8 @@ def brute_force_max_cut(g: WeightedGraph) -> tuple[float, list[str]]:
     """Exact maximum cut by enumeration of all 2**|V| assignments.
 
     Returns the maximum value and every maximizing assignment, in ascending
-    index order.  Guarded at BRUTE_FORCE_MAX_VERTICES vertices.
+    index order.  cut_values_all limits it to MAX_QUBITS vertices.
     """
-    if g.num_vertices > BRUTE_FORCE_MAX_VERTICES:
-        raise ValueError(
-            f"brute force limited to {BRUTE_FORCE_MAX_VERTICES} vertices, "
-            f"got {g.num_vertices}"
-        )
     values = cut_values_all(g)
     best = float(values.max())
     argmax = np.flatnonzero(values == best)

@@ -7,11 +7,12 @@ to all N accumulator slots in parallel with +/-1 column signs.  An operation
 therefore takes N + PIPELINE_LATENCY clocks and costs N complex multiplies
 plus N*N complex additions.
 
-Amplitudes are stored as exact float64 images of the fixed-point words
-(word widths <= 32 bits make the image lossless); the raw integer arrays are
-reconstructed at operation entry.  The per-element stages are evaluated
-data-parallel, which is value-identical to streaming because elements only
-interact in N_ADD, where accumulation runs in ascending stream order.
+The state is held as raw int64 words (real and imaginary arrays) for the
+whole run; run_qaoa builds the float64 StateVector once, at readout (word
+widths <= 32 bits make that image lossless).  The per-element stages are
+evaluated data-parallel, which is value-identical to streaming because
+elements only interact in N_ADD, where accumulation runs in ascending stream
+order.
 """
 
 from __future__ import annotations
@@ -25,18 +26,11 @@ import numpy as np
 from . import fxp
 from .diagonals import build_cost_diagonal, build_mixer_exponents, cost_angles, mixer_angles
 from .fxp import FxContext, FxFormat
-from .graph import WeightedGraph
+from .graph import WeightedGraph, check_qubit_count
 
 # Stage depths: CALCULATE_RAD 1 + NORMALIZE_RAD 1 + CORDIC 16 + 1_MULT 1.
 PIPELINE_LATENCY = 1 + 1 + fxp.CORDIC_STAGES + 1
-# Constant overhead charged once per run (kept as a named knob for future
-# cross-checks against an HDL model; the datapath itself needs none).
-SETUP_CYCLES = 0
 CLOCK_HZ = 100_000_000  # reported times are cycles / CLOCK_HZ, labeled derived
-
-MAX_QUBITS = 24
-
-_STAGE_NAMES = ("calculate_rad", "normalize_rad", "cordic", "mult", "n_add")
 
 TraceWriter = Callable[[dict], None]
 
@@ -85,7 +79,6 @@ class QaoaParams:
 class PipelineConfig:
     fmt: FxFormat = FxFormat()
     per_layer_shift: int | None = None  # None -> n bits (the exact 1/2**n factor)
-    trace: bool = False
 
     def __post_init__(self):
         if self.per_layer_shift is not None and self.per_layer_shift < 0:
@@ -93,14 +86,19 @@ class PipelineConfig:
 
 
 @dataclass
-class CycleReport:
-    """Clock and operation accounting for one accelerator run."""
+class OpCounts:
+    """Scalar complex multiply/add tallies of one engine run, plus the modeled
+    clocks per elemental operation (empty for the float64 engines) and the
+    fixed-point engine's sticky overflow flag."""
 
-    cycles_total: int = 0
-    cycles_per_op: list[int] = field(default_factory=list)
     mults: int = 0
     adds: int = 0
+    cycles_per_op: list[int] = field(default_factory=list)
     overflow: bool = False
+
+    @property
+    def cycles_total(self) -> int:
+        return sum(self.cycles_per_op)
 
     def derived_seconds(self) -> float:
         return self.cycles_total / CLOCK_HZ
@@ -133,23 +131,12 @@ def init_uniform_state(n: int, fmt: FxFormat = FxFormat()) -> StateVector:
     Stored amplitude is 2**-ceil(n/2); the residual scale (including the
     sqrt(2) for odd n) lives in scale_exp so the physical norm is exactly 1.
     """
-    if not (1 <= n <= MAX_QUBITS):
-        raise ValueError(f"qubit count {n} outside 1..{MAX_QUBITS}")
+    check_qubit_count(n)
     half_up = (n + 1) // 2
     if fmt.frac_bits < half_up:
         raise ValueError(f"format {fmt.name} cannot store 2**-{half_up}")
     amps = np.full(1 << n, 2.0 ** -half_up, dtype=np.complex128)
     return StateVector(amps=amps, scale_exp=Fraction(half_up) - Fraction(n, 2), n=n)
-
-
-def _raw_parts(state: StateVector, fmt: FxFormat, ctx: FxContext):
-    re = fxp.vec_from_real(state.amps.real, fmt, ctx)
-    im = fxp.vec_from_real(state.amps.imag, fmt, ctx)
-    return re, im
-
-
-def _amps_from_raw(re_raw: np.ndarray, im_raw: np.ndarray, fmt: FxFormat) -> np.ndarray:
-    return fxp.vec_to_float(re_raw, fmt) + 1j * fxp.vec_to_float(im_raw, fmt)
 
 
 def _emit_op_trace(write: TraceWriter, n_states: int, op_index: int,
@@ -183,19 +170,20 @@ def _emit_op_trace(write: TraceWriter, n_states: int, op_index: int,
         })
 
 
-def run_elemental_ansatz(state: StateVector, angles: np.ndarray, cfg: PipelineConfig,
-                         ctx: FxContext | None = None,
+def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarray,
+                         cfg: PipelineConfig, ctx: FxContext | None = None,
                          trace_writer: TraceWriter | None = None,
                          op_index: int = 0, layer: int = 0,
-                         order: str = "cost") -> tuple[StateVector, int]:
+                         order: str = "cost") -> tuple[np.ndarray, np.ndarray]:
     """One streamed phase-and-transform pass: out = H1 . (diag(e^{i angles}) . in).
 
-    Returns the new state and the clock count N + PIPELINE_LATENCY.  The
-    result register starts zeroed and replaces the state at drain; saturation
+    in_re/in_im are the raw int64 words of the N input amplitudes; returns
+    the raw words of the result register, which starts zeroed and replaces
+    the state at drain, N + PIPELINE_LATENCY clocks later.  Saturation
     anywhere sets the sticky flag on ctx but the run continues.
     """
-    n = state.n
-    n_states = 1 << n
+    n_states = len(in_re)
+    n = n_states.bit_length() - 1
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (n_states,):
         raise ValueError(f"expected {n_states} angles, got {angles.shape}")
@@ -210,7 +198,6 @@ def run_elemental_ansatz(state: StateVector, angles: np.ndarray, cfg: PipelineCo
     rad_q1, neg_cos, neg_sin = fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)
     cos_q1, sin_q1 = fxp.vec_cordic_sincos(rad_q1, fmt)
     cos_raw, sin_raw = fxp.vec_apply_flags(cos_q1, sin_q1, neg_cos, neg_sin, fmt, ctx)
-    in_re, in_im = _raw_parts(state, fmt, ctx)
     mult_re = fxp.vec_add(fxp.vec_mul(in_re, cos_raw, fmt, ctx),
                           -fxp.vec_mul(in_im, sin_raw, fmt, ctx), fmt, ctx)
     mult_im = fxp.vec_add(fxp.vec_mul(in_re, sin_raw, fmt, ctx),
@@ -225,62 +212,51 @@ def run_elemental_ansatz(state: StateVector, angles: np.ndarray, cfg: PipelineCo
         res_re = fxp.vec_add(res_re, signs * mult_re[c], fmt, ctx)
         res_im = fxp.vec_add(res_im, signs * mult_im[c], fmt, ctx)
 
-    cycles = n_states + PIPELINE_LATENCY
-    if cfg.trace and trace_writer is not None:
+    if trace_writer is not None:
         _emit_op_trace(trace_writer, n_states, op_index, layer, order,
                        neg_cos, neg_sin, ctx.overflow)
-    out = StateVector(amps=_amps_from_raw(res_re, res_im, fmt),
-                      scale_exp=state.scale_exp, n=n)
-    return out, cycles
+    return res_re, res_im
 
 
-def run_layer(state: StateVector, d_cost_angles: np.ndarray, d_mixer_angles: np.ndarray,
-              cfg: PipelineConfig, ctx: FxContext | None = None,
-              trace_writer: TraceWriter | None = None,
-              layer: int = 0) -> tuple[StateVector, int]:
+def run_layer(re: np.ndarray, im: np.ndarray, d_cost_angles: np.ndarray,
+              d_mixer_angles: np.ndarray, cfg: PipelineConfig,
+              ctx: FxContext | None = None, trace_writer: TraceWriter | None = None,
+              layer: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
     """Cost pass, mixer pass, then the end-of-layer arithmetic right shift.
 
-    Shifting k bits while the two passes grow the state by exactly 2**n in
-    norm changes scale_exp by k - n, so the default k = n keeps scale_exp
-    fixed and realizes the layer's 1/2**n factor exactly.
+    Returns the shifted raw words and the shift k.  The two passes grow the
+    state by exactly 2**n in norm, so the layer changes the state's scale
+    exponent by k - n; the default k = n keeps it fixed and realizes the
+    layer's 1/2**n factor exactly.
     """
-    if ctx is None:
-        ctx = FxContext()
-    state, c1 = run_elemental_ansatz(state, d_cost_angles, cfg, ctx, trace_writer,
-                                     op_index=2 * layer, layer=layer, order="cost")
-    state, c2 = run_elemental_ansatz(state, d_mixer_angles, cfg, ctx, trace_writer,
-                                     op_index=2 * layer + 1, layer=layer, order="mixer")
-    shift = cfg.per_layer_shift if cfg.per_layer_shift is not None else state.n
-    if shift:
-        re = fxp.vec_from_real(state.amps.real, cfg.fmt, ctx) >> shift
-        im = fxp.vec_from_real(state.amps.imag, cfg.fmt, ctx) >> shift
-        state = StateVector(amps=_amps_from_raw(re, im, cfg.fmt),
-                            scale_exp=state.scale_exp, n=state.n)
-    state.scale_exp = state.scale_exp + shift - state.n
-    return state, c1 + c2
+    re, im = run_elemental_ansatz(re, im, d_cost_angles, cfg, ctx, trace_writer,
+                                  op_index=2 * layer, layer=layer, order="cost")
+    re, im = run_elemental_ansatz(re, im, d_mixer_angles, cfg, ctx, trace_writer,
+                                  op_index=2 * layer + 1, layer=layer, order="mixer")
+    k = cfg.per_layer_shift if cfg.per_layer_shift is not None else len(re).bit_length() - 1
+    return re >> k, im >> k, k
 
 
 def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = PipelineConfig(),
-             trace_writer: TraceWriter | None = None) -> tuple[StateVector, CycleReport]:
+             trace_writer: TraceWriter | None = None) -> tuple[StateVector, OpCounts]:
     """Full accelerator run: uniform init, then p layers of cost+mixer passes."""
     n = g.num_vertices
-    if not (1 <= n <= MAX_QUBITS):
-        raise ValueError(f"qubit count {n} outside 1..{MAX_QUBITS}")
     n_states = 1 << n
-    ctx = FxContext()
-    state = init_uniform_state(n, cfg.fmt)
-    diag = build_cost_diagonal(g, n)
+    diag = build_cost_diagonal(g, n)  # rejects n above MAX_QUBITS before allocating
     mixer = build_mixer_exponents(n)
-    report = CycleReport()
-    for k in range(params.p):
-        state, cycles = run_layer(state, cost_angles(diag, params.gamma[k]),
-                                  mixer_angles(mixer, params.beta[k]),
-                                  cfg, ctx, trace_writer, layer=k)
-        per_op = n_states + PIPELINE_LATENCY
-        report.cycles_per_op.extend([per_op, per_op])
-        assert cycles == 2 * per_op
-        report.mults += 2 * n_states
-        report.adds += 2 * n_states * n_states
-    report.cycles_total = sum(report.cycles_per_op) + SETUP_CYCLES
-    report.overflow = ctx.overflow
-    return state, report
+    start = init_uniform_state(n, cfg.fmt)
+    re = fxp.vec_from_real(start.amps.real, cfg.fmt)
+    im = np.zeros_like(re)
+    scale_exp = start.scale_exp
+    ctx = FxContext()
+    for layer in range(params.p):
+        re, im, k = run_layer(re, im, cost_angles(diag, params.gamma[layer]),
+                              mixer_angles(mixer, params.beta[layer]),
+                              cfg, ctx, trace_writer, layer=layer)
+        scale_exp += k - n
+    ops = 2 * params.p
+    counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
+                      cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,
+                      overflow=ctx.overflow)
+    amps = fxp.vec_to_float(re, cfg.fmt) + 1j * fxp.vec_to_float(im, cfg.fmt)
+    return StateVector(amps=amps, scale_exp=scale_exp, n=n), counts

@@ -11,6 +11,9 @@ Two independent routes to the same ansatz state:
     float64, with either the streamed O(N^2)-addition form or an in-place
     butterfly.
 
+Both return a StateVector with scale_exp 0 and tally their work in an
+optional OpCounts (multiplies and additions only: no clocks are modeled).
+
 The dense cost step equals the diagonal-table construction only up to one
 global phase per layer (exp(+i*gamma*sum(w))), so state comparisons go
 through align_global_phase.
@@ -18,33 +21,20 @@ through align_global_phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .diagonals import build_cost_diagonal, build_mixer_exponents, cost_angles, mixer_angles
 from .graph import WeightedGraph
-from .pipeline import StateVector, QaoaParams, _parity
+from .pipeline import OpCounts, QaoaParams, StateVector, hadamard_sign_column
 
 DENSE_MAX_QUBITS = 12
 
 
-@dataclass
-class OpCounts:
-    """Scalar complex multiply/add tallies accumulated while running."""
-
-    mults: int = 0
-    adds: int = 0
-
-
-def _matvec(u: np.ndarray, v: np.ndarray, counts: OpCounts | None) -> np.ndarray:
+def _matvec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Row-wise products summed by numpy's fixed pairwise reduction: no BLAS,
     # so results do not depend on the host thread count.
-    if counts is not None:
-        n = len(v)
-        counts.mults += n * n
-        counts.adds += n * (n - 1)
     return (u * v[np.newaxis, :]).sum(axis=1)
 
 
@@ -86,26 +76,32 @@ def dense_run_qaoa(g: WeightedGraph, params: QaoaParams,
     n_states = 1 << n
     v = np.full(n_states, 1.0 / np.sqrt(n_states), dtype=np.complex128)
     for k in range(params.p):
-        v = _matvec(dense_cost_unitary(g, params.gamma[k], n), v, counts)
-        v = _matvec(dense_mixer_unitary(params.beta[k], n), v, counts)
+        v = _matvec(dense_cost_unitary(g, params.gamma[k], n), v)
+        v = _matvec(dense_mixer_unitary(params.beta[k], n), v)
+    if counts is not None:
+        counts.mults += 2 * params.p * n_states * n_states
+        counts.adds += 2 * params.p * n_states * (n_states - 1)
     return StateVector(amps=v, scale_exp=Fraction(0), n=n)
 
 
 def fwht_inplace(v: np.ndarray) -> np.ndarray:
-    """In-place +/-1 Walsh-Hadamard butterfly (natural order), O(N log N)."""
+    """In-place +/-1 Walsh-Hadamard butterfly (natural order), O(N log N).
+
+    Each level pairs the two halves of every 2h-block in one vectorised pass
+    (reshaping a 1-D array always gives a view, so the writes land in v).
+    """
     h = 1
-    n_states = len(v)
-    while h < n_states:
-        for start in range(0, n_states, 2 * h):
-            a = v[start:start + h].copy()
-            b = v[start + h:start + 2 * h].copy()
-            v[start:start + h] = a + b
-            v[start + h:start + 2 * h] = a - b
+    while h < len(v):
+        blocks = v.reshape(-1, 2, h)
+        a = blocks[:, 0].copy()
+        b = blocks[:, 1].copy()
+        blocks[:, 0] = a + b
+        blocks[:, 1] = a - b
         h *= 2
     return v
 
 
-def walsh_streamed(v: np.ndarray, counts: OpCounts | None = None) -> np.ndarray:
+def walsh_streamed(v: np.ndarray) -> np.ndarray:
     """+/-1 Walsh-Hadamard transform accumulated in ascending stream order.
 
     Mirrors the pipeline's N_ADD dataflow: element c lands on all N slots
@@ -113,13 +109,9 @@ def walsh_streamed(v: np.ndarray, counts: OpCounts | None = None) -> np.ndarray:
     """
     n_states = len(v)
     n = n_states.bit_length() - 1
-    rows = np.arange(n_states, dtype=np.int64)
     out = np.zeros(n_states, dtype=np.complex128)
     for c in range(n_states):
-        signs = 1 - 2 * _parity(rows & c)
-        out = out + signs * v[c]
-    if counts is not None:
-        counts.adds += n_states * n_states
+        out = out + hadamard_sign_column(c, n) * v[c]
     return out
 
 
@@ -133,7 +125,7 @@ def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
     """
     n = g.num_vertices
     n_states = 1 << n
-    diag = build_cost_diagonal(g, n)
+    diag = build_cost_diagonal(g, n)  # rejects n above MAX_QUBITS before allocating
     mixer = build_mixer_exponents(n)
     v = np.full(n_states, 1.0 / np.sqrt(n_states), dtype=np.complex128)
     scale = 1.0 / n_states
@@ -141,15 +133,11 @@ def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
         for angles in (cost_angles(diag, params.gamma[k]),
                        mixer_angles(mixer, params.beta[k])):
             v = np.exp(1j * angles) * v
-            if counts is not None:
-                counts.mults += n_states
-            if fast:
-                v = fwht_inplace(v)
-                if counts is not None:
-                    counts.adds += n_states * n
-            else:
-                v = walsh_streamed(v, counts)
+            v = fwht_inplace(v) if fast else walsh_streamed(v)
         v = v * scale  # exact: a power-of-two factor
+    if counts is not None:
+        counts.mults += 2 * params.p * n_states
+        counts.adds += 2 * params.p * n_states * (n if fast else n_states)
     return StateVector(amps=v, scale_exp=Fraction(0), n=n)
 
 

@@ -6,9 +6,9 @@ divides the cost table by two to undo the hardware's 2*cut convention.
 
 The optimizer is a restarted Nelder-Mead simplex (derivative-free: the
 fixed-point engine's objective is piecewise constant at ulp scale).
-Parameters are folded into [0, domain) before evaluation; with the default
-domain of pi this is exact for integer weights, where the objective is
-pi-periodic in every coordinate.
+Parameters are folded into [0, DOMAIN) before evaluation; with DOMAIN = pi
+this is exact for integer weights, where the objective is pi-periodic in
+every coordinate.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ from .reference import decomposed_run_qaoa_f64
 
 EngineFn = Callable[[WeightedGraph, QaoaParams], StateVector]
 
+DOMAIN = math.pi  # parameter period; restart points are drawn from [0, DOMAIN)
+XATOL = 1e-4  # Nelder-Mead convergence tolerances on parameters and on f_p
+FATOL = 1e-7
+
 
 class ZeroStateError(ValueError):
     """All amplitudes are zero; probabilities are undefined."""
@@ -42,12 +46,8 @@ class ExpectationResult:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "nelder-mead"
     restarts: int = 8
     max_evals: int = 2000  # total budget, split across restarts
-    domain: float = math.pi
-    xatol: float = 1e-4
-    fatol: float = 1e-7
 
 
 @dataclass
@@ -85,12 +85,12 @@ def expectation(state: StateVector, d: CostDiagonal) -> ExpectationResult:
 
 
 def make_objective(g: WeightedGraph, p: int, engine: EngineFn,
-                   trace: OptimizationTrace, domain: float):
+                   trace: OptimizationTrace):
     """Negated-f_p objective over a flat [gamma..., beta...] vector."""
     diag = build_cost_diagonal(g, g.num_vertices)
 
     def objective(x: np.ndarray) -> float:
-        folded = np.mod(x, domain)
+        folded = np.mod(x, DOMAIN)
         params = QaoaParams(p, tuple(folded[:p]), tuple(folded[p:]))
         f_p = expectation(engine(g, params), diag).f_p
         trace.iterations.append((params, f_p))
@@ -117,14 +117,14 @@ def optimize(g: WeightedGraph, p: int, engine: EngineFn,
     if cfg.restarts < 1:
         raise ValueError("need at least one restart")
     trace = OptimizationTrace()
-    objective = make_objective(g, p, engine, trace, cfg.domain)
+    objective = make_objective(g, p, engine, trace)
     rng = np.random.default_rng(seed)
-    starts = rng.uniform(0.0, cfg.domain, size=(cfg.restarts, 2 * p))
+    starts = rng.uniform(0.0, DOMAIN, size=(cfg.restarts, 2 * p))
     per_restart = max(2 * p + 2, cfg.max_evals // max(1, cfg.restarts))
     for x0 in starts:
         res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxfev": per_restart, "xatol": cfg.xatol,
-                                "fatol": cfg.fatol, "disp": False})
+                       options={"maxfev": per_restart, "xatol": XATOL,
+                                "fatol": FATOL, "disp": False})
         trace.converged = trace.converged or bool(res.success)
     return trace
 

@@ -21,7 +21,7 @@ from qmaxemu import (QaoaParams, align_global_phase, brute_force_max_cut,
                      run_qaoa)
 from qmaxemu import fxp
 from qmaxemu.fxp import FxFormat
-from qmaxemu.pipeline import PIPELINE_LATENCY, SETUP_CYCLES
+from qmaxemu.pipeline import PIPELINE_LATENCY
 from qmaxemu.reference import OpCounts
 from qmaxemu.variational import OptimizerConfig
 
@@ -81,7 +81,7 @@ def test_criterion_3_cycle_law():
         _, report = run_qaoa(g, params)
         n_states = 1 << n
         assert report.cycles_per_op == [n_states + 19] * (2 * p)
-        assert report.cycles_total == 2 * p * (n_states + 19) + SETUP_CYCLES
+        assert report.cycles_total == 2 * p * (n_states + 19)
     assert PIPELINE_LATENCY == 19
     _announce(3, "cycle law")
 
@@ -112,7 +112,7 @@ def test_criterion_5_execution_time_trend():
         _, report = run_qaoa(g, params)
         n_states = 1 << n
         # the derived time is an affine function of N = 2**n (linear trend)
-        assert report.cycles_total == 2 * p * (n_states + 19) + SETUP_CYCLES
+        assert report.cycles_total == 2 * p * (n_states + 19)
         times[n] = report.derived_seconds()
         dense_mults[n] = 2 * p * n_states * n_states  # grows as N**2
     assert times[9] <= 0.34e-3  # below the measured end-to-end time at n=9

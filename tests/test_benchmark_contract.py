@@ -1,0 +1,26 @@
+"""The benchmark under perfbench/ wraps qmaxemu functions by name from
+outside the package; a rename here would silently break its traced run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from qmaxemu import QaoaParams, WeightedGraph, run_qaoa
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # stdlib only
+    return module
+
+
+def test_span_targets_resolve():
+    spans = _load_spans()
+    for module_name, attr, _ in spans.TARGETS:
+        module = importlib.import_module(f"qmaxemu.{module_name}")
+        assert callable(getattr(module, attr, None)), f"qmaxemu.{module_name}.{attr}"
+    result = run_qaoa(WeightedGraph(2, ((0, 1, 1.0),)), QaoaParams(1, (0.4,), (0.2,)))
+    assert spans._span_data("pipeline.run", (), result) == (2 * (4 + 19), 2 * 16, False)

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -125,6 +127,25 @@ def test_strict_overflow_exits_3(capsys, tmp_path):
     assert report["overflow"] is True
 
 
+def test_qubit_limit_checked_before_allocating(capsys, tmp_path):
+    # n = 25 is past MAX_QUBITS: both commands must exit 2 before building
+    # any 2**n table (one such table is 256 MB)
+    big = tmp_path / "n25.graph"
+    big.write_text("25\n1 2 1.0\n")
+    tracemalloc.start()
+    try:
+        codes = [main(["emulate", "--graph", str(big), "--gamma", "0.1", "--beta", "0.1",
+                       "--engine", "decomposed-f64"]),
+                 main(["solve", "--graph", str(big), "--layers", "1",
+                       "--engine", "decomposed-f64", "--seed", "0"])]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes == [2, 2]
+    assert peak < 2 ** 25
+    assert "qubit count 25 outside 1..24" in capsys.readouterr().err
+
+
 def test_solve_single_edge(capsys, edge_file):
     code, out = run_cli(capsys, "solve", "--graph", edge_file, "--layers", "1",
                         "--engine", "decomposed-f64", "--seed", "3",
@@ -222,3 +243,34 @@ def _solve_bytes(triangle_file, threads):
 def test_seeded_output_is_byte_identical(triangle_file):
     runs = [_solve_bytes(triangle_file, threads) for threads in (1, 1, 4)]
     assert runs[0] == runs[1] == runs[2]
+
+
+FIVE_VERTEX = "5\n1 2 1.0\n2 3 0.5\n3 4 1.5\n4 5 1.0\n1 5 0.75\n1 3 0.25\n"
+K9 = "9\n" + "".join(f"{i} {j} 1.0\n" for i in range(1, 10) for j in range(i + 1, 10))
+SIX_VERTEX = "6\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n1 4 1.0\n2 6 1.0\n"
+
+
+# sha256 of the seeded stdout of small pipeline-engine runs: any change to
+# the fixed-point datapath, the counters or the report layout shows here.
+@pytest.mark.parametrize("graph,argv,digest", [
+    (FIVE_VERTEX, ["emulate", "--layers", "2", "--gamma", "0.4,0.2",
+                   "--beta", "0.3,0.7", "--seed", "1"],
+     "628f4d48d7f64a254ae7c1baa3fb238bd61d0c913d9f358633b4a4a228228beb"),
+    (K9, ["emulate", "--layers", "8", "--gamma", ",".join(["0.7"] * 8),
+          "--beta", ",".join(["0.6"] * 8), "--seed", "0"],  # saturates
+     "b6da1481d68af901a6463c30385b2799a9d125c2575ff602595c134fbdbeb134"),
+    (None, ["bench", "--qubits", "2..8", "--layers", "2", "--engine", "pipeline",
+            "--seed", "0"],
+     "6af07dc2858bc204f87d21833127014159fd915462e901a5a5e9db7db0219c24"),
+    (SIX_VERTEX, ["solve", "--layers", "1", "--seed", "7", "--restarts", "2",
+                  "--max-evals", "80"],
+     "26e462a6a74e241d45b01586898ec2d48bb83caeff5db745951ad3c688d487aa"),
+], ids=["emulate-n5", "emulate-k9-saturating", "bench-2-8", "solve-p1"])
+def test_seeded_stdout_digest(capsys, tmp_path, graph, argv, digest):
+    if graph is not None:
+        path = tmp_path / "g.graph"
+        path.write_text(graph)
+        argv = argv[:1] + ["--graph", str(path)] + argv[1:]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

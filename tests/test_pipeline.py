@@ -5,21 +5,29 @@ import numpy as np
 import pytest
 
 from qmaxemu import (QaoaParams, StateVector, WeightedGraph, build_cost_diagonal,
-                     build_mixer_exponents, cost_angles, dense_run_qaoa,
+                     build_mixer_exponents, cost_angles, dense_run_qaoa, fxp,
                      hadamard_sign, init_uniform_state, mixer_angles,
                      probabilities, run_elemental_ansatz, run_layer, run_qaoa)
-from qmaxemu.pipeline import (PIPELINE_LATENCY, SETUP_CYCLES, PipelineConfig,
-                              hadamard_sign_column)
+from qmaxemu.pipeline import PIPELINE_LATENCY, PipelineConfig, hadamard_sign_column
 
 from conftest import complete_graph, random_graph
 
 CFG = PipelineConfig()
 
 
-def make_state(amps, scale_exp=0) -> StateVector:
+def to_words(amps):
+    """Raw (re, im) words of complex amplitudes, as the pipeline holds them."""
     amps = np.asarray(amps, dtype=np.complex128)
-    n = len(amps).bit_length() - 1
-    return StateVector(amps=amps, scale_exp=Fraction(scale_exp), n=n)
+    return fxp.vec_from_real(amps.real, CFG.fmt), fxp.vec_from_real(amps.imag, CFG.fmt)
+
+
+def to_amps(re, im):
+    return fxp.vec_to_float(re, CFG.fmt) + 1j * fxp.vec_to_float(im, CFG.fmt)
+
+
+def to_state(re, im, scale_exp) -> StateVector:
+    return StateVector(amps=to_amps(re, im), scale_exp=Fraction(scale_exp),
+                       n=len(re).bit_length() - 1)
 
 
 def test_hadamard_sign_basics():
@@ -55,12 +63,11 @@ def test_init_uniform_state():
 
 
 def test_elemental_op_reduces_to_hadamard_on_zero_angles():
-    out, cycles = run_elemental_ansatz(make_state([1.0, 0.0]), np.zeros(2), CFG)
-    np.testing.assert_allclose(out.amps, [1.0, 1.0], atol=2 ** -12)
-    assert cycles == 2 + PIPELINE_LATENCY
+    out = run_elemental_ansatz(*to_words([1.0, 0.0]), np.zeros(2), CFG)
+    np.testing.assert_allclose(to_amps(*out), [1.0, 1.0], atol=2 ** -12)
 
-    out, _ = run_elemental_ansatz(make_state([1.0, 1.0]), np.zeros(2), CFG)
-    np.testing.assert_allclose(out.amps, [2.0, 0.0], atol=2 ** -12)
+    out = run_elemental_ansatz(*to_words([1.0, 1.0]), np.zeros(2), CFG)
+    np.testing.assert_allclose(to_amps(*out), [2.0, 0.0], atol=2 ** -12)
 
 
 def test_elemental_op_matches_dense_matvec():
@@ -73,16 +80,15 @@ def test_elemental_op_matches_dense_matvec():
         angles = rng.uniform(-math.pi, math.pi, n_states)
         amps = (rng.uniform(-0.5, 0.5, n_states)
                 + 1j * rng.uniform(-0.5, 0.5, n_states))
-        out, cycles = run_elemental_ansatz(make_state(amps), angles, CFG)
+        out = run_elemental_ansatz(*to_words(amps), angles, CFG)
         # exact-arithmetic oracle for the same dataflow
         want = signs @ (np.exp(1j * angles) * amps)
-        assert cycles == n_states + PIPELINE_LATENCY
-        assert np.abs(out.amps - want).max() <= 2 ** -12
+        assert np.abs(to_amps(*out) - want).max() <= 2 ** -12
 
 
 def test_elemental_op_rejects_wrong_angle_count():
     with pytest.raises(ValueError):
-        run_elemental_ansatz(make_state([1.0, 0.0]), np.zeros(3), CFG)
+        run_elemental_ansatz(*to_words([1.0, 0.0]), np.zeros(3), CFG)
 
 
 def test_layer_is_identity_at_zero_parameters():
@@ -90,11 +96,11 @@ def test_layer_is_identity_at_zero_parameters():
         g = complete_graph(n) if n > 1 else WeightedGraph(1, ())
         d = build_cost_diagonal(g, n)
         m = build_mixer_exponents(n)
-        state = init_uniform_state(n)
-        before = state.amps.copy()
-        out, _ = run_layer(state, cost_angles(d, 0.0), mixer_angles(m, 0.0), CFG)
-        assert out.scale_exp == state.scale_exp
-        np.testing.assert_allclose(out.amps, before, atol=2 ** -12)
+        before = init_uniform_state(n).amps
+        re, im, k = run_layer(*to_words(before), cost_angles(d, 0.0),
+                              mixer_angles(m, 0.0), CFG)
+        assert k == n  # scale exponent unchanged
+        np.testing.assert_allclose(to_amps(re, im), before, atol=2 ** -12)
 
 
 def test_layer_matches_dense_oracle():
@@ -112,12 +118,14 @@ def test_layer_scale_exp_constant_at_default_shift():
     g = complete_graph(3)
     d = build_cost_diagonal(g, 3)
     m = build_mixer_exponents(3)
-    state = init_uniform_state(3)
-    start_exp = state.scale_exp
+    start = init_uniform_state(3)
+    re, im = to_words(start.amps)
+    scale_exp = start.scale_exp
     for _ in range(4):
-        state, _ = run_layer(state, cost_angles(d, 0.3), mixer_angles(m, 0.2), CFG)
-    assert state.scale_exp == start_exp
-    assert abs(state.physical_norm() - 1.0) < 2 ** -10
+        re, im, k = run_layer(re, im, cost_angles(d, 0.3), mixer_angles(m, 0.2), CFG)
+        scale_exp += k - 3
+    assert scale_exp == start.scale_exp
+    assert abs(to_state(re, im, scale_exp).physical_norm() - 1.0) < 2 ** -10
 
 
 def test_layer_scale_exp_tracks_nondefault_shift():
@@ -125,9 +133,11 @@ def test_layer_scale_exp_tracks_nondefault_shift():
     d = build_cost_diagonal(g, 2)
     m = build_mixer_exponents(2)
     cfg = PipelineConfig(per_layer_shift=0)
-    state = init_uniform_state(2)
-    out, _ = run_layer(state, cost_angles(d, 0.1), mixer_angles(m, 0.1), cfg)
-    assert out.scale_exp == state.scale_exp - 2  # unshifted raw grows by 2**n
+    start = init_uniform_state(2)
+    re, im, k = run_layer(*to_words(start.amps), cost_angles(d, 0.1),
+                          mixer_angles(m, 0.1), cfg)
+    assert k == 0  # unshifted raw grows by 2**n, so scale_exp drops by n
+    out = to_state(re, im, start.scale_exp + k - 2)
     assert abs(out.physical_norm() - 1.0) < 2 ** -10
 
 
@@ -152,7 +162,7 @@ def test_cycle_accounting_formula():
     _, report = run_qaoa(g, params)
     per_op = 512 + PIPELINE_LATENCY
     assert report.cycles_per_op == [per_op] * 16
-    assert report.cycles_total == 16 * per_op + SETUP_CYCLES
+    assert report.cycles_total == 16 * per_op
     assert report.mults == 16 * 512
     assert report.adds == 16 * 512 * 512
     assert report.derived_seconds() == pytest.approx(report.cycles_total * 1e-8)
@@ -189,9 +199,8 @@ def test_overflow_flag_raised_on_saturation():
 def test_trace_records_stage_occupancy(tmp_path):
     g = WeightedGraph(2, ((0, 1, 1.0),))
     records = []
-    cfg = PipelineConfig(trace=True)
     state, report = run_qaoa(g, QaoaParams(1, (0.4,), (0.2,)),
-                             cfg, trace_writer=records.append)
+                             trace_writer=records.append)
     per_op = 4 + PIPELINE_LATENCY
     assert len(records) == 2 * per_op
     first = records[0]

@@ -3,22 +3,29 @@
 Each half-layer is one elemental operation: stream the N diagonal elements
 through CALCULATE_RAD -> NORMALIZE_RAD -> CORDIC(16) -> 1_MULT, one element
 per clock in steady state, while N_ADD applies the streamed complex product
-to all N accumulator slots in parallel with +/-1 column signs.  An operation
-therefore takes N + PIPELINE_LATENCY clocks and costs N complex multiplies
-plus N*N complex additions.
+to all N accumulator slots in parallel with +/-1 column signs, saturating
+after every addition.  An operation therefore takes N + PIPELINE_LATENCY
+clocks and costs N complex multiplies plus N*N complex additions; those
+modelled counts and the per-clock trace describe that streamed datapath.
 
 The state is held as raw int64 words (real and imaginary arrays) for the
 whole run; run_qaoa builds the float64 StateVector once, at readout (word
-widths <= 32 bits make that image lossless).  The per-element stages are
-evaluated data-parallel, which is value-identical to streaming because
-elements only interact in N_ADD, where accumulation runs in ascending stream
-order.
+widths <= 32 bits make that image lossless).
+
+The host evaluates the datapath in a different order with identical words
+and flags.  The per-element stages are batch-evaluated, which is
+value-identical to streaming because elements only interact in N_ADD.
+N_ADD, defined as accumulation in ascending stream order, is computed in
+O(N log N) by a butterfly over per-block summaries of each row's stream
+(_n_add): prefix extremes say exactly which rows saturate, and for those a
+composition of clamp-add maps gives the clipped result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -119,10 +126,99 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
+@lru_cache(maxsize=8)
+def _row_index(n: int) -> np.ndarray:
+    # shared and read-only: hadamard_sign_column runs once per column
+    rows = np.arange(1 << n, dtype=np.int64)
+    rows.flags.writeable = False
+    return rows
+
+
 def hadamard_sign_column(col: int, n: int) -> np.ndarray:
     """Signs hadamard_sign(i, col) for all rows i, as an int64 vector."""
-    rows = np.arange(1 << n, dtype=np.int64)
-    return 1 - 2 * _parity(rows & col)
+    return 1 - 2 * _parity(_row_index(n) & col)
+
+
+Halves = list[np.ndarray]
+
+
+def butterfly(arrays: tuple[np.ndarray, ...],
+              combine: Callable[[Halves, Halves, Halves, Halves], None]
+              ) -> tuple[np.ndarray, ...]:
+    """Natural-order butterfly along the last axis, in place.
+
+    Each array is 1-D or C-contiguous, so that reshaping it gives a view.
+    At each level h = 1, 2, ..., N/2 every 2h-block of each array is split
+    into halves L and R.  combine(left, right, plus, minus) reads the old
+    halves from the copies left, right and writes the new ones into the
+    views plus (replacing L) and minus (replacing R).  With plus = L + R
+    and minus = L - R this is the +/-1 Walsh-Hadamard transform: plus
+    serves the rows whose sign on R is +1, minus those whose sign is -1.
+    """
+    n_states = arrays[0].shape[-1]
+    h = 1
+    while h < n_states:
+        blocks = [a.reshape(-1, 2, h) for a in arrays]
+        combine([b[:, 0].copy() for b in blocks], [b[:, 1].copy() for b in blocks],
+                [b[:, 0] for b in blocks], [b[:, 1] for b in blocks])
+        h *= 2
+    return arrays
+
+
+def _prefix_combine(left: Halves, right: Halves, plus: Halves, minus: Halves) -> None:
+    # (sum, max prefix, min prefix) of the stream L then +R, and of L then -R
+    (sl, tl, bl), (sr, tr, br) = left, right
+    np.add(sl, sr, out=plus[0])
+    np.maximum(tl, sl + tr, out=plus[1])
+    np.minimum(bl, sl + br, out=plus[2])
+    np.subtract(sl, sr, out=minus[0])
+    np.maximum(tl, sl - br, out=minus[1])
+    np.minimum(bl, sl - tr, out=minus[2])
+
+
+def _clamp_combine(left: Halves, right: Halves, plus: Halves, minus: Halves) -> None:
+    # clamp map a -> clip(a + d, lo, hi) of L then R, and of L then -R,
+    # whose map is (-d, -hi - 1, -lo - 1)
+    (dl, lol, hil), (dr, lor, hir) = left, right
+    np.add(dl, dr, out=plus[0])
+    np.clip(lol + dr, lor, hir, out=plus[1])
+    np.clip(hil + dr, lor, hir, out=plus[2])
+    neg_lo, neg_hi = -hir - 1, -lor - 1
+    np.subtract(dl, dr, out=minus[0])
+    np.clip(lol - dr, neg_lo, neg_hi, out=minus[1])
+    np.clip(hil - dr, neg_lo, neg_hi, out=minus[2])
+
+
+def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
+    """N_ADD of the stacked (2, N) re/im 1_MULT words.
+
+    Row i of the result is the saturating accumulation, from zero and in
+    ascending column order c, of hadamard_sign(i, c) * words[:, c].  The
+    butterfly's entries summarise the signed sub-stream of one column block
+    for one row sign pattern:
+
+    (a) its sum s and its largest (t) and smallest (b) unclipped prefix
+        sum.  Clipped and unclipped accumulation agree up to the first
+        addition that leaves [min_raw, max_raw], so a row saturates exactly
+        when its t or b lies outside; the other rows' result is s, and the
+        sticky flag is raised exactly when some row saturates.
+    (b) only then, the clamp map a -> clip(a + d, lo, hi) the sub-stream
+        applies to the accumulator.  Each saturating addition is such a map,
+        and the family is closed under composition.  Negating a stream
+        conjugates its map by a -> -a - 1, which maps [min_raw, max_raw]
+        onto itself since min_raw = -max_raw - 1.  The result is the whole
+        stream's map applied to 0.
+
+    Words are below 2**31 in magnitude and N <= 2**24, so every sum stays
+    below 2**56 and the int64 arithmetic is exact.
+    """
+    s, t, b = butterfly((words.copy(), words.copy(), words.copy()), _prefix_combine)
+    if not ((t > fmt.max_raw).any() or (b < fmt.min_raw).any()):
+        return s
+    ctx.overflow = True
+    d, lo, hi = butterfly((words.copy(), np.full_like(words, fmt.min_raw),
+                           np.full_like(words, fmt.max_raw)), _clamp_combine)
+    return np.clip(d, lo, hi)
 
 
 def init_uniform_state(n: int, fmt: FxFormat = FxFormat()) -> StateVector:
@@ -183,7 +279,6 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
     anywhere sets the sticky flag on ctx but the run continues.
     """
     n_states = len(in_re)
-    n = n_states.bit_length() - 1
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (n_states,):
         raise ValueError(f"expected {n_states} angles, got {angles.shape}")
@@ -203,14 +298,10 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
     mult_im = fxp.vec_add(fxp.vec_mul(in_re, sin_raw, fmt, ctx),
                           fxp.vec_mul(in_im, cos_raw, fmt, ctx), fmt, ctx)
 
-    # N_ADD: accumulate in ascending stream order so saturation, if any,
-    # happens at a reproducible point.
-    res_re = np.zeros(n_states, dtype=np.int64)
-    res_im = np.zeros(n_states, dtype=np.int64)
-    for c in range(n_states):
-        signs = hadamard_sign_column(c, n)
-        res_re = fxp.vec_add(res_re, signs * mult_re[c], fmt, ctx)
-        res_im = fxp.vec_add(res_im, signs * mult_im[c], fmt, ctx)
+    # N_ADD: the hardware accumulates the product stream into all N slots in
+    # ascending stream order, saturating after each addition; _n_add gives
+    # the same words and flag from one butterfly over both parts.
+    res_re, res_im = _n_add(np.stack((mult_re, mult_im)), fmt, ctx)
 
     if trace_writer is not None:
         _emit_op_trace(trace_writer, n_states, op_index, layer, order,

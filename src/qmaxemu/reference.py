@@ -27,15 +27,21 @@ import numpy as np
 
 from .diagonals import build_cost_diagonal, build_mixer_exponents, cost_angles, mixer_angles
 from .graph import WeightedGraph
-from .pipeline import OpCounts, QaoaParams, StateVector, hadamard_sign_column
+from .pipeline import OpCounts, QaoaParams, StateVector, butterfly, hadamard_sign_column
 
 DENSE_MAX_QUBITS = 12
+_MATVEC_BLOCK_ELEMS = 1 << 18  # elements per _matvec row block: 4 MB of complex128
 
 
 def _matvec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Row-wise products summed by numpy's fixed pairwise reduction: no BLAS,
-    # so results do not depend on the host thread count.
-    return (u * v[np.newaxis, :]).sum(axis=1)
+    # so results do not depend on the host thread count.  Rows go in blocks;
+    # each row's sum is the same as over the whole matrix at once.
+    rows = max(1, _MATVEC_BLOCK_ELEMS // len(v))
+    out = np.empty(len(u), dtype=np.result_type(u, v))
+    for r in range(0, len(u), rows):
+        out[r:r + rows] = (u[r:r + rows] * v[np.newaxis, :]).sum(axis=1)
+    return out
 
 
 def dense_cost_unitary(g: WeightedGraph, gamma: float, n: int) -> np.ndarray:
@@ -84,20 +90,18 @@ def dense_run_qaoa(g: WeightedGraph, params: QaoaParams,
     return StateVector(amps=v, scale_exp=Fraction(0), n=n)
 
 
+def _sum_diff(left, right, plus, minus):
+    np.add(left[0], right[0], out=plus[0])
+    np.subtract(left[0], right[0], out=minus[0])
+
+
 def fwht_inplace(v: np.ndarray) -> np.ndarray:
     """In-place +/-1 Walsh-Hadamard butterfly (natural order), O(N log N).
 
     Each level pairs the two halves of every 2h-block in one vectorised pass
     (reshaping a 1-D array always gives a view, so the writes land in v).
     """
-    h = 1
-    while h < len(v):
-        blocks = v.reshape(-1, 2, h)
-        a = blocks[:, 0].copy()
-        b = blocks[:, 1].copy()
-        blocks[:, 0] = a + b
-        blocks[:, 1] = a - b
-        h *= 2
+    butterfly((v,), _sum_diff)
     return v
 
 

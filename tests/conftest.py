@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qmaxemu import QaoaParams, WeightedGraph, run_qaoa
+
+# CLI tests start `python -m qmaxemu` in a subprocess; point it at the same
+# source tree as this process, which pytest's `pythonpath` setting only adds
+# to sys.path.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

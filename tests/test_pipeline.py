@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from qmaxemu import (QaoaParams, StateVector, WeightedGraph, build_cost_diagonal,
-                     build_mixer_exponents, cost_angles, dense_run_qaoa, fxp,
-                     hadamard_sign, init_uniform_state, mixer_angles,
-                     probabilities, run_elemental_ansatz, run_layer, run_qaoa)
-from qmaxemu.pipeline import PIPELINE_LATENCY, PipelineConfig, hadamard_sign_column
+                     build_mixer_exponents, cost_angles, decomposed_run_qaoa_f64,
+                     dense_run_qaoa, expectation, fxp, hadamard_sign,
+                     init_uniform_state, mixer_angles, probabilities,
+                     run_elemental_ansatz, run_layer, run_qaoa)
+from qmaxemu.fxp import FxContext, FxFormat
+from qmaxemu.pipeline import (PIPELINE_LATENCY, PipelineConfig, _n_add,
+                              hadamard_sign_column)
 
 from conftest import complete_graph, random_graph
 
@@ -44,6 +47,94 @@ def test_hadamard_sign_matches_kronecker_square():
     assert (got == expected).all()
     for c in range(4):
         assert (hadamard_sign_column(c, 2) == expected[:, c]).all()
+
+
+def streamed_n_add(words, fmt, ctx):
+    """N_ADD as the hardware streams it: column c of the stacked (2, N)
+    words lands on every row with its +/-1 signs, in ascending c, with a
+    saturating addition each time."""
+    n = words.shape[1].bit_length() - 1
+    res = np.zeros_like(words)
+    for c in range(words.shape[1]):
+        res = fxp.vec_add(res, hadamard_sign_column(c, n) * words[:, c:c + 1], fmt, ctx)
+    return res
+
+
+def sign_matrix(n):
+    """The symmetric +/-1 Walsh-Hadamard matrix, one column per stream element."""
+    return np.array([hadamard_sign_column(c, n) for c in range(1 << n)])
+
+
+def assert_n_add_matches_stream(words, fmt) -> bool:
+    """Compare _n_add with the streamed oracle, words and flag; return the flag."""
+    want_ctx, got_ctx = FxContext(), FxContext()
+    want = streamed_n_add(words, fmt, want_ctx)
+    got = _n_add(words, fmt, got_ctx)
+    assert got.dtype == np.int64
+    assert (got == want).all()
+    assert got_ctx.overflow == want_ctx.overflow
+    return got_ctx.overflow
+
+
+N_ADD_FORMATS = (FxFormat(32, 25), FxFormat(32, 20), FxFormat(16, 10), FxFormat(12, 8))
+
+
+def test_n_add_matches_streamed_random_words():
+    rng = np.random.default_rng(53)
+    flags = []
+    for fmt in N_ADD_FORMATS:
+        for n in range(1, 11):
+            # words in [-2**(bits-1), 2**(bits-1)): from below max_raw / N,
+            # which never saturates, to the full range
+            for bits in (max(1, fmt.word_bits - 1 - n), fmt.word_bits - 1 - n // 2,
+                         fmt.word_bits):
+                words = rng.integers(-(1 << bits - 1), 1 << bits - 1, size=(2, 1 << n))
+                flags.append(assert_n_add_matches_stream(words, fmt))
+    assert any(flags) and not all(flags)
+
+
+def test_n_add_prefix_saturates_but_sum_returns_to_range():
+    fmt = FxFormat(12, 8)
+    hi = fmt.max_raw
+    words = np.array([[hi, hi, -hi, -hi], [0, 0, 0, 0]], dtype=np.int64)
+    assert assert_n_add_matches_stream(words, fmt)
+    # row 0 clips at the second addition, so its unclipped sum 0 comes out -hi
+    got = _n_add(words, fmt, FxContext())
+    assert got[0].tolist() == [-hi, 0, hi, 0]
+    assert got[1].tolist() == [0, 0, 0, 0]
+
+
+def test_n_add_prefix_at_the_limits_is_not_saturation():
+    fmt = FxFormat(12, 8)
+    words = np.array([[fmt.max_raw, 0, 0, 0], [fmt.min_raw, 0, 0, 0]], dtype=np.int64)
+    assert not assert_n_add_matches_stream(words, fmt)
+    words[0, 3] = 1  # one step past max_raw on rows 0 and 3
+    assert assert_n_add_matches_stream(words, fmt)
+
+
+def test_n_add_large_block_sums_without_saturation():
+    # the first word sits near each limit, so every block holding it has a
+    # near-full-range sum at every level, but no prefix leaves the range
+    fmt = FxFormat(16, 10)
+    n = 6
+    rng = np.random.default_rng(59)
+    words = rng.integers(-2, 3, size=(2, 1 << n))
+    words[0, 0] = fmt.max_raw - 2 * (1 << n)
+    words[1, 0] = fmt.min_raw + 2 * (1 << n)
+    assert not assert_n_add_matches_stream(words, fmt)
+    got = _n_add(words, fmt, FxContext())
+    assert (got == words @ sign_matrix(n)).all()  # the plain +/-1 transform
+
+
+def test_n_add_saturates_in_imaginary_part_only():
+    fmt = FxFormat(12, 8)
+    words = np.zeros((2, 8), dtype=np.int64)
+    words[0] = [5, -3, 7, 1, 0, -2, 4, 6]
+    words[1] = [fmt.min_raw, -fmt.max_raw, 0, 0, 0, 0, 0, 0]
+    assert assert_n_add_matches_stream(words, fmt)
+    got = _n_add(words, fmt, FxContext())
+    assert (got[0] == words[0] @ sign_matrix(3)).all()  # real part unclipped
+    assert got[1, 0] == fmt.min_raw
 
 
 def test_init_uniform_state():
@@ -89,6 +180,20 @@ def test_elemental_op_matches_dense_matvec():
 def test_elemental_op_rejects_wrong_angle_count():
     with pytest.raises(ValueError):
         run_elemental_ansatz(*to_words([1.0, 0.0]), np.zeros(3), CFG)
+
+
+def test_run_qaoa_fidelity_at_fourteen_qubits():
+    # q12.20 keeps this instance clear of saturation at n = 14; bounds are
+    # acceptance criterion 2's
+    g = random_graph(np.random.default_rng(61), 14, edge_prob=0.3)
+    params = QaoaParams(1, (0.15,), (0.4,))
+    state, report = run_qaoa(g, params, PipelineConfig(fmt=FxFormat(32, 20)))
+    assert not report.overflow
+    ref = decomposed_run_qaoa_f64(g, params, fast=True)
+    tv = 0.5 * np.abs(probabilities(state) - probabilities(ref)).sum()
+    assert tv <= 1e-3
+    d = build_cost_diagonal(g, 14)
+    assert abs(expectation(state, d).f_p - expectation(ref, d).f_p) <= 5e-3
 
 
 def test_layer_is_identity_at_zero_parameters():

@@ -9,6 +9,7 @@ from qmaxemu import (OpCounts, QaoaParams, WeightedGraph, align_global_phase,
                      dense_mixer_unitary, dense_run_qaoa, fwht_inplace,
                      mixer_angles, walsh_streamed)
 from qmaxemu.pipeline import hadamard_sign
+from qmaxemu.reference import _MATVEC_BLOCK_ELEMS, _matvec
 
 from conftest import random_graph, random_instance
 
@@ -86,6 +87,16 @@ def test_dense_size_guard():
     g = WeightedGraph(13, ((0, 1, 1.0),))
     with pytest.raises(ValueError):
         dense_run_qaoa(g, QaoaParams(1, (0.1,), (0.1,)))
+
+
+def test_matvec_row_blocks_equal_whole_product():
+    # several row blocks plus a partial one; each row's sum must not change
+    rng = np.random.default_rng(89)
+    n_cols = 512
+    rows = 3 * (_MATVEC_BLOCK_ELEMS // n_cols) + 7
+    u = rng.normal(size=(rows, n_cols)) + 1j * rng.normal(size=(rows, n_cols))
+    v = rng.normal(size=n_cols) + 1j * rng.normal(size=n_cols)
+    assert _matvec(u, v).tobytes() == (u * v[np.newaxis, :]).sum(axis=1).tobytes()
 
 
 def test_walsh_forms_agree():

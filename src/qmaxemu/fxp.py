@@ -7,6 +7,12 @@ without per-element Python overhead; a property test pins the two paths to
 bit equality.  Word widths are capped at 32 bits so every intermediate
 product fits in int64.
 
+The modelled CORDIC has 16 rotation stages, and the scalar
+`cordic_sincos` runs them one by one.  Its vector twin gets the same words
+from a per-format decision-interval table: the stage directions depend
+only on the input angle, so the inputs fall into at most 2**15 intervals
+of equal output, found by a binary search (`_cordic_table`).
+
 Policy (shared by both paths):
   * conversion and multiplication round to nearest, ties to even;
   * addition/subtraction on raw values is exact unless it saturates;
@@ -119,10 +125,12 @@ def _saturate(raw: int, fmt: FxFormat, ctx: FxContext | None) -> int:
 
 
 def _rne_shift(value, shift: int):
-    """Shift right with round-to-nearest-even; works on ints and int arrays."""
-    q, r = divmod(value, 1 << shift)
-    half = 1 << (shift - 1)
-    return q + ((r > half) | ((r == half) & ((q & 1) == 1)))
+    """Shift right with round-to-nearest-even; works on ints and int arrays.
+
+    Adding half - 1 rounds up exactly the remainders above one half; adding
+    the quotient's low bit as well rounds a tie up only from an odd quotient.
+    """
+    return (value + ((value >> shift) & 1) + ((1 << (shift - 1)) - 1)) >> shift
 
 
 def fx_from_real(x: float, fmt: FxFormat, ctx: FxContext | None = None) -> Fx:
@@ -317,22 +325,47 @@ def vec_normalize_rad(raw: np.ndarray, fmt: FxFormat):
     return rad_q1, neg_cos, neg_sin
 
 
-def vec_cordic_sincos(rad_q1: np.ndarray, fmt: FxFormat) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=8)
+def _cordic_table(fmt: FxFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leaf starts and their (x, y) for the CORDIC over inputs [0, pi/2].
+
+    Stage i rotates by +atan[i] when z = r - c >= 0 and by -atan[i] when
+    not, where c is the sum of the rotations so far.  x and y start from
+    constants, so the result depends only on the direction bits, and the
+    inputs r sharing a direction prefix form an interval, which stage i
+    splits at its c.  Running the stage recursion over these intervals
+    leaves at most half_pi + 1 of them, ordered along the input.
+    """
     _, _, half_pi, _, atan, k = _trig_constants(fmt)
+    lo = np.zeros(1, dtype=np.int64)
+    hi = np.full(1, half_pi, dtype=np.int64)
+    c = np.zeros(1, dtype=np.int64)
+    x = np.full(1, k, dtype=np.int64)
+    y = np.zeros(1, dtype=np.int64)
+
+    def split(below, above):  # each interval's -1 part (below c), then its +1 part
+        return np.stack((below, above), axis=1).ravel()
+
+    for i in range(CORDIC_STAGES):
+        xs, ys = x >> i, y >> i  # arithmetic shifts, same as the scalar path
+        lo, hi = split(lo, np.maximum(lo, c)), split(np.minimum(hi, c - 1), hi)
+        x, y = split(x + ys, x - ys), split(y - xs, y + xs)
+        c = split(c - atan[i], c + atan[i])
+        keep = lo <= hi
+        lo, hi, x, y, c = lo[keep], hi[keep], x[keep], y[keep], c[keep]
+    for a in (lo, x, y):
+        a.flags.writeable = False  # shared by every call for this format
+    return lo, x, y
+
+
+def vec_cordic_sincos(rad_q1: np.ndarray, fmt: FxFormat) -> tuple[np.ndarray, np.ndarray]:
+    """Vector twin of cordic_sincos, evaluated by a lookup in _cordic_table."""
+    half_pi = _trig_constants(fmt)[2]
     if ((rad_q1 < 0) | (rad_q1 > half_pi)).any():
         raise ValueError("angles outside [0, pi/2]")
-    x = np.full_like(rad_q1, k)
-    y = np.zeros_like(rad_q1)
-    z = rad_q1.copy()
-    for i in range(CORDIC_STAGES):
-        pos = z >= 0
-        xs, ys = x >> i, y >> i  # arithmetic shifts, same as the scalar path
-        x, y, z = (
-            np.where(pos, x - ys, x + ys),
-            np.where(pos, y + xs, y - xs),
-            np.where(pos, z - atan[i], z + atan[i]),
-        )
-    return x, y
+    starts, x, y = _cordic_table(fmt)
+    leaf = np.searchsorted(starts, rad_q1, side="right") - 1
+    return x[leaf], y[leaf]
 
 
 def vec_apply_flags(cos_raw, sin_raw, neg_cos, neg_sin, fmt: FxFormat,

@@ -15,10 +15,14 @@ widths <= 32 bits make that image lossless).
 The host evaluates the datapath in a different order with identical words
 and flags.  The per-element stages are batch-evaluated, which is
 value-identical to streaming because elements only interact in N_ADD.
+CORDIC is evaluated by a per-format decision-interval table
+(fxp.vec_cordic_sincos), which gives the 16 stages' words in one lookup.
 N_ADD, defined as accumulation in ascending stream order, is computed in
-O(N log N) by a butterfly over per-block summaries of each row's stream
-(_n_add): prefix extremes say exactly which rows saturate, and for those a
-composition of clamp-add maps gives the clipped result.
+O(N log N) by a butterfly (_n_add).  When the words' absolute sums bound
+every partial sum inside the word range it is the plain +/-1 transform;
+otherwise per-block summaries of each row's stream are combined: prefix
+extremes say exactly which rows saturate, and for those a composition of
+clamp-add maps gives the clipped result.
 """
 
 from __future__ import annotations
@@ -165,6 +169,12 @@ def butterfly(arrays: tuple[np.ndarray, ...],
     return arrays
 
 
+def _sum_diff(left: Halves, right: Halves, plus: Halves, minus: Halves) -> None:
+    # the +/-1 Walsh-Hadamard combine: plus = L + R, minus = L - R
+    np.add(left[0], right[0], out=plus[0])
+    np.subtract(left[0], right[0], out=minus[0])
+
+
 def _prefix_combine(left: Halves, right: Halves, plus: Halves, minus: Halves) -> None:
     # (sum, max prefix, min prefix) of the stream L then +R, and of L then -R
     (sl, tl, bl), (sr, tr, br) = left, right
@@ -209,9 +219,16 @@ def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
         onto itself since min_raw = -max_raw - 1.  The result is the whole
         stream's map applied to 0.
 
+    Both passes are skipped when every row of words has sum(|w|) <= max_raw.
+    Every prefix sum of every row's signed stream is then at most that sum
+    in magnitude, so it stays in [min_raw, max_raw]: no row saturates, the
+    flag is left as it is, and the result is the plain +/-1 transform.
+
     Words are below 2**31 in magnitude and N <= 2**24, so every sum stays
     below 2**56 and the int64 arithmetic is exact.
     """
+    if (np.abs(words).sum(axis=1) <= fmt.max_raw).all():
+        return butterfly((words.copy(),), _sum_diff)[0]
     s, t, b = butterfly((words.copy(), words.copy(), words.copy()), _prefix_combine)
     if not ((t > fmt.max_raw).any() or (b < fmt.min_raw).any()):
         return s
@@ -300,7 +317,8 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
 
     # N_ADD: the hardware accumulates the product stream into all N slots in
     # ascending stream order, saturating after each addition; _n_add gives
-    # the same words and flag from one butterfly over both parts.
+    # the same words and flag from butterflies over both parts, a single
+    # plain transform when the words' absolute sums rule saturation out.
     res_re, res_im = _n_add(np.stack((mult_re, mult_im)), fmt, ctx)
 
     if trace_writer is not None:

@@ -3,9 +3,10 @@
 Two independent routes to the same ansatz state:
 
   * dense: per-gate construction (diagonal two-qubit phase gates for the
-    cost step, a Kronecker power of the 2x2 X-rotation for the mixer)
-    applied by explicit N x N matrix-vector multiplication.  Deliberately
-    shares no code with the decomposed dataflow.
+    cost step, a Kronecker power of the 2x2 X-rotation for the mixer).  The
+    cost step's gate product is diagonal and multiplies the state
+    elementwise; the mixer goes through an explicit N x N matrix-vector
+    product.  Deliberately shares no code with the decomposed dataflow.
   * decomposed: diagonal phase multiply followed by a +/-1 Walsh-Hadamard
     transform and a 1/2**n scale per layer -- the pipeline's dataflow in
     float64, with either the streamed O(N^2)-addition form or an in-place
@@ -27,7 +28,8 @@ import numpy as np
 
 from .diagonals import build_cost_diagonal, build_mixer_exponents, cost_angles, mixer_angles
 from .graph import WeightedGraph
-from .pipeline import OpCounts, QaoaParams, StateVector, butterfly, hadamard_sign_column
+from .pipeline import (OpCounts, QaoaParams, StateVector, _sum_diff, butterfly,
+                       hadamard_sign_column)
 
 DENSE_MAX_QUBITS = 12
 _MATVEC_BLOCK_ELEMS = 1 << 18  # elements per _matvec row block: 4 MB of complex128
@@ -45,7 +47,8 @@ def _matvec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def dense_cost_unitary(g: WeightedGraph, gamma: float, n: int) -> np.ndarray:
-    """Product over edges of two-qubit diagonal phase gates with angle -2*w*gamma.
+    """Diagonal of the product over edges of two-qubit diagonal phase gates
+    with angle -2*w*gamma, as a length-2**n vector.
 
     Each gate contributes exp(-i*theta/2) where the endpoint bits agree and
     exp(+i*theta/2) where they differ.
@@ -58,7 +61,7 @@ def dense_cost_unitary(g: WeightedGraph, gamma: float, n: int) -> np.ndarray:
         theta = -2.0 * w * gamma
         differ = ((idx >> i) ^ (idx >> j)) & 1
         diag = diag * np.where(differ, np.exp(0.5j * theta), np.exp(-0.5j * theta))
-    return np.diag(diag)
+    return diag
 
 
 def dense_mixer_unitary(beta: float, n: int) -> np.ndarray:
@@ -75,24 +78,21 @@ def dense_mixer_unitary(beta: float, n: int) -> np.ndarray:
 
 def dense_run_qaoa(g: WeightedGraph, params: QaoaParams,
                    counts: OpCounts | None = None) -> StateVector:
-    """Gate-product oracle: explicit matrix-vector products on the uniform state."""
+    """Gate-product oracle on the uniform state: per layer, the diagonal cost
+    gate product, then the mixer's N x N matrix.  counts tallies both steps
+    as N x N matrix-vector products, the oracle's defining form."""
     n = g.num_vertices
     if n > DENSE_MAX_QUBITS:
         raise ValueError(f"dense engine limited to {DENSE_MAX_QUBITS} qubits, got {n}")
     n_states = 1 << n
     v = np.full(n_states, 1.0 / np.sqrt(n_states), dtype=np.complex128)
     for k in range(params.p):
-        v = _matvec(dense_cost_unitary(g, params.gamma[k], n), v)
+        v = dense_cost_unitary(g, params.gamma[k], n) * v
         v = _matvec(dense_mixer_unitary(params.beta[k], n), v)
     if counts is not None:
         counts.mults += 2 * params.p * n_states * n_states
         counts.adds += 2 * params.p * n_states * (n_states - 1)
     return StateVector(amps=v, scale_exp=Fraction(0), n=n)
-
-
-def _sum_diff(left, right, plus, minus):
-    np.add(left[0], right[0], out=plus[0])
-    np.subtract(left[0], right[0], out=minus[0])
 
 
 def fwht_inplace(v: np.ndarray) -> np.ndarray:

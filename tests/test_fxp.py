@@ -255,5 +255,78 @@ def test_vector_context_flags_overflow():
 
 
 def test_numpy_right_shift_is_arithmetic():
-    # the vector CORDIC relies on sign-propagating shifts
+    # the CORDIC table and the rounding shift rely on sign-propagating shifts
     assert int(np.int64(-5) >> 1) == -5 >> 1 == -3
+
+
+# ---------------------------------------------------------------------------
+# The decision-interval CORDIC table against the 16-stage scalar CORDIC
+# ---------------------------------------------------------------------------
+
+def scalar_cordic_raw(raws, fmt):
+    pairs = [cordic_sincos(Fx(int(r), fmt)) for r in raws]
+    return [c.raw for c, _ in pairs], [s.raw for _, s in pairs]
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(12, 8), FxFormat(16, 10)])
+def test_cordic_table_matches_scalar_on_every_input(fmt):
+    raws = np.arange(fx_half_pi(fmt).raw + 1, dtype=np.int64)
+    cos, sin = fxp.vec_cordic_sincos(raws, fmt)
+    assert (cos.tolist(), sin.tolist()) == scalar_cordic_raw(raws, fmt)
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(32, 25), FxFormat(32, 20)])
+def test_cordic_table_matches_scalar_at_leaf_boundaries(fmt):
+    half_pi = fx_half_pi(fmt).raw
+    starts = fxp._cordic_table(fmt)[0]
+    rng = np.random.default_rng(31)
+    raws = np.concatenate((starts, starts[1:] - 1, [half_pi],
+                           rng.integers(0, half_pi + 1, 2000)))
+    cos, sin = fxp.vec_cordic_sincos(raws, fmt)
+    assert (cos.tolist(), sin.tolist()) == scalar_cordic_raw(raws, fmt)
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(12, 8), FxFormat(16, 10),
+                                 FxFormat(32, 25), FxFormat(32, 20)])
+def test_cordic_table_shape_and_sharing(fmt):
+    starts, x, y = fxp._cordic_table(fmt)
+    assert starts[0] == 0 and (np.diff(starts) > 0).all()
+    assert len(starts) == len(x) == len(y) <= min(fx_half_pi(fmt).raw + 1,
+                                                  1 << fxp.CORDIC_STAGES - 1)
+    for a in (starts, x, y):
+        assert not a.flags.writeable
+    # the lookup's results belong to the caller
+    cos, sin = fxp.vec_cordic_sincos(np.array([0, 1]), fmt)
+    assert cos.flags.writeable and sin.flags.writeable
+
+
+def test_vec_cordic_rejects_angles_outside_first_quadrant():
+    half_pi = fx_half_pi(FMT).raw
+    for raw in (-1, half_pi + 1):
+        with pytest.raises(ValueError):
+            fxp.vec_cordic_sincos(np.array([0, raw]), FMT)
+
+
+# ---------------------------------------------------------------------------
+# Shift-only rounding against the divmod definition
+# ---------------------------------------------------------------------------
+
+def rne_shift_divmod(value, shift):
+    q, r = divmod(value, 1 << shift)
+    half = 1 << (shift - 1)
+    return q + ((r > half) | ((r == half) & ((q & 1) == 1)))
+
+
+def test_rne_shift_matches_divmod_definition():
+    rng = np.random.default_rng(37)
+    for shift in range(2, 32):
+        unit, half = 1 << shift, 1 << (shift - 1)
+        quotients = np.array([-5, -4, -3, -1, 0, 1, 2, 3, 4, 5], dtype=np.int64)
+        # ties above even and odd quotients, one either side, random products
+        values = np.concatenate([quotients * unit + half + off for off in (-1, 0, 1)]
+                                + [quotients * unit,
+                                   rng.integers(-(1 << 62), 1 << 62, 200)])
+        want = rne_shift_divmod(values, shift)
+        assert (fxp._rne_shift(values, shift) == want).all()
+        for v, w in zip(values.tolist(), want.tolist()):
+            assert fxp._rne_shift(v, shift) == w

@@ -8,7 +8,7 @@ from qmaxemu import (QaoaParams, StateVector, WeightedGraph, build_cost_diagonal
                      build_mixer_exponents, cost_angles, decomposed_run_qaoa_f64,
                      dense_run_qaoa, expectation, fxp, hadamard_sign,
                      init_uniform_state, mixer_angles, probabilities,
-                     run_elemental_ansatz, run_layer, run_qaoa)
+                     pipeline, run_elemental_ansatz, run_layer, run_qaoa)
 from qmaxemu.fxp import FxContext, FxFormat
 from qmaxemu.pipeline import (PIPELINE_LATENCY, PipelineConfig, _n_add,
                               hadamard_sign_column)
@@ -135,6 +135,57 @@ def test_n_add_saturates_in_imaginary_part_only():
     got = _n_add(words, fmt, FxContext())
     assert (got[0] == words[0] @ sign_matrix(3)).all()  # real part unclipped
     assert got[1, 0] == fmt.min_raw
+
+
+def n_add_takes_bound_path(words, fmt, monkeypatch) -> bool:
+    """Check _n_add against the stream and say whether it skipped the
+    prefix-summary pass, which only the no-saturation bound allows."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        prefix_combine(*args)
+
+    prefix_combine = pipeline._prefix_combine
+    monkeypatch.setattr(pipeline, "_prefix_combine", counted)
+    assert_n_add_matches_stream(words, fmt)
+    return not calls
+
+
+def test_n_add_bound_holds_at_max_raw(monkeypatch):
+    # sum(|w|) == max_raw on the real row: the bound path, no flag, and
+    # result row 1, whose signs match the words', reaches max_raw exactly
+    fmt = FxFormat(12, 8)
+    words = np.array([[1000, -47, 600, -400], [3, -3, 0, 9]], dtype=np.int64)
+    assert np.abs(words[0]).sum() == fmt.max_raw
+    assert n_add_takes_bound_path(words, fmt, monkeypatch)
+    ctx = FxContext()
+    got = _n_add(words, fmt, ctx)
+    assert not ctx.overflow
+    assert (got == words @ sign_matrix(2)).all()
+    assert got[0, 1] == fmt.max_raw
+
+
+def test_n_add_one_past_the_bound_saturates(monkeypatch):
+    # sum(|w|) == max_raw + 1 with one sign per word: row 0 adds them all
+    fmt = FxFormat(12, 8)
+    words = np.array([[1000, 47, 600, 401], [0, 0, 0, 0]], dtype=np.int64)
+    assert not n_add_takes_bound_path(words, fmt, monkeypatch)
+    ctx = FxContext()
+    got = _n_add(words, fmt, ctx)
+    assert ctx.overflow and got[0, 0] == fmt.max_raw
+
+
+def test_n_add_single_min_raw_word_saturates_on_negated_rows(monkeypatch):
+    # |min_raw| = max_raw + 1: the rows whose sign on column 1 is -1 saturate
+    fmt = FxFormat(12, 8)
+    words = np.zeros((2, 4), dtype=np.int64)
+    words[1, 1] = fmt.min_raw
+    assert not n_add_takes_bound_path(words, fmt, monkeypatch)
+    ctx = FxContext()
+    got = _n_add(words, fmt, ctx)
+    assert ctx.overflow
+    assert got[1].tolist() == [fmt.min_raw, fmt.max_raw, fmt.min_raw, fmt.max_raw]
 
 
 def test_init_uniform_state():

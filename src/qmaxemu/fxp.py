@@ -273,10 +273,10 @@ def fx_sincos(rad: Fx, ctx: FxContext | None = None) -> tuple[Fx, Fx]:
 # --------------------------------------------------------------------------
 
 def _vec_saturate(raw: np.ndarray, fmt: FxFormat, ctx: FxContext | None) -> np.ndarray:
-    lo, hi = fmt.min_raw, fmt.max_raw
-    if ctx is not None and ((raw > hi).any() or (raw < lo).any()):
+    out = np.minimum(np.maximum(raw, fmt.min_raw), fmt.max_raw)
+    if ctx is not None and not ctx.overflow and (out != raw).any():
         ctx.overflow = True
-    return np.clip(raw, lo, hi)
+    return out
 
 
 def vec_from_real(x: np.ndarray, fmt: FxFormat, ctx: FxContext | None = None) -> np.ndarray:
@@ -312,16 +312,18 @@ def vec_reduce_mod_2pi(raw: np.ndarray, fmt: FxFormat) -> np.ndarray:
 
 
 def vec_normalize_rad(raw: np.ndarray, fmt: FxFormat):
-    """Vector twin of normalize_rad: returns (rad_q1, neg_cos, neg_sin)."""
+    """Vector twin of normalize_rad: returns (rad_q1, neg_cos, neg_sin).
+
+    Two folds, about pi and then about each half's quarter point, with the
+    rounded constants as the scalar branches use them (at q12.20 and q8.16
+    two_pi is not 2 * pi, so the upper half mirrors about two_pi)."""
     two_pi, pi, half_pi, three_half_pi, _, _ = _trig_constants(fmt)
     if ((raw < 0) | (raw >= two_pi)).any():
         raise ValueError("angles not reduced to [0, 2*pi)")
-    q1 = raw < half_pi
-    q2 = raw < pi
-    q3 = raw < three_half_pi
-    rad_q1 = np.select([q1, q2, q3], [raw, pi - raw, raw - pi], default=two_pi - raw)
-    neg_cos = (~q1 & q2) | (~q2 & q3)
-    neg_sin = ~q2
+    neg_sin = raw >= pi
+    neg_cos = (raw >= half_pi) ^ (raw >= three_half_pi)
+    back = neg_cos ^ neg_sin
+    rad_q1 = np.where(back, np.where(neg_sin, two_pi, pi) - raw, raw - pi * neg_sin)
     return rad_q1, neg_cos, neg_sin
 
 

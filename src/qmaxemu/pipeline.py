@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -130,17 +129,9 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-@lru_cache(maxsize=8)
-def _row_index(n: int) -> np.ndarray:
-    # shared and read-only: hadamard_sign_column runs once per column
-    rows = np.arange(1 << n, dtype=np.int64)
-    rows.flags.writeable = False
-    return rows
-
-
 def hadamard_sign_column(col: int, n: int) -> np.ndarray:
     """Signs hadamard_sign(i, col) for all rows i, as an int64 vector."""
-    return 1 - 2 * _parity(_row_index(n) & col)
+    return 1 - 2 * _parity(np.arange(1 << n, dtype=np.int64) & col)
 
 
 Halves = list[np.ndarray]

@@ -9,8 +9,8 @@ Two independent routes to the same ansatz state:
     product.  Deliberately shares no code with the decomposed dataflow.
   * decomposed: diagonal phase multiply followed by a +/-1 Walsh-Hadamard
     transform and a 1/2**n scale per layer -- the pipeline's dataflow in
-    float64, with either the streamed O(N^2)-addition form or an in-place
-    butterfly.
+    float64, transformed by the in-place butterfly.  walsh_streamed, the
+    transform accumulated in stream order, is kept as its test oracle.
 
 Both return a StateVector with scale_exp 0 and tally their work in an
 optional OpCounts (multiplies and additions only: no clocks are modeled).
@@ -109,7 +109,8 @@ def walsh_streamed(v: np.ndarray) -> np.ndarray:
     """+/-1 Walsh-Hadamard transform accumulated in ascending stream order.
 
     Mirrors the pipeline's N_ADD dataflow: element c lands on all N slots
-    with column-c signs before element c+1 is applied.
+    with column-c signs before element c+1 is applied.  O(N^2): the oracle
+    for fwht_inplace, not used by any engine.
     """
     n_states = len(v)
     n = n_states.bit_length() - 1
@@ -120,12 +121,12 @@ def walsh_streamed(v: np.ndarray) -> np.ndarray:
 
 
 def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
-                            fast: bool = False,
                             counts: OpCounts | None = None) -> StateVector:
     """Pipeline dataflow in float64: phase multiply, +/-1 transform, 1/2**n scale.
 
-    fast=True swaps the streamed transform for the butterfly; the two forms
-    agree to rounding and the swap only changes the addition count.
+    The transform is computed by the butterfly, but counts describe the
+    decomposed dataflow, as run_qaoa's do: N multiplies and N*N additions
+    per transform, 2*p transforms.
     """
     n = g.num_vertices
     n_states = 1 << n
@@ -136,12 +137,11 @@ def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
     for k in range(params.p):
         for angles in (cost_angles(diag, params.gamma[k]),
                        mixer_angles(mixer, params.beta[k])):
-            v = np.exp(1j * angles) * v
-            v = fwht_inplace(v) if fast else walsh_streamed(v)
+            v = fwht_inplace(np.exp(1j * angles) * v)
         v = v * scale  # exact: a power-of-two factor
     if counts is not None:
         counts.mults += 2 * params.p * n_states
-        counts.adds += 2 * params.p * n_states * (n if fast else n_states)
+        counts.adds += 2 * params.p * n_states * n_states
     return StateVector(amps=v, scale_exp=Fraction(0), n=n)
 
 

@@ -136,7 +136,7 @@ def grid_search_p1(g: WeightedGraph, resolution: int,
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     if engine is None:
-        engine = lambda graph, params: decomposed_run_qaoa_f64(graph, params, fast=True)
+        engine = decomposed_run_qaoa_f64
     diag = build_cost_diagonal(g, g.num_vertices)
     step = math.pi / resolution
     best = (-math.inf, 0.0, 0.0)

@@ -63,7 +63,7 @@ def test_criterion_2_fixed_point_fidelity(full_instances):
     for g, params in full_instances:
         state, report = run_qaoa(g, params)
         assert not report.overflow
-        ref = decomposed_run_qaoa_f64(g, params, fast=True)
+        ref = decomposed_run_qaoa_f64(g, params)
         tv = 0.5 * np.abs(probabilities(state) - probabilities(ref)).sum()
         assert tv <= 1e-3
         d = build_cost_diagonal(g, g.num_vertices)
@@ -167,7 +167,7 @@ def test_criterion_7_cordic_accuracy():
 
 def test_criterion_8_variational_sanity():
     def f64(g, params):
-        return decomposed_run_qaoa_f64(g, params, fast=True)
+        return decomposed_run_qaoa_f64(g, params)
 
     # F_p(0,0) = half the total weight: bit-exact for dyadic weights, and at
     # float rounding (1e-12) for arbitrary real weights

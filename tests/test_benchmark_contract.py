@@ -5,7 +5,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from qmaxemu import QaoaParams, WeightedGraph, run_qaoa
+from qmaxemu import QaoaParams, WeightedGraph, run_engine, run_qaoa
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -24,3 +24,12 @@ def test_span_targets_resolve():
         assert callable(getattr(module, attr, None)), f"qmaxemu.{module_name}.{attr}"
     result = run_qaoa(WeightedGraph(2, ((0, 1, 1.0),)), QaoaParams(1, (0.4,), (0.2,)))
     assert spans._span_data("pipeline.run", (), result) == (2 * (4 + 19), 2 * 16, False)
+
+
+def test_run_engine_accepts_the_benchmark_fast_keyword():
+    # perfbench/work.py makes exactly this call for every f64-large request
+    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 0.5)))
+    params = QaoaParams(1, (0.4,), (0.2,))
+    run = run_engine("decomposed-f64", g, params, fast=True)
+    plain = run_engine("decomposed-f64", g, params)
+    assert run.state.amps.tobytes() == plain.state.amps.tobytes()

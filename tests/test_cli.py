@@ -250,8 +250,9 @@ K9 = "9\n" + "".join(f"{i} {j} 1.0\n" for i in range(1, 10) for j in range(i + 1
 SIX_VERTEX = "6\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n1 4 1.0\n2 6 1.0\n"
 
 
-# sha256 of the seeded stdout of small pipeline-engine runs: any change to
-# the fixed-point datapath, the counters or the report layout shows here.
+# sha256 of the seeded stdout of small pipeline and decomposed-f64 runs: any
+# change to the fixed-point datapath, the float64 transform's printed values,
+# the counters or the report layout shows here.
 @pytest.mark.parametrize("graph,argv,digest", [
     (FIVE_VERTEX, ["emulate", "--layers", "2", "--gamma", "0.4,0.2",
                    "--beta", "0.3,0.7", "--seed", "1"],
@@ -265,7 +266,14 @@ SIX_VERTEX = "6\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n1 4 1.0\n2 6 1.0\n
     (SIX_VERTEX, ["solve", "--layers", "1", "--seed", "7", "--restarts", "2",
                   "--max-evals", "80"],
      "26e462a6a74e241d45b01586898ec2d48bb83caeff5db745951ad3c688d487aa"),
-], ids=["emulate-n5", "emulate-k9-saturating", "bench-2-8", "solve-p1"])
+    (FIVE_VERTEX, ["emulate", "--engine", "decomposed-f64", "--layers", "2",
+                   "--gamma", "0.4,0.2", "--beta", "0.3,0.7", "--seed", "1"],
+     "fc85fa453ade94d3b1e24cbf2c4557add76875064bd225a68a63ed97e87078c1"),
+    (None, ["bench", "--qubits", "2..10", "--layers", "2", "--engine", "decomposed-f64",
+            "--seed", "0"],
+     "15a182e749e61e7e93f6a5d9e8ff69a39abbfebdf98c2459c3419e3d77b01931"),
+], ids=["emulate-n5", "emulate-k9-saturating", "bench-2-8", "solve-p1",
+        "emulate-n5-f64", "bench-2-10-f64"])
 def test_seeded_stdout_digest(capsys, tmp_path, graph, argv, digest):
     if graph is not None:
         path = tmp_path / "g.graph"

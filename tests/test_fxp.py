@@ -160,6 +160,35 @@ def test_normalize_output_stays_in_first_quadrant():
         assert 0 <= q1.raw <= half_pi
 
 
+def _assert_vec_normalize_matches_scalar(fmt, raw):
+    rad_q1, neg_cos, neg_sin = fxp.vec_normalize_rad(raw, fmt)
+    for r, q1, nc, ns in zip(raw.tolist(), rad_q1.tolist(), neg_cos.tolist(),
+                             neg_sin.tolist()):
+        want, flags = normalize_rad(Fx(r, fmt))
+        assert (q1, nc, ns) == (want.raw, flags.neg_cos, flags.neg_sin), (fmt.name, r)
+
+
+# q4.9, q12.20 and q8.16 round 2*pi to an odd raw value (and q4.9 rounds
+# 3*pi/2 apart from pi + pi/2), so the folds must use each constant as is
+@pytest.mark.parametrize("fmt", [FxFormat(12, 8), FxFormat(16, 10), FxFormat(13, 9)],
+                         ids=lambda f: f.name)
+def test_vec_normalize_rad_matches_scalar_on_every_input(fmt):
+    _assert_vec_normalize_matches_scalar(fmt, np.arange(fx_two_pi(fmt).raw, dtype=np.int64))
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(), FxFormat(32, 20), FxFormat(24, 16)],
+                         ids=lambda f: f.name)
+def test_vec_normalize_rad_matches_scalar_at_branch_edges(fmt):
+    two_pi, pi, half_pi, three_half_pi, _, _ = fxp._trig_constants(fmt)
+    edges = np.array([e + d for e in (0, half_pi, pi, three_half_pi, two_pi)
+                      for d in range(-2, 3)], dtype=np.int64)
+    edges = edges[(edges >= 0) & (edges < two_pi)]
+    rand = np.random.default_rng(11).integers(0, two_pi, 2000)
+    _assert_vec_normalize_matches_scalar(fmt, np.concatenate([edges, rand]))
+    with pytest.raises(ValueError):
+        fxp.vec_normalize_rad(np.array([two_pi]), fmt)
+
+
 def test_cordic_known_angles():
     tol = 2.0 ** -14
     cos, sin = cordic_sincos(fx(0))
@@ -252,6 +281,18 @@ def test_vector_context_flags_overflow():
     big = np.array([FMT.max_raw], dtype=np.int64)
     fxp.vec_add(big, big, FMT, ctx2)
     assert ctx2.overflow
+    # the word limits themselves are in range: no flag
+    limits = np.array([FMT.max_raw, FMT.min_raw], dtype=np.int64)
+    ctx3 = FxContext()
+    assert (fxp.vec_add(limits, np.zeros(2, dtype=np.int64), FMT, ctx3) == limits).all()
+    assert not ctx3.overflow
+    # one past either limit clips and flags; a set flag stays set
+    for past in (limits + [1, 0], limits - [0, 1]):
+        ctx4 = FxContext()
+        assert (fxp.vec_add(past, np.zeros(2, dtype=np.int64), FMT, ctx4) == limits).all()
+        assert ctx4.overflow
+        assert (fxp.vec_add(limits, np.zeros(2, dtype=np.int64), FMT, ctx4) == limits).all()
+        assert ctx4.overflow
 
 
 def test_numpy_right_shift_is_arithmetic():

@@ -240,7 +240,7 @@ def test_run_qaoa_fidelity_at_fourteen_qubits():
     params = QaoaParams(1, (0.15,), (0.4,))
     state, report = run_qaoa(g, params, PipelineConfig(fmt=FxFormat(32, 20)))
     assert not report.overflow
-    ref = decomposed_run_qaoa_f64(g, params, fast=True)
+    ref = decomposed_run_qaoa_f64(g, params)
     tv = 0.5 * np.abs(probabilities(state) - probabilities(ref)).sum()
     assert tv <= 1e-3
     d = build_cost_diagonal(g, 14)

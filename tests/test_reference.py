@@ -7,7 +7,7 @@ from qmaxemu import (OpCounts, QaoaParams, WeightedGraph, align_global_phase,
                      build_cost_diagonal, build_mixer_exponents,
                      decomposed_run_qaoa_f64, dense_cost_unitary,
                      dense_mixer_unitary, dense_run_qaoa, fwht_inplace,
-                     mixer_angles, walsh_streamed)
+                     mixer_angles, run_qaoa, walsh_streamed)
 from qmaxemu.pipeline import hadamard_sign
 from qmaxemu.reference import _MATVEC_BLOCK_ELEMS, _matvec
 
@@ -100,16 +100,18 @@ def test_matvec_row_blocks_equal_whole_product():
 
 
 def test_walsh_forms_agree():
+    # walsh_streamed is the stream-order definition; fwht_inplace, which the
+    # decomposed-f64 engine runs, must match it at the sizes the CLI runs
     rng = np.random.default_rng(67)
-    for n in (1, 2, 4, 6):
+    for n in (1, 2, 4, 6, 8, 10):
         v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         streamed = walsh_streamed(v.copy())
         butterfly = fwht_inplace(v.copy())
-        np.testing.assert_allclose(streamed, butterfly, atol=1e-12)
-        # both equal the sign-matrix product
-        signs = np.array([[hadamard_sign(r, c) for c in range(1 << n)]
-                          for r in range(1 << n)])
-        np.testing.assert_allclose(butterfly, signs @ v, atol=1e-12)
+        assert np.abs(butterfly - streamed).max() <= 1e-12 * np.abs(streamed).max()
+        if n <= 6:  # both equal the sign-matrix product
+            signs = np.array([[hadamard_sign(r, c) for c in range(1 << n)]
+                              for r in range(1 << n)])
+            np.testing.assert_allclose(butterfly, signs @ v, atol=1e-12)
 
 
 def test_decomposed_matches_dense(six_vertex_graph):
@@ -117,10 +119,9 @@ def test_decomposed_matches_dense(six_vertex_graph):
     for _ in range(20):
         g, params = random_instance(rng, 2, 6, 4)
         dense = dense_run_qaoa(g, params)
-        for fast in (False, True):
-            dec = decomposed_run_qaoa_f64(g, params, fast=fast)
-            aligned = align_global_phase(dec.amps, dense.amps)
-            assert np.abs(aligned - dense.amps).max() < 1e-9
+        dec = decomposed_run_qaoa_f64(g, params)
+        aligned = align_global_phase(dec.amps, dense.amps)
+        assert np.abs(aligned - dense.amps).max() < 1e-9
 
 
 def test_decomposed_identity_at_zero(triangle):
@@ -135,10 +136,10 @@ def test_decomposed_op_counts():
     decomposed_run_qaoa_f64(g, params, counts=counts)
     assert counts.mults == 2 * 2 * 16
     assert counts.adds == 2 * 2 * 16 * 16
-    fast_counts = OpCounts()
-    decomposed_run_qaoa_f64(g, params, fast=True, counts=fast_counts)
-    assert fast_counts.mults == counts.mults
-    assert fast_counts.adds == 2 * 2 * 16 * 4
+    # the butterfly computes the transform, but the counts are the modelled
+    # dataflow's, the same as the pipeline's
+    _, pipeline_counts = run_qaoa(g, params)
+    assert (counts.mults, counts.adds) == (pipeline_counts.mults, pipeline_counts.adds)
 
 
 def test_dense_op_counts():
@@ -157,7 +158,7 @@ def test_decomposed_large_run_is_fast():
     g = random_graph(np.random.default_rng(101), 9)
     params = QaoaParams.from_lists([0.1] * 8, [0.2] * 8)
     started = time.perf_counter()
-    decomposed_run_qaoa_f64(g, params, fast=True)
+    decomposed_run_qaoa_f64(g, params)
     assert time.perf_counter() - started < 1.0
 
 

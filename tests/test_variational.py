@@ -14,7 +14,7 @@ from conftest import random_instance
 
 
 def f64_engine(g, params):
-    return decomposed_run_qaoa_f64(g, params, fast=True)
+    return decomposed_run_qaoa_f64(g, params)
 
 
 def test_probabilities_uniform_and_basis(triangle):

@@ -140,7 +140,7 @@ def _params_from_args(args) -> QaoaParams:
 
 
 def _open_trace(args):
-    if getattr(args, "trace", None):
+    if args.trace:
         fh = open(args.trace, "w", encoding="utf-8")
         return fh, lambda record: fh.write(json.dumps(record) + "\n")
     return None, None
@@ -204,8 +204,8 @@ def cmd_emulate(args) -> int:
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     g = load_graph(args.graph)
-    if args.layers is None or args.layers < 1:
-        raise InputError("--layers must be given and >= 1")
+    if args.layers < 1:
+        raise InputError("--layers must be >= 1")
     fmt = parse_fixed_point(args.fixed_point)
     seed = args.seed if args.seed is not None else 0
     cfg = OptimizerConfig(restarts=args.restarts, max_evals=args.max_evals)
@@ -218,14 +218,12 @@ def cmd_solve(args) -> int:
         best_params = QaoaParams(1, (gamma,), (beta,))
         evaluations = 64 * 64
         converged = True
-    elif args.optimizer == "nelder-mead":
+    else:  # nelder-mead
         trace = optimize(g, args.layers, make_engine(args.engine, fmt=fmt),
                          cfg=cfg, seed=seed)
         best_params, f_p = trace.best_params, trace.best_f_p
         evaluations = trace.evaluations
         converged = trace.converged
-    else:
-        raise InputError(f"unknown optimizer {args.optimizer!r}")
 
     run = run_engine(args.engine, g, best_params, fmt=fmt)
     diag = build_cost_diagonal(g, g.num_vertices)
@@ -252,8 +250,8 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     qubits = parse_qubit_range(args.qubits)
-    if args.layers is None or args.layers < 1:
-        raise InputError("--layers must be given and >= 1")
+    if args.layers < 1:
+        raise InputError("--layers must be >= 1")
     fmt = parse_fixed_point(args.fixed_point)
     engines = [name.strip() for name in args.engine.split(",")]
     for name in engines:
@@ -404,10 +402,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, GraphFormatError) as exc:
+    except (InputError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -191,6 +191,15 @@ def _trig_constants(fmt: FxFormat):
     return two_pi, pi, half_pi, three_half_pi, atan, k
 
 
+@lru_cache(maxsize=None)
+def _q1_max(fmt: FxFormat) -> int:
+    """Largest raw angle normalize_rad produces, the CORDIC's input limit:
+    half_pi, or one more where rounding maps a mirrored branch's lower edge
+    (half_pi or three_half_pi) past it, as at q6.10 and q12.20."""
+    two_pi, pi, half_pi, three_half_pi, _, _ = _trig_constants(fmt)
+    return max(half_pi, pi - half_pi, two_pi - three_half_pi)
+
+
 def fx_two_pi(fmt: FxFormat) -> Fx:
     return Fx(_trig_constants(fmt)[0], fmt)
 
@@ -237,13 +246,13 @@ def cordic_sincos(rad_q1: Fx) -> tuple[Fx, Fx]:
     """Rotation-mode CORDIC, exactly CORDIC_STAGES iterations.
 
     The x register starts at the gain constant K so no post-scaling multiply
-    is needed.  Input must lie in [0, pi/2]; output error stays below 2**-14
-    for the default q7.25 format.
+    is needed.  Input must lie in [0, _q1_max(fmt)]; output error stays below
+    2**-14 for the default q7.25 format.
     """
     fmt = rad_q1.fmt
-    _, _, half_pi, _, atan, k = _trig_constants(fmt)
-    if not (0 <= rad_q1.raw <= half_pi):
-        raise ValueError(f"angle {rad_q1.to_float()} outside [0, pi/2]")
+    atan, k = _trig_constants(fmt)[4:]
+    if not (0 <= rad_q1.raw <= _q1_max(fmt)):
+        raise ValueError(f"angle {rad_q1.to_float()} outside the first quadrant")
     x, y, z = k, 0, rad_q1.raw
     for i in range(CORDIC_STAGES):
         if z >= 0:
@@ -329,18 +338,18 @@ def vec_normalize_rad(raw: np.ndarray, fmt: FxFormat):
 
 @lru_cache(maxsize=8)
 def _cordic_table(fmt: FxFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leaf starts and their (x, y) for the CORDIC over inputs [0, pi/2].
+    """Leaf starts and their (x, y) for the CORDIC over inputs [0, _q1_max].
 
     Stage i rotates by +atan[i] when z = r - c >= 0 and by -atan[i] when
     not, where c is the sum of the rotations so far.  x and y start from
     constants, so the result depends only on the direction bits, and the
     inputs r sharing a direction prefix form an interval, which stage i
     splits at its c.  Running the stage recursion over these intervals
-    leaves at most half_pi + 1 of them, ordered along the input.
+    leaves at most _q1_max + 1 of them, ordered along the input.
     """
-    _, _, half_pi, _, atan, k = _trig_constants(fmt)
+    atan, k = _trig_constants(fmt)[4:]
     lo = np.zeros(1, dtype=np.int64)
-    hi = np.full(1, half_pi, dtype=np.int64)
+    hi = np.full(1, _q1_max(fmt), dtype=np.int64)
     c = np.zeros(1, dtype=np.int64)
     x = np.full(1, k, dtype=np.int64)
     y = np.zeros(1, dtype=np.int64)
@@ -362,9 +371,8 @@ def _cordic_table(fmt: FxFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def vec_cordic_sincos(rad_q1: np.ndarray, fmt: FxFormat) -> tuple[np.ndarray, np.ndarray]:
     """Vector twin of cordic_sincos, evaluated by a lookup in _cordic_table."""
-    half_pi = _trig_constants(fmt)[2]
-    if ((rad_q1 < 0) | (rad_q1 > half_pi)).any():
-        raise ValueError("angles outside [0, pi/2]")
+    if ((rad_q1 < 0) | (rad_q1 > _q1_max(fmt))).any():
+        raise ValueError("angles outside the first quadrant")
     starts, x, y = _cordic_table(fmt)
     leaf = np.searchsorted(starts, rad_q1, side="right") - 1
     return x[leaf], y[leaf]

@@ -88,11 +88,6 @@ class QaoaParams:
 @dataclass(frozen=True)
 class PipelineConfig:
     fmt: FxFormat = FxFormat()
-    per_layer_shift: int | None = None  # None -> n bits (the exact 1/2**n factor)
-
-    def __post_init__(self):
-        if self.per_layer_shift is not None and self.per_layer_shift < 0:
-            raise ValueError("per_layer_shift must be >= 0")
 
 
 @dataclass
@@ -321,20 +316,19 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
 def run_layer(re: np.ndarray, im: np.ndarray, d_cost_angles: np.ndarray,
               d_mixer_angles: np.ndarray, cfg: PipelineConfig,
               ctx: FxContext | None = None, trace_writer: TraceWriter | None = None,
-              layer: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+              layer: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Cost pass, mixer pass, then the end-of-layer arithmetic right shift.
 
-    Returns the shifted raw words and the shift k.  The two passes grow the
-    state by exactly 2**n in norm, so the layer changes the state's scale
-    exponent by k - n; the default k = n keeps it fixed and realizes the
-    layer's 1/2**n factor exactly.
+    Returns the shifted raw words.  The two passes grow the state by exactly
+    2**n in norm, so the n-bit shift realizes the layer's 1/2**n factor and
+    leaves the state's scale exponent unchanged.
     """
     re, im = run_elemental_ansatz(re, im, d_cost_angles, cfg, ctx, trace_writer,
                                   op_index=2 * layer, layer=layer, order="cost")
     re, im = run_elemental_ansatz(re, im, d_mixer_angles, cfg, ctx, trace_writer,
                                   op_index=2 * layer + 1, layer=layer, order="mixer")
-    k = cfg.per_layer_shift if cfg.per_layer_shift is not None else len(re).bit_length() - 1
-    return re >> k, im >> k, k
+    n = len(re).bit_length() - 1
+    return re >> n, im >> n
 
 
 def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = PipelineConfig(),
@@ -347,16 +341,14 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
     start = init_uniform_state(n, cfg.fmt)
     re = fxp.vec_from_real(start.amps.real, cfg.fmt)
     im = np.zeros_like(re)
-    scale_exp = start.scale_exp
     ctx = FxContext()
     for layer in range(params.p):
-        re, im, k = run_layer(re, im, cost_angles(diag, params.gamma[layer]),
-                              mixer_angles(mixer, params.beta[layer]),
-                              cfg, ctx, trace_writer, layer=layer)
-        scale_exp += k - n
+        re, im = run_layer(re, im, cost_angles(diag, params.gamma[layer]),
+                           mixer_angles(mixer, params.beta[layer]),
+                           cfg, ctx, trace_writer, layer=layer)
     ops = 2 * params.p
     counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
                       cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,
                       overflow=ctx.overflow)
     amps = fxp.vec_to_float(re, cfg.fmt) + 1j * fxp.vec_to_float(im, cfg.fmt)
-    return StateVector(amps=amps, scale_exp=scale_exp, n=n), counts
+    return StateVector(amps=amps, scale_exp=start.scale_exp, n=n), counts

@@ -3,10 +3,9 @@
 Two independent routes to the same ansatz state:
 
   * dense: per-gate construction (diagonal two-qubit phase gates for the
-    cost step, a Kronecker power of the 2x2 X-rotation for the mixer).  The
-    cost step's gate product is diagonal and multiplies the state
-    elementwise; the mixer goes through an explicit N x N matrix-vector
-    product.  Deliberately shares no code with the decomposed dataflow.
+    cost step, the 2x2 X-rotation applied to each qubit in turn for the
+    mixer), so no N x N matrix is built.  Deliberately shares no code with
+    the decomposed dataflow.
   * decomposed: diagonal phase multiply followed by a +/-1 Walsh-Hadamard
     transform and a 1/2**n scale per layer -- the pipeline's dataflow in
     float64, transformed by the in-place butterfly.  walsh_streamed, the
@@ -27,23 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .diagonals import build_cost_diagonal, build_mixer_exponents, cost_angles, mixer_angles
-from .graph import WeightedGraph
+from .graph import WeightedGraph, check_qubit_count
 from .pipeline import (OpCounts, QaoaParams, StateVector, _sum_diff, butterfly,
                        hadamard_sign_column)
-
-DENSE_MAX_QUBITS = 12
-_MATVEC_BLOCK_ELEMS = 1 << 18  # elements per _matvec row block: 4 MB of complex128
-
-
-def _matvec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Row-wise products summed by numpy's fixed pairwise reduction: no BLAS,
-    # so results do not depend on the host thread count.  Rows go in blocks;
-    # each row's sum is the same as over the whole matrix at once.
-    rows = max(1, _MATVEC_BLOCK_ELEMS // len(v))
-    out = np.empty(len(u), dtype=np.result_type(u, v))
-    for r in range(0, len(u), rows):
-        out[r:r + rows] = (u[r:r + rows] * v[np.newaxis, :]).sum(axis=1)
-    return out
 
 
 def dense_cost_unitary(g: WeightedGraph, gamma: float, n: int) -> np.ndarray:
@@ -76,19 +61,29 @@ def dense_mixer_unitary(beta: float, n: int) -> np.ndarray:
     return u
 
 
+def _apply_mixer(v: np.ndarray, beta: float) -> np.ndarray:
+    """dense_mixer_unitary(beta, n) @ v, one qubit q at a time: reshaped to
+    (-1, 2, 2**q), v pairs the amplitudes with bit q clear (lo) and set (hi).
+    Elementwise only, so results do not depend on the BLAS thread count."""
+    (a, b), (c, d) = dense_mixer_unitary(beta, 1)
+    for q in range(len(v).bit_length() - 1):
+        pairs = v.reshape(-1, 2, 1 << q)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        v = np.stack((a * lo + b * hi, c * lo + d * hi), axis=1).reshape(-1)
+    return v
+
+
 def dense_run_qaoa(g: WeightedGraph, params: QaoaParams,
                    counts: OpCounts | None = None) -> StateVector:
     """Gate-product oracle on the uniform state: per layer, the diagonal cost
-    gate product, then the mixer's N x N matrix.  counts tallies both steps
-    as N x N matrix-vector products, the oracle's defining form."""
+    gate product, then the X-rotation on each qubit in turn.  counts tallies
+    both steps as N x N matrix-vector products, the oracle's defining form."""
     n = g.num_vertices
-    if n > DENSE_MAX_QUBITS:
-        raise ValueError(f"dense engine limited to {DENSE_MAX_QUBITS} qubits, got {n}")
+    check_qubit_count(n)
     n_states = 1 << n
     v = np.full(n_states, 1.0 / np.sqrt(n_states), dtype=np.complex128)
     for k in range(params.p):
-        v = dense_cost_unitary(g, params.gamma[k], n) * v
-        v = _matvec(dense_mixer_unitary(params.beta[k], n), v)
+        v = _apply_mixer(dense_cost_unitary(g, params.gamma[k], n) * v, params.beta[k])
     if counts is not None:
         counts.mults += 2 * params.p * n_states * n_states
         counts.adds += 2 * params.p * n_states * (n_states - 1)

@@ -69,13 +69,18 @@ def probabilities(state: StateVector) -> np.ndarray:
 
 
 def expectation(state: StateVector, d: CostDiagonal) -> ExpectationResult:
-    """Expected cut weight sum_l p[l] * entries[l]/2 plus the modal bitstring."""
+    """Expected cut weight sum_l p[l] * entries[l]/2 plus the modal cut.
+
+    A cut l and its complement N-1-l tie in exact arithmetic, so the modal
+    cut is the pair with the largest summed probability, reported by its
+    lower index; ties between pairs resolve to the lowest."""
     if len(state.amps) != len(d.entries):
         raise ValueError("state and cost diagonal lengths differ")
     probs = probabilities(state)
     cuts = d.entries * 0.5
     f_p = float(np.sum(probs * cuts))
-    best = int(np.argmax(probs))  # ties resolve to the lowest index
+    half = len(probs) // 2
+    best = int(np.argmax(probs[:half] + probs[::-1][:half]))
     return ExpectationResult(
         f_p=f_p,
         probs=probs,

@@ -128,20 +128,20 @@ def test_strict_overflow_exits_3(capsys, tmp_path):
 
 
 def test_qubit_limit_checked_before_allocating(capsys, tmp_path):
-    # n = 25 is past MAX_QUBITS: both commands must exit 2 before building
+    # n = 25 is past MAX_QUBITS: every command must exit 2 before building
     # any 2**n table (one such table is 256 MB)
     big = tmp_path / "n25.graph"
     big.write_text("25\n1 2 1.0\n")
     tracemalloc.start()
     try:
         codes = [main(["emulate", "--graph", str(big), "--gamma", "0.1", "--beta", "0.1",
-                       "--engine", "decomposed-f64"]),
-                 main(["solve", "--graph", str(big), "--layers", "1",
-                       "--engine", "decomposed-f64", "--seed", "0"])]
+                       "--engine", engine]) for engine in ("decomposed-f64", "dense")]
+        codes.append(main(["solve", "--graph", str(big), "--layers", "1",
+                           "--engine", "decomposed-f64", "--seed", "0"]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert codes == [2, 2]
+    assert codes == [2, 2, 2]
     assert peak < 2 ** 25
     assert "qubit count 25 outside 1..24" in capsys.readouterr().err
 
@@ -215,11 +215,31 @@ def test_bench_csv_format(capsys):
 
 
 def test_bench_skips_dense_beyond_guard(capsys):
-    # dense guard is 12 qubits; 13 must be skipped without failing
-    code, out = run_cli(capsys, "bench", "--qubits", "13", "--layers", "1",
-                        "--engine", "dense", "--seed", "0")
+    # an engine that raises is skipped without failing the bench: q4.4
+    # cannot store the 9-qubit start amplitude 2**-5
+    code, out = run_cli(capsys, "bench", "--qubits", "9", "--fixed-point", "q4.4",
+                        "--layers", "1", "--engine", "pipeline", "--seed", "0")
     assert code == 0
     assert out.strip() == ""
+
+
+def test_bench_row_at_beta_half_pi_fold(capsys):
+    # at q4.4 some of this row's angles fold one ulp past half_pi, which the
+    # CORDIC accepts, so the row is printed
+    code, out = run_cli(capsys, "bench", "--qubits", "8", "--fixed-point", "q4.4",
+                        "--layers", "1", "--engine", "pipeline", "--seed", "0")
+    assert code == 0
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [8]
+
+
+@pytest.mark.parametrize("fmt", ["q12.20", "q6.10"])
+def test_emulate_beta_half_pi(capsys, tmp_path, fmt):
+    path = tmp_path / "path3.graph"
+    path.write_text("3\n1 2 1.0\n2 3 1.0\n")
+    code, out = run_cli(capsys, "emulate", "--graph", str(path), "--gamma", "0.3",
+                        "--beta", "1.5707963267948966", "--fixed-point", fmt)
+    assert code == 0
+    assert json.loads(out)["fixed_point"] == fmt
 
 
 def test_report_json_roundtrip(capsys, triangle_file):
@@ -250,9 +270,9 @@ K9 = "9\n" + "".join(f"{i} {j} 1.0\n" for i in range(1, 10) for j in range(i + 1
 SIX_VERTEX = "6\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n1 4 1.0\n2 6 1.0\n"
 
 
-# sha256 of the seeded stdout of small pipeline and decomposed-f64 runs: any
-# change to the fixed-point datapath, the float64 transform's printed values,
-# the counters or the report layout shows here.
+# sha256 of the seeded stdout of small runs of all three engines: any change
+# to the fixed-point datapath, the float64 engines' printed values, the
+# counters or the report layout shows here.
 @pytest.mark.parametrize("graph,argv,digest", [
     (FIVE_VERTEX, ["emulate", "--layers", "2", "--gamma", "0.4,0.2",
                    "--beta", "0.3,0.7", "--seed", "1"],
@@ -272,8 +292,14 @@ SIX_VERTEX = "6\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n1 4 1.0\n2 6 1.0\n
     (None, ["bench", "--qubits", "2..10", "--layers", "2", "--engine", "decomposed-f64",
             "--seed", "0"],
      "15a182e749e61e7e93f6a5d9e8ff69a39abbfebdf98c2459c3419e3d77b01931"),
+    (FIVE_VERTEX, ["emulate", "--engine", "dense", "--layers", "2",
+                   "--gamma", "0.4,0.2", "--beta", "0.3,0.7", "--seed", "1"],
+     "b9ea9661573877be64f44bcb006ec86fd546f93f926ebc1994f7ab1caa99d68c"),
+    (None, ["bench", "--qubits", "2..12", "--layers", "2", "--engine", "dense",
+            "--seed", "0"],
+     "1c4c2977300d360ce85fcd931ab1d1989978e2b303861bbc09285d36bcab268b"),
 ], ids=["emulate-n5", "emulate-k9-saturating", "bench-2-8", "solve-p1",
-        "emulate-n5-f64", "bench-2-10-f64"])
+        "emulate-n5-f64", "bench-2-10-f64", "emulate-n5-dense", "bench-2-12-dense"])
 def test_seeded_stdout_digest(capsys, tmp_path, graph, argv, digest):
     if graph is not None:
         path = tmp_path / "g.graph"

@@ -311,7 +311,7 @@ def scalar_cordic_raw(raws, fmt):
 
 @pytest.mark.parametrize("fmt", [FxFormat(12, 8), FxFormat(16, 10)])
 def test_cordic_table_matches_scalar_on_every_input(fmt):
-    raws = np.arange(fx_half_pi(fmt).raw + 1, dtype=np.int64)
+    raws = np.arange(fxp._q1_max(fmt) + 1, dtype=np.int64)
     cos, sin = fxp.vec_cordic_sincos(raws, fmt)
     assert (cos.tolist(), sin.tolist()) == scalar_cordic_raw(raws, fmt)
 
@@ -321,10 +321,26 @@ def test_cordic_table_matches_scalar_at_leaf_boundaries(fmt):
     half_pi = fx_half_pi(fmt).raw
     starts = fxp._cordic_table(fmt)[0]
     rng = np.random.default_rng(31)
-    raws = np.concatenate((starts, starts[1:] - 1, [half_pi],
+    raws = np.concatenate((starts, starts[1:] - 1, [half_pi, fxp._q1_max(fmt)],
                            rng.integers(0, half_pi + 1, 2000)))
     cos, sin = fxp.vec_cordic_sincos(raws, fmt)
     assert (cos.tolist(), sin.tolist()) == scalar_cordic_raw(raws, fmt)
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(16, 10), FxFormat(32, 20)], ids=lambda f: f.name)
+def test_cordic_accepts_the_fold_one_ulp_past_half_pi(fmt):
+    # here round(pi) - round(pi/2) = round(pi/2) + 1, so normalize_rad maps
+    # an angle of exactly half_pi to half_pi + 1, and the CORDIC takes it
+    half_pi = fx_half_pi(fmt).raw
+    top = fxp._q1_max(fmt)
+    assert top == half_pi + 1
+    assert normalize_rad(Fx(half_pi, fmt))[0].raw == top
+    cos, sin = fxp.vec_cordic_sincos(np.array([top]), fmt)
+    assert (cos.tolist(), sin.tolist()) == scalar_cordic_raw([top], fmt)
+    with pytest.raises(ValueError):
+        fxp.vec_cordic_sincos(np.array([top + 1]), fmt)
+    with pytest.raises(ValueError):
+        cordic_sincos(Fx(top + 1, fmt))
 
 
 @pytest.mark.parametrize("fmt", [FxFormat(12, 8), FxFormat(16, 10),
@@ -332,7 +348,7 @@ def test_cordic_table_matches_scalar_at_leaf_boundaries(fmt):
 def test_cordic_table_shape_and_sharing(fmt):
     starts, x, y = fxp._cordic_table(fmt)
     assert starts[0] == 0 and (np.diff(starts) > 0).all()
-    assert len(starts) == len(x) == len(y) <= min(fx_half_pi(fmt).raw + 1,
+    assert len(starts) == len(x) == len(y) <= min(fxp._q1_max(fmt) + 1,
                                                   1 << fxp.CORDIC_STAGES - 1)
     for a in (starts, x, y):
         assert not a.flags.writeable

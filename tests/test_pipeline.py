@@ -13,7 +13,7 @@ from qmaxemu.fxp import FxContext, FxFormat
 from qmaxemu.pipeline import (PIPELINE_LATENCY, PipelineConfig, _n_add,
                               hadamard_sign_column)
 
-from conftest import complete_graph, random_graph
+from conftest import complete_graph, path_graph, random_graph
 
 CFG = PipelineConfig()
 
@@ -247,15 +247,27 @@ def test_run_qaoa_fidelity_at_fourteen_qubits():
     assert abs(expectation(state, d).f_p - expectation(ref, d).f_p) <= 5e-3
 
 
+@pytest.mark.parametrize("fmt", [FxFormat(32, 20), FxFormat(16, 10)], ids=lambda f: f.name)
+def test_run_qaoa_at_beta_half_pi(fmt):
+    # these formats round their constants so that the fold maps an angle of
+    # exactly pi/2 (here -pi/2 + 2*pi, from the mixer) one ulp past half_pi,
+    # which the CORDIC must accept
+    g = path_graph(3)
+    params = QaoaParams(1, (0.3,), (math.pi / 2,))
+    state, report = run_qaoa(g, params, PipelineConfig(fmt=fmt))
+    assert not report.overflow
+    ref = decomposed_run_qaoa_f64(g, params)
+    assert 0.5 * np.abs(probabilities(state) - probabilities(ref)).sum() <= 8 * fmt.ulp
+
+
 def test_layer_is_identity_at_zero_parameters():
     for n in (1, 2, 3, 4):
         g = complete_graph(n) if n > 1 else WeightedGraph(1, ())
         d = build_cost_diagonal(g, n)
         m = build_mixer_exponents(n)
         before = init_uniform_state(n).amps
-        re, im, k = run_layer(*to_words(before), cost_angles(d, 0.0),
-                              mixer_angles(m, 0.0), CFG)
-        assert k == n  # scale exponent unchanged
+        re, im = run_layer(*to_words(before), cost_angles(d, 0.0),
+                           mixer_angles(m, 0.0), CFG)
         np.testing.assert_allclose(to_amps(re, im), before, atol=2 ** -12)
 
 
@@ -276,25 +288,9 @@ def test_layer_scale_exp_constant_at_default_shift():
     m = build_mixer_exponents(3)
     start = init_uniform_state(3)
     re, im = to_words(start.amps)
-    scale_exp = start.scale_exp
     for _ in range(4):
-        re, im, k = run_layer(re, im, cost_angles(d, 0.3), mixer_angles(m, 0.2), CFG)
-        scale_exp += k - 3
-    assert scale_exp == start.scale_exp
-    assert abs(to_state(re, im, scale_exp).physical_norm() - 1.0) < 2 ** -10
-
-
-def test_layer_scale_exp_tracks_nondefault_shift():
-    g = complete_graph(2)
-    d = build_cost_diagonal(g, 2)
-    m = build_mixer_exponents(2)
-    cfg = PipelineConfig(per_layer_shift=0)
-    start = init_uniform_state(2)
-    re, im, k = run_layer(*to_words(start.amps), cost_angles(d, 0.1),
-                          mixer_angles(m, 0.1), cfg)
-    assert k == 0  # unshifted raw grows by 2**n, so scale_exp drops by n
-    out = to_state(re, im, start.scale_exp + k - 2)
-    assert abs(out.physical_norm() - 1.0) < 2 ** -10
+        re, im = run_layer(re, im, cost_angles(d, 0.3), mixer_angles(m, 0.2), CFG)
+    assert abs(to_state(re, im, start.scale_exp).physical_norm() - 1.0) < 2 ** -10
 
 
 def test_run_qaoa_zero_parameters_gives_uniform(triangle):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from qmaxemu import (OpCounts, QaoaParams, WeightedGraph, align_global_phase,
                      dense_mixer_unitary, dense_run_qaoa, fwht_inplace,
                      mixer_angles, run_qaoa, walsh_streamed)
 from qmaxemu.pipeline import hadamard_sign
-from qmaxemu.reference import _MATVEC_BLOCK_ELEMS, _matvec
+from qmaxemu.reference import _apply_mixer
 
-from conftest import random_graph, random_instance
+from conftest import complete_graph, random_graph, random_instance
 
 
 def assert_unitary(u, atol=1e-10):
@@ -84,19 +85,31 @@ def test_dense_run_qaoa_norm_preserved():
 
 
 def test_dense_size_guard():
-    g = WeightedGraph(13, ((0, 1, 1.0),))
-    with pytest.raises(ValueError):
+    # the engines share one limit, MAX_QUBITS = 24
+    g = WeightedGraph(25, ((0, 1, 1.0),))
+    with pytest.raises(ValueError, match="qubit count 25 outside 1..24"):
         dense_run_qaoa(g, QaoaParams(1, (0.1,), (0.1,)))
 
 
-def test_matvec_row_blocks_equal_whole_product():
-    # several row blocks plus a partial one; each row's sum must not change
+def test_per_qubit_mixer_equals_kronecker_power():
     rng = np.random.default_rng(89)
-    n_cols = 512
-    rows = 3 * (_MATVEC_BLOCK_ELEMS // n_cols) + 7
-    u = rng.normal(size=(rows, n_cols)) + 1j * rng.normal(size=(rows, n_cols))
-    v = rng.normal(size=n_cols) + 1j * rng.normal(size=n_cols)
-    assert _matvec(u, v).tobytes() == (u * v[np.newaxis, :]).sum(axis=1).tobytes()
+    for n in range(1, 9):
+        beta = float(rng.uniform(0, math.pi))
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        want = dense_mixer_unitary(beta, n) @ v
+        np.testing.assert_allclose(_apply_mixer(v, beta), want, rtol=0, atol=1e-13)
+
+
+def test_dense_builds_no_full_matrix():
+    # one 4096 x 4096 complex matrix is 256 MB; the state itself is 64 kB
+    params = QaoaParams.from_lists([0.2, 0.3], [0.4, 0.5])
+    tracemalloc.start()
+    try:
+        dense_run_qaoa(complete_graph(12), params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_walsh_forms_agree():
@@ -122,6 +135,15 @@ def test_decomposed_matches_dense(six_vertex_graph):
         dec = decomposed_run_qaoa_f64(g, params)
         aligned = align_global_phase(dec.amps, dense.amps)
         assert np.abs(aligned - dense.amps).max() < 1e-9
+
+
+def test_dense_matches_decomposed_beyond_twelve_qubits():
+    g = random_graph(np.random.default_rng(97), 14, edge_prob=0.3)
+    params = QaoaParams.from_lists([0.15, 0.35], [0.4, 0.25])
+    dense = dense_run_qaoa(g, params)
+    dec = decomposed_run_qaoa_f64(g, params)
+    aligned = align_global_phase(dec.amps, dense.amps)
+    assert np.abs(aligned - dense.amps).max() < 1e-12
 
 
 def test_decomposed_identity_at_zero(triangle):

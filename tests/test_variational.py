@@ -58,6 +58,35 @@ def test_expectation_basis_state(triangle):
     assert result.best_cut == 2.0
 
 
+def one_ulp_apart_state(low, high):
+    """A 3-qubit state whose probability at `high` is one ulp above that at
+    `low`: adjacent amplitudes there, the rest equal."""
+    amps = np.full(8, 0.25, dtype=np.complex128)
+    amps[low] = 0.5664
+    amps[high] = np.nextafter(0.5664, 1.0)
+    state = StateVector(amps=amps, scale_exp=Fraction(0), n=3)
+    probs = probabilities(state)
+    assert probs[high] == np.nextafter(probs[low], 1.0)
+    return state
+
+
+def test_expectation_reports_the_lower_member_of_a_complement_pair(triangle):
+    # 100 (index 1) and its complement 011 (index 6) tie in exact arithmetic;
+    # whichever one rounding favours, the pair is reported by its lower index
+    d = build_cost_diagonal(triangle, 3)
+    for low, high in ((1, 6), (6, 1)):
+        result = expectation(one_ulp_apart_state(low, high), d)
+        assert int(np.argmax(result.probs)) == high
+        assert result.best_bitstring == "100"
+        assert result.best_cut == 2.0
+    # the pair sums decide, not the members: 6 dominates, so pair (1, 6)
+    # beats pair (2, 5) although p[2] > p[1]
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[[1, 2, 6]] = 0.1, 0.5, 0.9
+    result = expectation(StateVector(amps=amps, scale_exp=Fraction(0), n=3), d)
+    assert result.best_bitstring == "100"
+
+
 def test_f_p_at_zero_parameters_is_half_total_weight():
     rng = np.random.default_rng(97)
     for _ in range(20):

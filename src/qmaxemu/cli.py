@@ -22,12 +22,13 @@ import time
 import numpy as np
 
 from .diagonals import build_cost_diagonal, build_mixer_exponents
-from .engines import ENGINE_NAMES, make_engine, run_engine
+from .engines import ENGINE_NAMES, TABLE_ENGINES, make_engine, run_engine
 from .fxp import FxFormat
 from .graph import (MAX_QUBITS, GraphFormatError, WeightedGraph, brute_force_max_cut,
                     parse_graph)
 from .pipeline import CLOCK_HZ, QaoaParams
-from .variational import OptimizerConfig, expectation, grid_search_p1, optimize
+from .variational import (OptimizationTrace, OptimizerConfig, expectation, grid_search_p1,
+                          optimize)
 
 SCHEMA_VERSION = "1"
 BRUTE_FORCE_REPORT_MAX = 20
@@ -169,13 +170,17 @@ def cmd_emulate(args) -> int:
     g = load_graph(args.graph)
     params = _params_from_args(args)
     fmt = parse_fixed_point(args.fixed_point)
+    # each table is built once, for the engine, expectation and the dump
+    diag = build_cost_diagonal(g, g.num_vertices)
+    mixer = (build_mixer_exponents(g.num_vertices)
+             if args.engine in TABLE_ENGINES or args.dump_diagonals else None)
     trace_fh, trace_writer = _open_trace(args)
     try:
-        run = run_engine(args.engine, g, params, fmt=fmt, trace_writer=trace_writer)
+        run = run_engine(args.engine, g, params, fmt=fmt, trace_writer=trace_writer,
+                         diag=diag, mixer=mixer)
     finally:
         if trace_fh:
             trace_fh.close()
-    diag = build_cost_diagonal(g, g.num_vertices)
     result = expectation(run.state, diag)
 
     report = base_report("emulate", args, g)
@@ -188,7 +193,7 @@ def cmd_emulate(args) -> int:
     _engine_sections(report, run, fmt)
     if args.dump_diagonals:
         report["cost_diagonal"] = diag.entries.tolist()
-        report["mixer_exponents"] = build_mixer_exponents(g.num_vertices).u.tolist()
+        report["mixer_exponents"] = mixer.u.tolist()
     if args.dump_state:
         dump = {
             "n": run.state.n,
@@ -210,23 +215,19 @@ def cmd_solve(args) -> int:
     seed = args.seed if args.seed is not None else 0
     cfg = OptimizerConfig(restarts=args.restarts, max_evals=args.max_evals)
 
+    engine = make_engine(args.engine, fmt=fmt)
     if args.optimizer == "grid":
         if args.layers != 1:
             raise InputError("--optimizer grid supports only --layers 1")
-        gamma, beta, f_p = grid_search_p1(g, resolution=64,
-                                          engine=make_engine(args.engine, fmt=fmt))
-        best_params = QaoaParams(1, (gamma,), (beta,))
-        evaluations = 64 * 64
-        converged = True
+        trace = OptimizationTrace(converged=True)
+        grid_search_p1(g, resolution=64, engine=engine, trace=trace)
     else:  # nelder-mead
-        trace = optimize(g, args.layers, make_engine(args.engine, fmt=fmt),
-                         cfg=cfg, seed=seed)
-        best_params, f_p = trace.best_params, trace.best_f_p
-        evaluations = trace.evaluations
-        converged = trace.converged
+        trace = optimize(g, args.layers, engine, cfg=cfg, seed=seed)
+    best_params, f_p = trace.best_params, trace.best_f_p
 
-    run = run_engine(args.engine, g, best_params, fmt=fmt)
     diag = build_cost_diagonal(g, g.num_vertices)
+    mixer = build_mixer_exponents(g.num_vertices) if args.engine in TABLE_ENGINES else None
+    run = run_engine(args.engine, g, best_params, fmt=fmt, diag=diag, mixer=mixer)
     result = expectation(run.state, diag)
 
     report = base_report("solve", args, g)
@@ -235,8 +236,8 @@ def cmd_solve(args) -> int:
     report["params"] = {"p": best_params.p, "gamma": list(best_params.gamma),
                         "beta": list(best_params.beta)}
     report["f_p"] = f_p
-    report["evaluations"] = evaluations
-    report["converged"] = converged
+    report["evaluations"] = trace.evaluations
+    report["converged"] = trace.converged
     report["best_bitstring"] = result.best_bitstring
     report["best_cut"] = result.best_cut
     if g.num_vertices <= BRUTE_FORCE_REPORT_MAX:
@@ -267,10 +268,11 @@ def cmd_bench(args) -> int:
         g = complete_graph(n)
         params = QaoaParams(args.layers, gamma, beta)
         diag = build_cost_diagonal(g, n)
+        mixer = build_mixer_exponents(n) if set(engines) & set(TABLE_ENGINES) else None
         for name in engines:
             started = time.perf_counter()
             try:
-                run = run_engine(name, g, params, fmt=fmt)
+                run = run_engine(name, g, params, fmt=fmt, diag=diag, mixer=mixer)
             except ValueError as exc:
                 log.warning("skipping %s at n=%d: %s", name, n, exc)
                 continue

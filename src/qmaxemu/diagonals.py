@@ -25,32 +25,32 @@ class CostDiagonal:
 
 @dataclass(frozen=True)
 class MixerExponents:
-    """u[l] = 2*popcount(l) - n, the per-state phase exponent of the mixer."""
+    """u[l] = 2*popcount(l) - n, the per-state phase exponent of the mixer.
+
+    popcount[l] indexes the n + 1 distinct exponents, so a per-exponent
+    value array (see mixer_level_angles) gathers into a per-state one.
+    """
 
     u: np.ndarray  # int64, length 2**n
+    popcount: np.ndarray  # uint8, length 2**n
     n: int
 
 
 def build_cost_diagonal(g: WeightedGraph, n: int) -> CostDiagonal:
     """Accumulate 2*weight into every index whose endpoint bits differ."""
-    return CostDiagonal(entries=2.0 * cut_values_all(g, n), n=n)
-
-
-def popcount(values: np.ndarray) -> np.ndarray:
-    """Bit-population count for non-negative int64 arrays (n <= 24 bits used)."""
-    v = values.astype(np.int64)
-    count = np.zeros_like(v)
-    while True:
-        count += v & 1
-        v >>= 1
-        if not v.any():
-            return count
+    entries = cut_values_all(g, n)
+    entries *= 2.0  # exact
+    return CostDiagonal(entries=entries, n=n)
 
 
 def build_mixer_exponents(n: int) -> MixerExponents:
+    """Popcount by doubling: bit k splits the table into its two halves, the
+    upper one a copy of the lower plus one, so n concatenations build it."""
     check_qubit_count(n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    return MixerExponents(u=2 * popcount(idx) - n, n=n)
+    popcount = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        popcount = np.concatenate((popcount, popcount + 1))
+    return MixerExponents(u=2 * popcount.astype(np.int64) - n, popcount=popcount, n=n)
 
 
 def cost_angles(d: CostDiagonal, gamma: float) -> np.ndarray:
@@ -61,3 +61,10 @@ def cost_angles(d: CostDiagonal, gamma: float) -> np.ndarray:
 def mixer_angles(m: MixerExponents, beta: float) -> np.ndarray:
     """Phase angles of the mixer diagonal: exp(i*u[l]*beta)."""
     return m.u.astype(np.float64) * beta
+
+
+def mixer_level_angles(m: MixerExponents, beta: float) -> np.ndarray:
+    """The n + 1 distinct mixer angles u*beta, u = -n, -n+2, ..., n, in the
+    order popcount indexes them: mixer_angles(m, beta) equals
+    mixer_level_angles(m, beta)[m.popcount] bit for bit."""
+    return np.arange(-m.n, m.n + 1, 2, dtype=np.int64).astype(np.float64) * beta

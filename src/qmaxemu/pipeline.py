@@ -15,6 +15,10 @@ widths <= 32 bits make that image lossless).
 The host evaluates the datapath in a different order with identical words
 and flags.  The per-element stages are batch-evaluated, which is
 value-identical to streaming because elements only interact in N_ADD.
+A mixer pass streams only n + 1 distinct angles u*beta, u = -n, -n+2, ...,
+n, so CALCULATE_RAD, NORMALIZE_RAD, CORDIC and the sign restore run once
+per distinct angle and their words are gathered by popcount before 1_MULT;
+their saturation flags depend only on the set of angles, which is the same.
 CORDIC is evaluated by a per-format decision-interval table
 (fxp.vec_cordic_sincos), which gives the 16 stages' words in one lookup.
 N_ADD, defined as accumulation in ascending stream order, is computed in
@@ -34,7 +38,8 @@ from typing import Callable
 import numpy as np
 
 from . import fxp
-from .diagonals import build_cost_diagonal, build_mixer_exponents, cost_angles, mixer_angles
+from .diagonals import (CostDiagonal, MixerExponents, build_cost_diagonal,
+                        build_mixer_exponents, cost_angles, mixer_level_angles)
 from .fxp import FxContext, FxFormat
 from .graph import WeightedGraph, check_qubit_count
 
@@ -273,29 +278,41 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
                          cfg: PipelineConfig, ctx: FxContext | None = None,
                          trace_writer: TraceWriter | None = None,
                          op_index: int = 0, layer: int = 0,
-                         order: str = "cost") -> tuple[np.ndarray, np.ndarray]:
+                         order: str = "cost",
+                         index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One streamed phase-and-transform pass: out = H1 . (diag(e^{i angles}) . in).
 
     in_re/in_im are the raw int64 words of the N input amplitudes; returns
     the raw words of the result register, which starts zeroed and replaces
     the state at drain, N + PIPELINE_LATENCY clocks later.  Saturation
     anywhere sets the sticky flag on ctx but the run continues.
+
+    With an index, angles holds the distinct angles and element l streams
+    angles[index[l]]; every index value must occur.  The angle stages and
+    CORDIC then run once per distinct angle, and their words are gathered
+    by index before 1_MULT.
     """
     n_states = len(in_re)
     angles = np.asarray(angles, dtype=np.float64)
-    if angles.shape != (n_states,):
-        raise ValueError(f"expected {n_states} angles, got {angles.shape}")
+    streamed = angles.shape if index is None else index.shape
+    if streamed != (n_states,):
+        raise ValueError(f"expected {n_states} angles, got {streamed}")
     if ctx is None:
         ctx = FxContext()
     fmt = cfg.fmt
 
     # Per-element stages (independent across the stream, so batch-evaluated):
     # CALCULATE_RAD quantizes the angle, NORMALIZE_RAD folds it, CORDIC turns
-    # it into a unit phasor, 1_MULT forms the streamed complex product.
+    # it into a unit phasor, 1_MULT forms the streamed complex product.  The
+    # stages before 1_MULT are pure functions of the angle, and their
+    # saturation flags depend only on the set of angles, so running them on
+    # the distinct angles and gathering gives the same words and flag.
     rad = fxp.vec_from_real(angles, fmt, ctx)
     rad_q1, neg_cos, neg_sin = fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)
     cos_q1, sin_q1 = fxp.vec_cordic_sincos(rad_q1, fmt)
     cos_raw, sin_raw = fxp.vec_apply_flags(cos_q1, sin_q1, neg_cos, neg_sin, fmt, ctx)
+    if index is not None:
+        cos_raw, sin_raw = cos_raw[index], sin_raw[index]
     mult_re = fxp.vec_add(fxp.vec_mul(in_re, cos_raw, fmt, ctx),
                           -fxp.vec_mul(in_im, sin_raw, fmt, ctx), fmt, ctx)
     mult_im = fxp.vec_add(fxp.vec_mul(in_re, sin_raw, fmt, ctx),
@@ -308,6 +325,8 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
     res_re, res_im = _n_add(np.stack((mult_re, mult_im)), fmt, ctx)
 
     if trace_writer is not None:
+        if index is not None:
+            neg_cos, neg_sin = neg_cos[index], neg_sin[index]
         _emit_op_trace(trace_writer, n_states, op_index, layer, order,
                        neg_cos, neg_sin, ctx.overflow)
     return res_re, res_im
@@ -316,36 +335,47 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
 def run_layer(re: np.ndarray, im: np.ndarray, d_cost_angles: np.ndarray,
               d_mixer_angles: np.ndarray, cfg: PipelineConfig,
               ctx: FxContext | None = None, trace_writer: TraceWriter | None = None,
-              layer: int = 0) -> tuple[np.ndarray, np.ndarray]:
+              layer: int = 0,
+              mixer_index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cost pass, mixer pass, then the end-of-layer arithmetic right shift.
 
     Returns the shifted raw words.  The two passes grow the state by exactly
     2**n in norm, so the n-bit shift realizes the layer's 1/2**n factor and
-    leaves the state's scale exponent unchanged.
+    leaves the state's scale exponent unchanged.  With a mixer_index, the
+    mixer angles are the distinct ones, gathered as run_elemental_ansatz's
+    index describes.
     """
     re, im = run_elemental_ansatz(re, im, d_cost_angles, cfg, ctx, trace_writer,
                                   op_index=2 * layer, layer=layer, order="cost")
     re, im = run_elemental_ansatz(re, im, d_mixer_angles, cfg, ctx, trace_writer,
-                                  op_index=2 * layer + 1, layer=layer, order="mixer")
+                                  op_index=2 * layer + 1, layer=layer, order="mixer",
+                                  index=mixer_index)
     n = len(re).bit_length() - 1
     return re >> n, im >> n
 
 
 def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = PipelineConfig(),
-             trace_writer: TraceWriter | None = None) -> tuple[StateVector, OpCounts]:
-    """Full accelerator run: uniform init, then p layers of cost+mixer passes."""
+             trace_writer: TraceWriter | None = None, diag: CostDiagonal | None = None,
+             mixer: MixerExponents | None = None) -> tuple[StateVector, OpCounts]:
+    """Full accelerator run: uniform init, then p layers of cost+mixer passes.
+
+    diag and mixer are g's tables, built here when not given.  The mixer
+    passes stream the n + 1 distinct mixer angles, gathered by popcount.
+    """
     n = g.num_vertices
     n_states = 1 << n
-    diag = build_cost_diagonal(g, n)  # rejects n above MAX_QUBITS before allocating
-    mixer = build_mixer_exponents(n)
+    if diag is None:
+        diag = build_cost_diagonal(g, n)  # rejects n above MAX_QUBITS before allocating
+    if mixer is None:
+        mixer = build_mixer_exponents(n)
     start = init_uniform_state(n, cfg.fmt)
     re = fxp.vec_from_real(start.amps.real, cfg.fmt)
     im = np.zeros_like(re)
     ctx = FxContext()
     for layer in range(params.p):
         re, im = run_layer(re, im, cost_angles(diag, params.gamma[layer]),
-                           mixer_angles(mixer, params.beta[layer]),
-                           cfg, ctx, trace_writer, layer=layer)
+                           mixer_level_angles(mixer, params.beta[layer]),
+                           cfg, ctx, trace_writer, layer=layer, mixer_index=mixer.popcount)
     ops = 2 * params.p
     counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
                       cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .diagonals import CostDiagonal, build_cost_diagonal
+from .diagonals import CostDiagonal, build_cost_diagonal, build_mixer_exponents
 from .graph import WeightedGraph, assignment_from_index
 from .pipeline import StateVector, QaoaParams
 from .reference import decomposed_run_qaoa_f64
@@ -90,9 +90,11 @@ def expectation(state: StateVector, d: CostDiagonal) -> ExpectationResult:
 
 
 def make_objective(g: WeightedGraph, p: int, engine: EngineFn,
-                   trace: OptimizationTrace):
-    """Negated-f_p objective over a flat [gamma..., beta...] vector."""
-    diag = build_cost_diagonal(g, g.num_vertices)
+                   trace: OptimizationTrace, diag: CostDiagonal | None = None):
+    """Negated-f_p objective over a flat [gamma..., beta...] vector.  diag
+    is g's cost table, built here when not given."""
+    if diag is None:
+        diag = build_cost_diagonal(g, g.num_vertices)
 
     def objective(x: np.ndarray) -> float:
         folded = np.mod(x, DOMAIN)
@@ -134,22 +136,32 @@ def optimize(g: WeightedGraph, p: int, engine: EngineFn,
     return trace
 
 
-def grid_search_p1(g: WeightedGraph, resolution: int,
-                   engine: EngineFn | None = None) -> tuple[float, float, float]:
-    """Exhaustive p=1 maximum of f_p over a resolution x resolution lattice
-    on [0, pi)^2.  Ties resolve to the lexicographically first lattice point."""
+def grid_search_p1(g: WeightedGraph, resolution: int, engine: EngineFn | None = None,
+                   trace: OptimizationTrace | None = None) -> tuple[float, float, float]:
+    """Exhaustive p=1 maximum of f_p over the lattice points gamma = i*step
+    in [0, pi) and beta = j*step in [0, pi/2), step = pi/resolution.
+
+    At p = 1, beta and beta + pi/2 give the same state up to a global phase
+    (the mixer gains a flip of every bit, which the cost-phased uniform
+    state is symmetric under), so only beta < pi/2 is evaluated: that is
+    resolution * ceil(resolution/2) engine calls, recorded in trace when
+    one is given.  Ties resolve to the lexicographically first lattice
+    point.  The default engine is decomposed_run_qaoa_f64 on tables built
+    once here."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
-    if engine is None:
-        engine = decomposed_run_qaoa_f64
     diag = build_cost_diagonal(g, g.num_vertices)
+    if engine is None:
+        mixer = build_mixer_exponents(g.num_vertices)
+
+        def engine(g: WeightedGraph, params: QaoaParams) -> StateVector:
+            return decomposed_run_qaoa_f64(g, params, diag=diag, mixer=mixer)
+    if trace is None:
+        trace = OptimizationTrace()
+    objective = make_objective(g, 1, engine, trace, diag)
     step = math.pi / resolution
-    best = (-math.inf, 0.0, 0.0)
     for i in range(resolution):
-        for j in range(resolution):
-            gamma, beta = i * step, j * step
-            state = engine(g, QaoaParams(1, (gamma,), (beta,)))
-            f_p = expectation(state, diag).f_p
-            if f_p > best[0]:
-                best = (f_p, gamma, beta)
-    return best[1], best[2], best[0]
+        for j in range((resolution + 1) // 2):
+            objective(np.array([i * step, j * step]))  # inside [0, DOMAIN): unfolded
+    best = trace.best_params
+    return float(best.gamma[0]), float(best.beta[0]), trace.best_f_p

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -178,7 +179,11 @@ def test_solve_grid_optimizer(capsys, edge_file):
     code, out = run_cli(capsys, "solve", "--graph", edge_file, "--layers", "1",
                         "--engine", "decomposed-f64", "--optimizer", "grid")
     assert code == 0
-    assert json.loads(out)["f_p"] >= 0.99
+    report = json.loads(out)
+    assert report["f_p"] >= 0.99
+    # beta is folded into [0, pi/2): 64 gamma by 32 beta lattice points
+    assert report["evaluations"] == 64 * 32 and report["converged"]
+    assert 0.0 <= report["params"]["beta"][0] < math.pi / 2
 
 
 def test_oracle(capsys, triangle_file):

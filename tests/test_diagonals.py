@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qmaxemu import (WeightedGraph, assignment_from_index, build_cost_diagonal,
-                     build_mixer_exponents, cost_angles, cut_value, mixer_angles)
+                     build_mixer_exponents, cost_angles, cut_value, cut_values_all,
+                     mixer_angles, mixer_level_angles)
 
 from conftest import random_graph
 
@@ -99,3 +101,62 @@ def test_mixer_diagonal_matches_kronecker_power():
             expected = np.kron(expected, lam)
         got = np.exp(1j * mixer_angles(build_mixer_exponents(n), beta))
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def _cut_values_per_edge(g, n):
+    # the table as one full-length masked add per edge: the oracle the
+    # strided quarter-view adds must match to the last bit
+    idx = np.arange(1 << n, dtype=np.int64)
+    values = np.zeros(1 << n, dtype=np.float64)
+    for i, j, w in g.edges:
+        values += w * (((idx >> i) ^ (idx >> j)) & 1)
+    return values
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_cut_values_all_matches_per_edge_oracle_bytewise(n):
+    rng = np.random.default_rng(100 + n)
+    for pad in (0, 1, 2):
+        v = n - pad
+        if v < 1:
+            continue
+        pairs = [(i, j) for i in range(v) for j in range(i + 1, v) if rng.random() < 0.5]
+        # non-dyadic weights, and half the edges given high endpoint first
+        edges = tuple((j, i, float(w)) if rng.random() < 0.5 else (i, j, float(w))
+                      for (i, j), w in zip(pairs, rng.uniform(0.1, 3.0, len(pairs))))
+        for g in (WeightedGraph(v, edges), WeightedGraph(v, ())):
+            got = cut_values_all(g, n)
+            assert got.tobytes() == _cut_values_per_edge(g, n).tobytes()
+
+
+def test_cut_values_all_builds_no_temporaries_at_twenty_qubits():
+    rng = np.random.default_rng(7)
+    edges = tuple((i, j, float(rng.uniform(0.2, 1.0)))
+                  for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.3)
+    g = WeightedGraph(20, edges)
+    tracemalloc.start()
+    try:
+        cut_values_all(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * 2 ** 20  # the float64 output is 8 MB
+
+
+def test_mixer_exponents_match_popcount_up_to_twenty_qubits():
+    # popcount(l) does not depend on n, so each table is a prefix of n = 20's
+    popcounts = np.array([bin(l).count("1") for l in range(1 << 20)])
+    for n in range(1, 21):
+        m = build_mixer_exponents(n)
+        np.testing.assert_array_equal(m.popcount, popcounts[:1 << n])
+        np.testing.assert_array_equal(m.u, 2 * popcounts[:1 << n] - n)
+        assert m.u.dtype == np.int64
+
+
+def test_mixer_level_angles_gather_to_mixer_angles_bitwise():
+    for n in (1, 2, 5, 9):
+        m = build_mixer_exponents(n)
+        for beta in (0.0, 0.3, 1.1, math.pi / 2, 3.0):
+            levels = mixer_level_angles(m, beta)
+            assert levels.shape == (n + 1,)
+            assert levels[m.popcount].tobytes() == mixer_angles(m, beta).tobytes()

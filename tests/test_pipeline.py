@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -363,3 +364,59 @@ def test_trace_records_stage_occupancy(tmp_path):
     assert drain["n_add"] == 3  # last element lands in the accumulator
     orders = {r["order"] for r in records}
     assert orders == {"cost", "mixer"}
+
+
+def _run_streaming_every_mixer_angle(g, params, cfg, trace_writer=None):
+    # run_qaoa's layer loop with the mixer passes streaming all N angles
+    n = g.num_vertices
+    d, m = build_cost_diagonal(g, n), build_mixer_exponents(n)
+    re = fxp.vec_from_real(init_uniform_state(n, cfg.fmt).amps.real, cfg.fmt)
+    im = np.zeros_like(re)
+    ctx = FxContext()
+    for layer in range(params.p):
+        re, im = run_layer(re, im, cost_angles(d, params.gamma[layer]),
+                           mixer_angles(m, params.beta[layer]), cfg, ctx, trace_writer,
+                           layer=layer)
+    return fxp.vec_to_float(re, cfg.fmt) + 1j * fxp.vec_to_float(im, cfg.fmt), ctx.overflow
+
+
+def _assert_level_mixer_matches_n_angles(g, params, fmt, trace=False):
+    cfg = PipelineConfig(fmt=fmt)
+    got_records, want_records = [], []
+    state, counts = run_qaoa(g, params, cfg, got_records.append if trace else None)
+    amps, overflow = _run_streaming_every_mixer_angle(
+        g, params, cfg, want_records.append if trace else None)
+    assert state.amps.tobytes() == amps.tobytes()
+    assert counts.overflow == overflow
+    assert json.dumps(got_records) == json.dumps(want_records)
+    return overflow
+
+
+@pytest.mark.parametrize("fmt,gamma_hi", [(FxFormat(32, 25), 2.0), (FxFormat(32, 20), 60.0)],
+                         ids=["q7.25", "q12.20"])
+def test_mixer_on_distinct_angles_matches_streaming_all_angles(fmt, gamma_hi):
+    rng = np.random.default_rng(211)
+    flags = set()
+    for k in range(24):
+        g = random_graph(rng, int(rng.integers(2, 11)), weight_range=(0.2, 3.0))
+        p = int(rng.integers(1, 4))
+        params = QaoaParams.from_lists(rng.uniform(0.0, gamma_hi, p),
+                                       rng.uniform(0.0, math.pi, p))
+        flags.add(_assert_level_mixer_matches_n_angles(g, params, fmt, trace=k % 6 == 0))
+    assert flags == {False, True}  # the draws include saturating runs
+
+
+def test_mixer_on_distinct_angles_matches_on_saturating_k9():
+    params = QaoaParams.from_lists([0.7] * 8, [0.6] * 8)
+    assert _assert_level_mixer_matches_n_angles(complete_graph(9), params, FxFormat(),
+                                                trace=True)
+
+
+def test_mixer_on_distinct_angles_matches_when_calculate_rad_saturates():
+    # q4.8 holds angles below 8: the mixer angles u*beta reach 4*3 = 12
+    fmt = FxFormat(12, 8)
+    ctx = FxContext()
+    fxp.vec_from_real(mixer_angles(build_mixer_exponents(4), 3.0), fmt, ctx)
+    assert ctx.overflow
+    params = QaoaParams(1, (0.05,), (3.0,))
+    assert _assert_level_mixer_matches_n_angles(path_graph(4), params, fmt, trace=True)

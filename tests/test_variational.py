@@ -8,9 +8,10 @@ from qmaxemu import (QaoaParams, StateVector, brute_force_max_cut,
                      build_cost_diagonal, decomposed_run_qaoa_f64, expectation,
                      grid_search_p1, init_uniform_state, make_engine, optimize,
                      probabilities, run_qaoa)
-from qmaxemu.variational import OptimizerConfig, ZeroStateError
+from qmaxemu import diagonals
+from qmaxemu.variational import OptimizationTrace, OptimizerConfig, ZeroStateError
 
-from conftest import random_instance
+from conftest import complete_graph, random_instance
 
 
 def f64_engine(g, params):
@@ -172,3 +173,36 @@ def test_pipeline_expectation_consistency(triangle):
     got = expectation(state, d)
     ref = expectation(f64_engine(triangle, params), d)
     assert abs(got.f_p - ref.f_p) <= 5e-3
+
+
+@pytest.mark.parametrize("name", ["pipeline", "decomposed-f64"])
+def test_optimize_builds_the_cost_table_at_most_twice(monkeypatch, name):
+    # once for the objective's expectation, once in the engine closure
+    calls = []
+    real = diagonals.cut_values_all
+    monkeypatch.setattr(diagonals, "cut_values_all",
+                        lambda *args: calls.append(args) or real(*args))
+    trace = optimize(complete_graph(5), 2, make_engine(name),
+                     OptimizerConfig(restarts=4, max_evals=400), seed=3)
+    assert trace.evaluations >= 200
+    assert len(calls) <= 2
+
+
+def test_grid_search_folds_beta_below_half_pi(triangle):
+    # beta and beta + pi/2 tie at p = 1; the triangle's optimum has both
+    # on the 16-point lattice, and only the lower one is evaluated
+    trace = OptimizationTrace()
+    gamma, beta, best = grid_search_p1(triangle, 16, trace=trace)
+    assert 0.0 <= beta < math.pi / 2
+    assert trace.evaluations == 16 * 8
+    assert (gamma, beta, best) == (trace.best_params.gamma[0], trace.best_params.beta[0],
+                                   trace.best_f_p)
+    # the folded half of the lattice holds nothing better
+    d = build_cost_diagonal(triangle, 3)
+    upper = max(expectation(f64_engine(triangle, QaoaParams(1, (i * math.pi / 16,),
+                                                            (j * math.pi / 16,))), d).f_p
+                for i in range(16) for j in range(8, 16))
+    assert upper <= best + 1e-12
+    odd = OptimizationTrace()
+    assert grid_search_p1(triangle, 9, trace=odd)[1] < math.pi / 2
+    assert odd.evaluations == 9 * 5

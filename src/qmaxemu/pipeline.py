@@ -26,7 +26,11 @@ O(N log N) by a butterfly (_n_add).  When the words' absolute sums bound
 every partial sum inside the word range it is the plain +/-1 transform;
 otherwise per-block summaries of each row's stream are combined: prefix
 extremes say exactly which rows saturate, and for those a composition of
-clamp-add maps gives the clipped result.
+clamp-add maps gives the clipped result.  Every butterfly here and in
+reference.fwht_inplace runs on one constant-geometry driver (butterfly):
+n copy-free passes between each array and one scratch array, applying the
+same combines in the same order as the natural-order butterfly, so words
+and flags are identical.
 """
 
 from __future__ import annotations
@@ -140,23 +144,39 @@ Halves = list[np.ndarray]
 def butterfly(arrays: tuple[np.ndarray, ...],
               combine: Callable[[Halves, Halves, Halves, Halves], None]
               ) -> tuple[np.ndarray, ...]:
-    """Natural-order butterfly along the last axis, in place.
+    """Natural-order butterfly along the last axis, in place; N = 2**n.
 
-    Each array is 1-D or C-contiguous, so that reshaping it gives a view.
-    At each level h = 1, 2, ..., N/2 every 2h-block of each array is split
-    into halves L and R.  combine(left, right, plus, minus) reads the old
-    halves from the copies left, right and writes the new ones into the
-    views plus (replacing L) and minus (replacing R).  With plus = L + R
-    and minus = L - R this is the +/-1 Walsh-Hadamard transform: plus
-    serves the rows whose sign on R is +1, minus those whose sign is -1.
+    Constant geometry (Pease, 1968): each array gets one scratch array of
+    its shape, and the two swap roles at each of the n levels.  A level
+    calls combine(left, right, plus, minus) once, on views: left and right
+    are the even and odd elements src[..., 0::2] and src[..., 1::2], and
+    plus and minus are the halves dst[..., :N/2] and dst[..., N/2:].  With
+    plus = L + R and minus = L - R this is the +/-1 Walsh-Hadamard
+    transform: plus serves the rows whose sign on R is +1, minus those
+    whose sign is -1.
+
+    A level moves the index bit it pairs on from the bottom to the top and
+    shifts the others down one place, so level k pairs the indices that
+    differ in bit k of the natural index, for k = 0 .. n-1 in that order,
+    and after n levels every index is back in natural order.  Every output
+    element is therefore built from the same combines of the same operands
+    in the same order as the natural-order butterfly that pairs the halves
+    of each 2**(k+1)-block at level k, so the results are identical to the
+    bit.  When n is odd the result sits in the scratch arrays and is copied
+    into the callers' arrays.
     """
     n_states = arrays[0].shape[-1]
-    h = 1
-    while h < n_states:
-        blocks = [a.reshape(-1, 2, h) for a in arrays]
-        combine([b[:, 0].copy() for b in blocks], [b[:, 1].copy() for b in blocks],
-                [b[:, 0] for b in blocks], [b[:, 1] for b in blocks])
-        h *= 2
+    if n_states < 1 or n_states & (n_states - 1):
+        raise ValueError(f"butterfly length must be a power of two, got {n_states}")
+    half = n_states // 2
+    src, dst = list(arrays), [np.empty_like(a) for a in arrays]
+    for _ in range(n_states.bit_length() - 1):
+        combine([a[..., 0::2] for a in src], [a[..., 1::2] for a in src],
+                [a[..., :half] for a in dst], [a[..., half:] for a in dst])
+        src, dst = dst, src
+    if src[0] is not arrays[0]:
+        for a, result in zip(arrays, src):
+            np.copyto(a, result)
     return arrays
 
 

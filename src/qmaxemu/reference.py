@@ -94,8 +94,9 @@ def dense_run_qaoa(g: WeightedGraph, params: QaoaParams,
 def fwht_inplace(v: np.ndarray) -> np.ndarray:
     """In-place +/-1 Walsh-Hadamard butterfly (natural order), O(N log N).
 
-    Each level pairs the two halves of every 2h-block in one vectorised pass
-    (reshaping a 1-D array always gives a view, so the writes land in v).
+    Each level is one vectorised pass of the constant-geometry butterfly,
+    from v into one scratch vector of v's size or back; the result lands
+    in v, which is returned.
     """
     butterfly((v,), _sum_diff)
     return v
@@ -138,7 +139,7 @@ def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
         for angles in (cost_angles(diag, params.gamma[k]),
                        mixer_angles(mixer, params.beta[k])):
             v = fwht_inplace(np.exp(1j * angles) * v)
-        v = v * scale  # exact: a power-of-two factor
+        v *= scale  # exact: a power-of-two factor
     if counts is not None:
         counts.mults += 2 * params.p * n_states
         counts.adds += 2 * params.p * n_states * n_states

@@ -189,6 +189,57 @@ def test_n_add_single_min_raw_word_saturates_on_negated_rows(monkeypatch):
     assert got[1].tolist() == [fmt.min_raw, fmt.max_raw, fmt.min_raw, fmt.max_raw]
 
 
+def natural_order_butterfly(arrays, combine):
+    """The in-place natural-order butterfly: level h = 1, 2, ..., N/2 combines
+    copies of the two halves of every 2h-block and writes them back."""
+    n_states = arrays[0].shape[-1]
+    h = 1
+    while h < n_states:
+        blocks = [a.reshape(-1, 2, h) for a in arrays]
+        combine([b[:, 0].copy() for b in blocks], [b[:, 1].copy() for b in blocks],
+                [b[:, 0] for b in blocks], [b[:, 1] for b in blocks])
+        h *= 2
+    return arrays
+
+
+def butterfly_inputs(rng, n):
+    """(combine, arrays) cases for every combine the engines use.  The int64
+    words have a full-range row, whose prefixes leave the q4.8 range from
+    n = 1 on, and a small row, which never does."""
+    fmt = FxFormat(12, 8)
+    words = np.stack((rng.integers(fmt.min_raw, fmt.max_raw + 1, 1 << n),
+                      rng.integers(-3, 4, 1 << n)))
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return [
+        (pipeline._sum_diff, (v,)),
+        (pipeline._sum_diff, (words.copy(),)),
+        (pipeline._prefix_combine, (words.copy(), words.copy(), words.copy())),
+        (pipeline._clamp_combine, (words.copy(), np.full_like(words, fmt.min_raw),
+                                   np.full_like(words, fmt.max_raw))),
+    ]
+
+
+def test_butterfly_matches_natural_order_bytes():
+    rng = np.random.default_rng(83)
+    saturated = []
+    for n in range(13):  # odd n end in the scratch arrays and copy back
+        for combine, arrays in butterfly_inputs(rng, n):
+            want = natural_order_butterfly(tuple(a.copy() for a in arrays), combine)
+            got = pipeline.butterfly(arrays, combine)
+            assert all(g is a for g, a in zip(got, arrays))
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            if combine is pipeline._prefix_combine:
+                saturated.append(bool((got[1] > FxFormat(12, 8).max_raw).any()))
+    assert any(saturated) and not all(saturated)
+
+
+@pytest.mark.parametrize("shape", [(6,), (12,), (2, 12), (0,)])
+def test_butterfly_rejects_lengths_that_are_not_powers_of_two(shape):
+    with pytest.raises(ValueError, match="power of two"):
+        pipeline.butterfly((np.zeros(shape),), pipeline._sum_diff)
+
+
 def test_init_uniform_state():
     s1 = init_uniform_state(1)
     np.testing.assert_allclose(s1.physical(), [math.sqrt(0.5)] * 2, atol=2 ** -25)

@@ -114,17 +114,31 @@ def test_dense_builds_no_full_matrix():
 
 def test_walsh_forms_agree():
     # walsh_streamed is the stream-order definition; fwht_inplace, which the
-    # decomposed-f64 engine runs, must match it at the sizes the CLI runs
+    # decomposed-f64 engine runs, must match it in place, at odd and even n
+    # and at the sizes the CLI runs
     rng = np.random.default_rng(67)
-    for n in (1, 2, 4, 6, 8, 10):
+    for n in (0, 1, 2, 3, 4, 5, 6, 8, 9, 10):
         v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         streamed = walsh_streamed(v.copy())
-        butterfly = fwht_inplace(v.copy())
+        butterfly = v.copy()
+        assert fwht_inplace(butterfly) is butterfly
         assert np.abs(butterfly - streamed).max() <= 1e-12 * np.abs(streamed).max()
         if n <= 6:  # both equal the sign-matrix product
             signs = np.array([[hadamard_sign(r, c) for c in range(1 << n)]
                               for r in range(1 << n)])
             np.testing.assert_allclose(butterfly, signs @ v, atol=1e-12)
+
+
+def test_fwht_inplace_needs_one_scratch_vector():
+    # a driver that copies array halves at each level peaks near 1.13 x
+    v = np.ones(1 << 16, dtype=np.complex128)  # 1 MB
+    tracemalloc.start()
+    try:
+        fwht_inplace(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * v.nbytes
 
 
 def test_decomposed_matches_dense(six_vertex_graph):

@@ -12,6 +12,7 @@ under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -391,6 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built on the first main() call and reused by
+    the later ones in the process: parse_args leaves a parser unchanged."""
+    return build_parser()
+
+
 def _setup_logging():
     level = os.environ.get("QMAX_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -400,8 +408,7 @@ def _setup_logging():
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError) as exc:  # GraphFormatError is a ValueError

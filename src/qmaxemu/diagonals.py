@@ -4,6 +4,12 @@ The cost table holds twice the cut value of each basis state (the hardware
 convention: every crossed edge contributes 2*weight), and the mixer table
 holds the integer exponents 2*popcount(l) - n.  Angle vectors derived here
 are plain float64 radians; the fixed-point pipeline quantizes them at entry.
+
+Each diagonal takes few distinct values: the cost table is symmetric under
+complementing every bit, and the mixer table takes n + 1 values.  So the
+engines evaluate a per-element function on the distinct angles only
+(cost_half_angles, mixer_level_angles) and widen the result to all N
+states with the table's expand.
 """
 
 from __future__ import annotations
@@ -17,10 +23,21 @@ from .graph import WeightedGraph, check_qubit_count, cut_values_all
 
 @dataclass(frozen=True)
 class CostDiagonal:
-    """entries[l] = sum over edges of 2*weight where the endpoint bits of l differ."""
+    """entries[l] = sum over edges of 2*weight where the endpoint bits of l differ.
+
+    Invariant: entries[l] == entries[2**n - 1 - l] to the bit, because a cut
+    and its complement cross the same edges (cut_values_all builds the
+    upper half as the reverse of the lower one).  So the lower half, bit
+    n-1 clear, holds every distinct value.
+    """
 
     entries: np.ndarray  # float64, length 2**n
     n: int
+
+    def expand(self, half: np.ndarray) -> np.ndarray:
+        """Per-state values from those of the lower half: half, then half
+        reversed, so out[l] == out[2**n - 1 - l] as for entries."""
+        return np.concatenate((half, half[::-1]))
 
 
 @dataclass(frozen=True)
@@ -34,6 +51,10 @@ class MixerExponents:
     u: np.ndarray  # int64, length 2**n
     popcount: np.ndarray  # uint8, length 2**n
     n: int
+
+    def expand(self, levels: np.ndarray) -> np.ndarray:
+        """Per-state values from the n + 1 per-exponent ones, by popcount."""
+        return levels[self.popcount]
 
 
 def build_cost_diagonal(g: WeightedGraph, n: int) -> CostDiagonal:
@@ -56,6 +77,13 @@ def build_mixer_exponents(n: int) -> MixerExponents:
 def cost_angles(d: CostDiagonal, gamma: float) -> np.ndarray:
     """Phase angles of the cost diagonal: exp(i*angle[l]) with angle = -gamma*entry."""
     return -gamma * d.entries
+
+
+def cost_half_angles(d: CostDiagonal, gamma: float) -> np.ndarray:
+    """The cost angles of the lower half, which hold every distinct one:
+    d.expand(cost_half_angles(d, gamma)) equals cost_angles(d, gamma) bit
+    for bit."""
+    return -gamma * d.entries[:len(d.entries) // 2]
 
 
 def mixer_angles(m: MixerExponents, beta: float) -> np.ndarray:

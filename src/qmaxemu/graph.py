@@ -144,13 +144,16 @@ def cut_values_all(g: WeightedGraph, n: int | None = None) -> np.ndarray:
     """Cut value of every assignment, indexed by basis state (length 2**n).
 
     Padding qubits beyond |V| do not touch any edge, so their bits are inert.
-    Each edge (lo, hi) adds its weight in place to the two quarters of the
-    table where bits lo and hi differ, reached as strided views of the shape
-    (-1, 2, 2**(hi-lo-1), 2, 2**lo): no index array and no temporaries.
-    Every entry receives the weights of its crossed edges in edge order, as
-    a sum over all edges of w * (bits differ) would, minus the +0.0 terms,
-    which leave a non-negative sum unchanged; so the table is the same to
-    the last bit.
+    A cut and its complement cross the same edges, so values[l] equals
+    values[2**n - 1 - l]: only the lower half, bit n-1 clear, is summed, and
+    the upper half is its reverse.  In the lower half each edge (lo, hi)
+    adds its weight in place where bits lo and hi differ: to two quarters
+    reached as strided views of the shape (-1, 2, 2**(hi-lo-1), 2, 2**lo),
+    or, when hi = n-1, to the half where bit lo is set.  No index array and
+    no temporaries.  Every entry receives the weights of its crossed edges
+    in edge order, as a sum over all edges of w * (bits differ) would, minus
+    the +0.0 terms, which leave a non-negative sum unchanged; so the table
+    is the same to the last bit.
     """
     if n is None:
         n = g.num_vertices
@@ -158,11 +161,16 @@ def cut_values_all(g: WeightedGraph, n: int | None = None) -> np.ndarray:
         raise ValueError(f"need n >= {g.num_vertices} qubits, got {n}")
     check_qubit_count(n)
     values = np.zeros(1 << n, dtype=np.float64)
+    half = values[:1 << (n - 1)]
     for i, j, w in g.edges:
         lo, hi = min(i, j), max(i, j)
-        quarters = values.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        if hi == n - 1:
+            half.reshape(-1, 2, 1 << lo)[:, 1, :] += w
+            continue
+        quarters = half.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
         quarters[:, 0, :, 1, :] += w
         quarters[:, 1, :, 0, :] += w
+    values[len(half):] = half[::-1]
     return values
 
 

@@ -15,10 +15,13 @@ widths <= 32 bits make that image lossless).
 The host evaluates the datapath in a different order with identical words
 and flags.  The per-element stages are batch-evaluated, which is
 value-identical to streaming because elements only interact in N_ADD.
-A mixer pass streams only n + 1 distinct angles u*beta, u = -n, -n+2, ...,
-n, so CALCULATE_RAD, NORMALIZE_RAD, CORDIC and the sign restore run once
-per distinct angle and their words are gathered by popcount before 1_MULT;
-their saturation flags depend only on the set of angles, which is the same.
+CALCULATE_RAD, NORMALIZE_RAD, CORDIC and the sign restore run only on the
+distinct angles of a pass, and their words are expanded to the N streamed
+elements before 1_MULT: a cost pass evaluates the N/2 angles of the states
+with bit n-1 clear and mirrors them (the cost table is symmetric under
+complementing every bit), a mixer pass the n + 1 angles u*beta, u = -n,
+-n+2, ..., n, gathered by popcount.  Their saturation flags depend only on
+the set of angles, which is the same.
 CORDIC is evaluated by a per-format decision-interval table
 (fxp.vec_cordic_sincos), which gives the 16 stages' words in one lookup.
 N_ADD, defined as accumulation in ascending stream order, is computed in
@@ -43,7 +46,7 @@ import numpy as np
 
 from . import fxp
 from .diagonals import (CostDiagonal, MixerExponents, build_cost_diagonal,
-                        build_mixer_exponents, cost_angles, mixer_level_angles)
+                        build_mixer_exponents, cost_half_angles, mixer_level_angles)
 from .fxp import FxContext, FxFormat
 from .graph import WeightedGraph, check_qubit_count
 
@@ -52,6 +55,9 @@ PIPELINE_LATENCY = 1 + 1 + fxp.CORDIC_STAGES + 1
 CLOCK_HZ = 100_000_000  # reported times are cycles / CLOCK_HZ, labeled derived
 
 TraceWriter = Callable[[dict], None]
+# Widens per-angle values (words, flags) from a pass's distinct angles to its
+# N streamed elements: CostDiagonal.expand or MixerExponents.expand.
+Expand = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -243,6 +249,7 @@ def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
     s, t, b = butterfly((words.copy(), words.copy(), words.copy()), _prefix_combine)
     if not ((t > fmt.max_raw).any() or (b < fmt.min_raw).any()):
         return s
+    del s, t, b  # only the check needed them; free them before the clamp pass
     ctx.overflow = True
     d, lo, hi = butterfly((words.copy(), np.full_like(words, fmt.min_raw),
                            np.full_like(words, fmt.max_raw)), _clamp_combine)
@@ -299,7 +306,7 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
                          trace_writer: TraceWriter | None = None,
                          op_index: int = 0, layer: int = 0,
                          order: str = "cost",
-                         index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                         expand: Expand | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One streamed phase-and-transform pass: out = H1 . (diag(e^{i angles}) . in).
 
     in_re/in_im are the raw int64 words of the N input amplitudes; returns
@@ -307,16 +314,15 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
     the state at drain, N + PIPELINE_LATENCY clocks later.  Saturation
     anywhere sets the sticky flag on ctx but the run continues.
 
-    With an index, angles holds the distinct angles and element l streams
-    angles[index[l]]; every index value must occur.  The angle stages and
-    CORDIC then run once per distinct angle, and their words are gathered
-    by index before 1_MULT.
+    With an expand, angles holds the distinct angles and the elements
+    stream expand(angles); every distinct angle must be streamed.  The
+    angle stages and CORDIC then run once per distinct angle, and their
+    words are expanded before 1_MULT.
     """
     n_states = len(in_re)
     angles = np.asarray(angles, dtype=np.float64)
-    streamed = angles.shape if index is None else index.shape
-    if streamed != (n_states,):
-        raise ValueError(f"expected {n_states} angles, got {streamed}")
+    if expand is None and angles.shape != (n_states,):
+        raise ValueError(f"expected {n_states} angles, got {angles.shape}")
     if ctx is None:
         ctx = FxContext()
     fmt = cfg.fmt
@@ -331,8 +337,10 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
     rad_q1, neg_cos, neg_sin = fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)
     cos_q1, sin_q1 = fxp.vec_cordic_sincos(rad_q1, fmt)
     cos_raw, sin_raw = fxp.vec_apply_flags(cos_q1, sin_q1, neg_cos, neg_sin, fmt, ctx)
-    if index is not None:
-        cos_raw, sin_raw = cos_raw[index], sin_raw[index]
+    if expand is not None:
+        cos_raw, sin_raw = expand(cos_raw), expand(sin_raw)
+        if cos_raw.shape != (n_states,):
+            raise ValueError(f"expected {n_states} angles, expanded {cos_raw.shape}")
     mult_re = fxp.vec_add(fxp.vec_mul(in_re, cos_raw, fmt, ctx),
                           -fxp.vec_mul(in_im, sin_raw, fmt, ctx), fmt, ctx)
     mult_im = fxp.vec_add(fxp.vec_mul(in_re, sin_raw, fmt, ctx),
@@ -345,8 +353,8 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
     res_re, res_im = _n_add(np.stack((mult_re, mult_im)), fmt, ctx)
 
     if trace_writer is not None:
-        if index is not None:
-            neg_cos, neg_sin = neg_cos[index], neg_sin[index]
+        if expand is not None:
+            neg_cos, neg_sin = expand(neg_cos), expand(neg_sin)
         _emit_op_trace(trace_writer, n_states, op_index, layer, order,
                        neg_cos, neg_sin, ctx.overflow)
     return res_re, res_im
@@ -355,21 +363,22 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
 def run_layer(re: np.ndarray, im: np.ndarray, d_cost_angles: np.ndarray,
               d_mixer_angles: np.ndarray, cfg: PipelineConfig,
               ctx: FxContext | None = None, trace_writer: TraceWriter | None = None,
-              layer: int = 0,
-              mixer_index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+              layer: int = 0, cost_expand: Expand | None = None,
+              mixer_expand: Expand | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cost pass, mixer pass, then the end-of-layer arithmetic right shift.
 
     Returns the shifted raw words.  The two passes grow the state by exactly
     2**n in norm, so the n-bit shift realizes the layer's 1/2**n factor and
-    leaves the state's scale exponent unchanged.  With a mixer_index, the
-    mixer angles are the distinct ones, gathered as run_elemental_ansatz's
-    index describes.
+    leaves the state's scale exponent unchanged.  With a cost_expand or a
+    mixer_expand, that pass's angles are the distinct ones, expanded as
+    run_elemental_ansatz's expand describes.
     """
     re, im = run_elemental_ansatz(re, im, d_cost_angles, cfg, ctx, trace_writer,
-                                  op_index=2 * layer, layer=layer, order="cost")
+                                  op_index=2 * layer, layer=layer, order="cost",
+                                  expand=cost_expand)
     re, im = run_elemental_ansatz(re, im, d_mixer_angles, cfg, ctx, trace_writer,
                                   op_index=2 * layer + 1, layer=layer, order="mixer",
-                                  index=mixer_index)
+                                  expand=mixer_expand)
     n = len(re).bit_length() - 1
     return re >> n, im >> n
 
@@ -379,8 +388,10 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
              mixer: MixerExponents | None = None) -> tuple[StateVector, OpCounts]:
     """Full accelerator run: uniform init, then p layers of cost+mixer passes.
 
-    diag and mixer are g's tables, built here when not given.  The mixer
-    passes stream the n + 1 distinct mixer angles, gathered by popcount.
+    diag and mixer are g's tables, built here when not given.  Each pass
+    evaluates its distinct angles only: the cost passes the N/2 of the
+    lower half, mirrored, the mixer passes the n + 1 levels, gathered by
+    popcount.
     """
     n = g.num_vertices
     n_states = 1 << n
@@ -393,9 +404,10 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
     im = np.zeros_like(re)
     ctx = FxContext()
     for layer in range(params.p):
-        re, im = run_layer(re, im, cost_angles(diag, params.gamma[layer]),
+        re, im = run_layer(re, im, cost_half_angles(diag, params.gamma[layer]),
                            mixer_level_angles(mixer, params.beta[layer]),
-                           cfg, ctx, trace_writer, layer=layer, mixer_index=mixer.popcount)
+                           cfg, ctx, trace_writer, layer=layer,
+                           cost_expand=diag.expand, mixer_expand=mixer.expand)
     ops = 2 * params.p
     counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
                       cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,

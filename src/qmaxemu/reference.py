@@ -10,6 +10,9 @@ Two independent routes to the same ansatz state:
     transform and a 1/2**n scale per layer -- the pipeline's dataflow in
     float64, transformed by the in-place butterfly.  walsh_streamed, the
     transform accumulated in stream order, is kept as its test oracle.
+    As in the pipeline, the complex exponentials are taken on the distinct
+    angles only and expanded to N phases: N/2 for a cost pass, mirrored,
+    and n + 1 for a mixer pass, gathered by popcount.
 
 Both return a StateVector with scale_exp 0 and tally their work in an
 optional OpCounts (multiplies and additions only: no clocks are modeled).
@@ -26,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diagonals import (CostDiagonal, MixerExponents, build_cost_diagonal,
-                        build_mixer_exponents, cost_angles, mixer_angles)
+                        build_mixer_exponents, cost_half_angles, mixer_level_angles)
 from .graph import WeightedGraph, check_qubit_count
 from .pipeline import (OpCounts, QaoaParams, StateVector, _sum_diff, butterfly,
                        hadamard_sign_column)
@@ -122,10 +125,13 @@ def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
                             mixer: MixerExponents | None = None) -> StateVector:
     """Pipeline dataflow in float64: phase multiply, +/-1 transform, 1/2**n scale.
 
-    diag and mixer are g's tables, built here when not given.  The transform
-    is computed by the butterfly, but counts describe the decomposed
-    dataflow, as run_qaoa's do: N multiplies and N*N additions per
-    transform, 2*p transforms.
+    diag and mixer are g's tables, built here when not given.  Each pass
+    takes exp(i*angle) on its distinct angles, expands the phases with the
+    table's expand into a fresh array, and multiplies the state into it;
+    the old state is dropped before the butterfly takes its scratch array,
+    so a run peaks below three state vectors.  The transform is computed by the butterfly, but
+    counts describe the decomposed dataflow, as run_qaoa's do: N multiplies
+    and N*N additions per transform, 2*p transforms.
     """
     n = g.num_vertices
     n_states = 1 << n
@@ -136,9 +142,12 @@ def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
     v = np.full(n_states, 1.0 / np.sqrt(n_states), dtype=np.complex128)
     scale = 1.0 / n_states
     for k in range(params.p):
-        for angles in (cost_angles(diag, params.gamma[k]),
-                       mixer_angles(mixer, params.beta[k])):
-            v = fwht_inplace(np.exp(1j * angles) * v)
+        for expand, angles in ((diag.expand, cost_half_angles(diag, params.gamma[k])),
+                               (mixer.expand, mixer_level_angles(mixer, params.beta[k]))):
+            phases = expand(np.exp(1j * angles))
+            phases *= v
+            v = phases  # drops the old state before the butterfly's scratch is taken
+            fwht_inplace(v)
         v *= scale  # exact: a power-of-two factor
     if counts is not None:
         counts.mults += 2 * params.p * n_states

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from qmaxemu import cli
 from qmaxemu.cli import main
 
 TRIANGLE = "3\n1 2 1.0\n2 3 1.0\n1 3 1.0\n"
@@ -313,3 +314,36 @@ def test_seeded_stdout_digest(capsys, tmp_path, graph, argv, digest):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_main_reuses_one_parser_across_commands(capsys, triangle_file, tmp_path):
+    # main() builds its parser on the first call and keeps it; alternating
+    # commands through the kept parser must match calls on a fresh one
+    bad = tmp_path / "bad.graph"
+    bad.write_text("3\n1 2\n")
+    argvs = [
+        ["emulate", "--graph", triangle_file, "--gamma", "0.4", "--beta", "0.3",
+         "--seed", "1"],
+        ["solve", "--graph", triangle_file, "--layers", "1", "--seed", "7",
+         "--restarts", "1", "--max-evals", "40"],
+        ["bench", "--qubits", "2..4", "--layers", "1", "--seed", "0"],
+        ["emulate", "--graph", triangle_file, "--gamma", "0.1"],  # argparse: exit 2
+        ["emulate", "--graph", str(bad), "--gamma", "0", "--beta", "0"],  # input: exit 2
+        ["oracle", "--graph", triangle_file, "--seed", "0"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    reused = [call(argv) for argv in argvs + argvs]
+    assert cli._parser() is cli._parser()
+    assert [code for code, _ in fresh] == [0, 0, 0, 2, 2, 0]
+    assert reused == fresh + fresh

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qmaxemu import (WeightedGraph, assignment_from_index, build_cost_diagonal,
-                     build_mixer_exponents, cost_angles, cut_value, cut_values_all,
-                     mixer_angles, mixer_level_angles)
+                     build_mixer_exponents, cost_angles, cost_half_angles, cut_value,
+                     cut_values_all, mixer_angles, mixer_level_angles)
 
 from conftest import random_graph
 
@@ -127,6 +127,9 @@ def test_cut_values_all_matches_per_edge_oracle_bytewise(n):
         for g in (WeightedGraph(v, edges), WeightedGraph(v, ())):
             got = cut_values_all(g, n)
             assert got.tobytes() == _cut_values_per_edge(g, n).tobytes()
+            # the complement symmetry the engines' expansion relies on, exactly
+            entries = build_cost_diagonal(g, n).entries
+            assert entries.tobytes() == entries[::-1].tobytes()
 
 
 def test_cut_values_all_builds_no_temporaries_at_twenty_qubits():
@@ -160,3 +163,20 @@ def test_mixer_level_angles_gather_to_mixer_angles_bitwise():
             levels = mixer_level_angles(m, beta)
             assert levels.shape == (n + 1,)
             assert levels[m.popcount].tobytes() == mixer_angles(m, beta).tobytes()
+            # the float64 engine's phases: exp on n + 1 angles, then the gather
+            assert (m.expand(np.exp(1j * levels)).tobytes()
+                    == np.exp(1j * mixer_angles(m, beta)).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 13])
+def test_cost_half_angles_mirror_to_cost_angles_bitwise(n):
+    rng = np.random.default_rng(300 + n)
+    g = random_graph(rng, n, weight_range=(0.1, 3.0)) if n > 1 else WeightedGraph(1, ())
+    d = build_cost_diagonal(g, n)
+    for gamma in (0.0, 0.37, 1.9, 11.0):
+        half = cost_half_angles(d, gamma)
+        assert half.shape == (1 << (n - 1),)
+        assert d.expand(half).tobytes() == cost_angles(d, gamma).tobytes()
+        # the float64 engine's phases: exp on N/2 angles, then the mirror
+        assert (d.expand(np.exp(1j * half)).tobytes()
+                == np.exp(1j * cost_angles(d, gamma)).tobytes())

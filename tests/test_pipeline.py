@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -189,6 +190,22 @@ def test_n_add_single_min_raw_word_saturates_on_negated_rows(monkeypatch):
     assert got[1].tolist() == [fmt.min_raw, fmt.max_raw, fmt.min_raw, fmt.max_raw]
 
 
+def test_n_add_frees_the_prefix_pass_before_clamping():
+    # full-range q4.8 words saturate, so both passes run; keeping the prefix
+    # pass's three arrays through the clamp pass peaked at 10.5 x the words
+    fmt = FxFormat(12, 8)
+    words = np.random.default_rng(23).integers(fmt.min_raw, fmt.max_raw + 1, (2, 1 << 18))
+    ctx = FxContext()
+    tracemalloc.start()
+    try:
+        _n_add(words, fmt, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.overflow
+    assert peak <= 8 * words.nbytes
+
+
 def natural_order_butterfly(arrays, combine):
     """The in-place natural-order butterfly: level h = 1, 2, ..., N/2 combines
     copies of the two halves of every 2h-block and writes them back."""
@@ -283,6 +300,9 @@ def test_elemental_op_matches_dense_matvec():
 def test_elemental_op_rejects_wrong_angle_count():
     with pytest.raises(ValueError):
         run_elemental_ansatz(*to_words([1.0, 0.0]), np.zeros(3), CFG)
+    with pytest.raises(ValueError):  # distinct angles that expand to 3
+        run_elemental_ansatz(*to_words([1.0, 0.0]), np.zeros(1), CFG,
+                             expand=lambda x: np.repeat(x, 3))
 
 
 def test_run_qaoa_fidelity_at_fourteen_qubits():
@@ -417,8 +437,10 @@ def test_trace_records_stage_occupancy(tmp_path):
     assert orders == {"cost", "mixer"}
 
 
-def _run_streaming_every_mixer_angle(g, params, cfg, trace_writer=None):
-    # run_qaoa's layer loop with the mixer passes streaming all N angles
+def _run_streaming_every_angle(g, params, cfg, trace_writer=None):
+    # run_qaoa's layer loop with both passes streaming all N angles: the
+    # oracle for run_qaoa's passes on the distinct angles, N/2 for a cost
+    # pass and n + 1 for a mixer pass
     n = g.num_vertices
     d, m = build_cost_diagonal(g, n), build_mixer_exponents(n)
     re = fxp.vec_from_real(init_uniform_state(n, cfg.fmt).amps.real, cfg.fmt)
@@ -431,11 +453,11 @@ def _run_streaming_every_mixer_angle(g, params, cfg, trace_writer=None):
     return fxp.vec_to_float(re, cfg.fmt) + 1j * fxp.vec_to_float(im, cfg.fmt), ctx.overflow
 
 
-def _assert_level_mixer_matches_n_angles(g, params, fmt, trace=False):
+def _assert_distinct_angles_match_n_angles(g, params, fmt, trace=False):
     cfg = PipelineConfig(fmt=fmt)
     got_records, want_records = [], []
     state, counts = run_qaoa(g, params, cfg, got_records.append if trace else None)
-    amps, overflow = _run_streaming_every_mixer_angle(
+    amps, overflow = _run_streaming_every_angle(
         g, params, cfg, want_records.append if trace else None)
     assert state.amps.tobytes() == amps.tobytes()
     assert counts.overflow == overflow
@@ -443,8 +465,9 @@ def _assert_level_mixer_matches_n_angles(g, params, fmt, trace=False):
     return overflow
 
 
-@pytest.mark.parametrize("fmt,gamma_hi", [(FxFormat(32, 25), 2.0), (FxFormat(32, 20), 60.0)],
-                         ids=["q7.25", "q12.20"])
+@pytest.mark.parametrize("fmt,gamma_hi", [(FxFormat(32, 25), 2.0), (FxFormat(32, 20), 60.0),
+                                          (FxFormat(12, 8), 0.5)],
+                         ids=["q7.25", "q12.20", "q4.8"])
 def test_mixer_on_distinct_angles_matches_streaming_all_angles(fmt, gamma_hi):
     rng = np.random.default_rng(211)
     flags = set()
@@ -453,13 +476,13 @@ def test_mixer_on_distinct_angles_matches_streaming_all_angles(fmt, gamma_hi):
         p = int(rng.integers(1, 4))
         params = QaoaParams.from_lists(rng.uniform(0.0, gamma_hi, p),
                                        rng.uniform(0.0, math.pi, p))
-        flags.add(_assert_level_mixer_matches_n_angles(g, params, fmt, trace=k % 6 == 0))
+        flags.add(_assert_distinct_angles_match_n_angles(g, params, fmt, trace=k % 6 == 0))
     assert flags == {False, True}  # the draws include saturating runs
 
 
 def test_mixer_on_distinct_angles_matches_on_saturating_k9():
     params = QaoaParams.from_lists([0.7] * 8, [0.6] * 8)
-    assert _assert_level_mixer_matches_n_angles(complete_graph(9), params, FxFormat(),
+    assert _assert_distinct_angles_match_n_angles(complete_graph(9), params, FxFormat(),
                                                 trace=True)
 
 
@@ -470,4 +493,15 @@ def test_mixer_on_distinct_angles_matches_when_calculate_rad_saturates():
     fxp.vec_from_real(mixer_angles(build_mixer_exponents(4), 3.0), fmt, ctx)
     assert ctx.overflow
     params = QaoaParams(1, (0.05,), (3.0,))
-    assert _assert_level_mixer_matches_n_angles(path_graph(4), params, fmt, trace=True)
+    assert _assert_distinct_angles_match_n_angles(path_graph(4), params, fmt, trace=True)
+
+
+def test_cost_on_half_angles_matches_when_calculate_rad_saturates():
+    # q4.8 holds angles in [-8, 8): the cost angles -gamma*entry reach -2.5*6 = -15
+    fmt = FxFormat(12, 8)
+    d = build_cost_diagonal(path_graph(4), 4)
+    ctx = FxContext()
+    fxp.vec_from_real(cost_angles(d, 2.5), fmt, ctx)
+    assert ctx.overflow
+    params = QaoaParams(1, (2.5,), (0.3,))
+    assert _assert_distinct_angles_match_n_angles(path_graph(4), params, fmt, trace=True)

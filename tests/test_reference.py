@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmaxemu import (OpCounts, QaoaParams, WeightedGraph, align_global_phase,
-                     build_cost_diagonal, build_mixer_exponents,
+                     build_cost_diagonal, build_mixer_exponents, cost_angles,
                      decomposed_run_qaoa_f64, dense_cost_unitary,
                      dense_mixer_unitary, dense_run_qaoa, fwht_inplace,
                      mixer_angles, run_qaoa, walsh_streamed)
@@ -139,6 +139,48 @@ def test_fwht_inplace_needs_one_scratch_vector():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * v.nbytes
+
+
+def _decomposed_on_all_n_angles(g, params):
+    # the float64 dataflow with exp taken on all N angles of both passes:
+    # the oracle for decomposed_run_qaoa_f64, which takes it on the distinct ones
+    n = g.num_vertices
+    d, m = build_cost_diagonal(g, n), build_mixer_exponents(n)
+    v = np.full(1 << n, 1.0 / np.sqrt(1 << n), dtype=np.complex128)
+    for k in range(params.p):
+        for angles in (cost_angles(d, params.gamma[k]), mixer_angles(m, params.beta[k])):
+            v = fwht_inplace(np.exp(1j * angles) * v)
+        v *= 1.0 / (1 << n)
+    return v
+
+
+def test_decomposed_matches_all_n_angle_phases_bytewise():
+    rng = np.random.default_rng(79)
+    for n in range(1, 15):
+        for _ in range(2):
+            g = (random_graph(rng, n, weight_range=(0.1, 3.0)) if n > 1
+                 else WeightedGraph(1, ()))
+            p = int(rng.integers(1, 4))
+            params = QaoaParams.from_lists(rng.uniform(0.0, 2.0, p),
+                                           rng.uniform(0.0, math.pi, p))
+            got = decomposed_run_qaoa_f64(g, params).amps
+            assert got.tobytes() == _decomposed_on_all_n_angles(g, params).tobytes()
+
+
+def test_decomposed_holds_at_most_three_state_vectors():
+    # the phase array takes the product in place and the old state is
+    # dropped before each butterfly; multiplying into a new array peaked at 4
+    n = 16
+    g = random_graph(np.random.default_rng(89), n, edge_prob=0.3)
+    d, m = build_cost_diagonal(g, n), build_mixer_exponents(n)
+    params = QaoaParams.from_lists([0.3, 0.1], [0.5, 0.7])
+    tracemalloc.start()
+    try:
+        decomposed_run_qaoa_f64(g, params, diag=d, mixer=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * (1 << n)
 
 
 def test_decomposed_matches_dense(six_vertex_graph):

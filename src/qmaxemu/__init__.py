@@ -8,7 +8,7 @@ all behind the `qmaxemu` CLI.
 
 from .diagonals import (CostDiagonal, MixerExponents, build_cost_diagonal,
                         build_mixer_exponents, cost_angles, cost_half_angles,
-                        mixer_angles, mixer_level_angles)
+                        mixer_angles, mixer_level_angles, mixer_table)
 from .engines import ENGINE_NAMES, EngineRun, make_engine, run_engine
 from .fxp import (CFx, Fx, FxContext, FxFormat, QuadrantFlags, apply_flags,
                   cordic_sincos, fx_from_real, fx_mul, fx_sincos,

@@ -22,8 +22,8 @@ import time
 
 import numpy as np
 
-from .diagonals import build_cost_diagonal, build_mixer_exponents
-from .engines import ENGINE_NAMES, TABLE_ENGINES, make_engine, run_engine
+from .diagonals import build_cost_diagonal, mixer_table
+from .engines import ENGINE_NAMES, make_engine, run_engine
 from .fxp import FxFormat
 from .graph import (MAX_QUBITS, GraphFormatError, WeightedGraph, brute_force_max_cut,
                     parse_graph)
@@ -171,14 +171,11 @@ def cmd_emulate(args) -> int:
     g = load_graph(args.graph)
     params = _params_from_args(args)
     fmt = parse_fixed_point(args.fixed_point)
-    # each table is built once, for the engine, expectation and the dump
+    # the cost table is built once, for the engine, expectation and the dump
     diag = build_cost_diagonal(g, g.num_vertices)
-    mixer = (build_mixer_exponents(g.num_vertices)
-             if args.engine in TABLE_ENGINES or args.dump_diagonals else None)
     trace_fh, trace_writer = _open_trace(args)
     try:
-        run = run_engine(args.engine, g, params, fmt=fmt, trace_writer=trace_writer,
-                         diag=diag, mixer=mixer)
+        run = run_engine(args.engine, g, params, fmt=fmt, trace_writer=trace_writer, diag=diag)
     finally:
         if trace_fh:
             trace_fh.close()
@@ -194,7 +191,7 @@ def cmd_emulate(args) -> int:
     _engine_sections(report, run, fmt)
     if args.dump_diagonals:
         report["cost_diagonal"] = diag.entries.tolist()
-        report["mixer_exponents"] = mixer.u.tolist()
+        report["mixer_exponents"] = mixer_table(g.num_vertices).u.tolist()
     if args.dump_state:
         dump = {
             "n": run.state.n,
@@ -227,8 +224,7 @@ def cmd_solve(args) -> int:
     best_params, f_p = trace.best_params, trace.best_f_p
 
     diag = build_cost_diagonal(g, g.num_vertices)
-    mixer = build_mixer_exponents(g.num_vertices) if args.engine in TABLE_ENGINES else None
-    run = run_engine(args.engine, g, best_params, fmt=fmt, diag=diag, mixer=mixer)
+    run = run_engine(args.engine, g, best_params, fmt=fmt, diag=diag)
     result = expectation(run.state, diag)
 
     report = base_report("solve", args, g)
@@ -269,11 +265,10 @@ def cmd_bench(args) -> int:
         g = complete_graph(n)
         params = QaoaParams(args.layers, gamma, beta)
         diag = build_cost_diagonal(g, n)
-        mixer = build_mixer_exponents(n) if set(engines) & set(TABLE_ENGINES) else None
         for name in engines:
             started = time.perf_counter()
             try:
-                run = run_engine(name, g, params, fmt=fmt, diag=diag, mixer=mixer)
+                run = run_engine(name, g, params, fmt=fmt, diag=diag)
             except ValueError as exc:
                 log.warning("skipping %s at n=%d: %s", name, n, exc)
                 continue

@@ -1,9 +1,11 @@
 """Diagonal data driving each phase-and-transform operation.
 
 The cost table holds twice the cut value of each basis state (the hardware
-convention: every crossed edge contributes 2*weight), and the mixer table
-holds the integer exponents 2*popcount(l) - n.  Angle vectors derived here
-are plain float64 radians; the fixed-point pipeline quantizes them at entry.
+convention: every crossed edge contributes 2*weight) and is an engine
+argument; the mixer table, the integer exponents 2*popcount(l) - n, depends
+on n alone, so the engines take it from mixer_table(n).  Angle vectors
+derived here are plain float64 radians; the fixed-point pipeline quantizes
+them at entry.
 
 Each diagonal takes few distinct values: the cost table is symmetric under
 complementing every bit, and the mixer table takes n + 1 values.  So the
@@ -15,6 +17,7 @@ states with the table's expand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,9 +51,12 @@ class MixerExponents:
     value array (see mixer_level_angles) gathers into a per-state one.
     """
 
-    u: np.ndarray  # int64, length 2**n
     popcount: np.ndarray  # uint8, length 2**n
     n: int
+
+    @property
+    def u(self) -> np.ndarray:  # a fresh int64 array; no engine reads it
+        return 2 * self.popcount.astype(np.int64) - self.n
 
     def expand(self, levels: np.ndarray) -> np.ndarray:
         """Per-state values from the n + 1 per-exponent ones, by popcount."""
@@ -71,7 +77,17 @@ def build_mixer_exponents(n: int) -> MixerExponents:
     popcount = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
         popcount = np.concatenate((popcount, popcount + 1))
-    return MixerExponents(u=2 * popcount.astype(np.int64) - n, popcount=popcount, n=n)
+    return MixerExponents(popcount=popcount, n=n)
+
+
+@lru_cache(maxsize=None)
+def mixer_table(n: int) -> MixerExponents:
+    """The engines' mixer table, built once per n and shared, so read-only.
+    n <= MAX_QUBITS keeps the cache under 2**25 bytes; an n outside
+    1..MAX_QUBITS raises before allocating and is not cached."""
+    m = build_mixer_exponents(n)
+    m.popcount.flags.writeable = False
+    return m
 
 
 def cost_angles(d: CostDiagonal, gamma: float) -> np.ndarray:

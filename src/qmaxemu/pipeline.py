@@ -45,8 +45,8 @@ from typing import Callable
 import numpy as np
 
 from . import fxp
-from .diagonals import (CostDiagonal, MixerExponents, build_cost_diagonal,
-                        build_mixer_exponents, cost_half_angles, mixer_level_angles)
+from .diagonals import (CostDiagonal, build_cost_diagonal, cost_half_angles,
+                        mixer_level_angles, mixer_table)
 from .fxp import FxContext, FxFormat
 from .graph import WeightedGraph, check_qubit_count
 
@@ -56,8 +56,12 @@ CLOCK_HZ = 100_000_000  # reported times are cycles / CLOCK_HZ, labeled derived
 
 TraceWriter = Callable[[dict], None]
 # Widens per-angle values (words, flags) from a pass's distinct angles to its
-# N streamed elements: CostDiagonal.expand or MixerExponents.expand.
+# N streamed elements: a table's expand, or _stream_as_is for N angles.
 Expand = Callable[[np.ndarray], np.ndarray]
+
+
+def _stream_as_is(values: np.ndarray) -> np.ndarray:
+    return values
 
 
 @dataclass
@@ -93,6 +97,8 @@ class QaoaParams:
             raise ValueError("layer count must be >= 1")
         if len(self.gamma) != self.p or len(self.beta) != self.p:
             raise ValueError(f"gamma/beta must each have length p={self.p}")
+        if not np.isfinite((*self.gamma, *self.beta)).all():
+            raise ValueError("gamma/beta must be finite")
 
     @staticmethod
     def from_lists(gamma, beta) -> "QaoaParams":
@@ -270,9 +276,8 @@ def init_uniform_state(n: int, fmt: FxFormat = FxFormat()) -> StateVector:
     return StateVector(amps=amps, scale_exp=Fraction(half_up) - Fraction(n, 2), n=n)
 
 
-def _emit_op_trace(write: TraceWriter, n_states: int, op_index: int,
-                   layer: int, order: str, neg_cos: np.ndarray,
-                   neg_sin: np.ndarray, overflow: bool):
+def _emit_op_trace(write: TraceWriter, n_states: int, layer: int, order: str,
+                   neg_cos: np.ndarray, neg_sin: np.ndarray, overflow: bool):
     """One record per clock: stage occupancy by stream element index, the
     sign-adjustment bits travelling beside the element in 1_MULT, and the
     sticky overflow state of the operation."""
@@ -286,7 +291,7 @@ def _emit_op_trace(write: TraceWriter, n_states: int, op_index: int,
                                        min(n_states, clock - 1))]
         mult = occupant(2 + fxp.CORDIC_STAGES)
         write({
-            "op": op_index,
+            "op": 2 * layer + (order == "mixer"),
             "layer": layer,
             "order": order,
             "clock": clock,
@@ -304,9 +309,8 @@ def _emit_op_trace(write: TraceWriter, n_states: int, op_index: int,
 def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarray,
                          cfg: PipelineConfig, ctx: FxContext | None = None,
                          trace_writer: TraceWriter | None = None,
-                         op_index: int = 0, layer: int = 0,
-                         order: str = "cost",
-                         expand: Expand | None = None) -> tuple[np.ndarray, np.ndarray]:
+                         layer: int = 0, order: str = "cost",
+                         expand: Expand = _stream_as_is) -> tuple[np.ndarray, np.ndarray]:
     """One streamed phase-and-transform pass: out = H1 . (diag(e^{i angles}) . in).
 
     in_re/in_im are the raw int64 words of the N input amplitudes; returns
@@ -314,15 +318,13 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
     the state at drain, N + PIPELINE_LATENCY clocks later.  Saturation
     anywhere sets the sticky flag on ctx but the run continues.
 
-    With an expand, angles holds the distinct angles and the elements
-    stream expand(angles); every distinct angle must be streamed.  The
-    angle stages and CORDIC then run once per distinct angle, and their
-    words are expanded before 1_MULT.
+    The elements stream expand(angles), which must give N of them.  With a
+    table's expand, angles holds the distinct angles, every one of them
+    streamed: the angle stages and CORDIC run once per distinct angle, and
+    their words are expanded before 1_MULT.
     """
     n_states = len(in_re)
     angles = np.asarray(angles, dtype=np.float64)
-    if expand is None and angles.shape != (n_states,):
-        raise ValueError(f"expected {n_states} angles, got {angles.shape}")
     if ctx is None:
         ctx = FxContext()
     fmt = cfg.fmt
@@ -337,10 +339,9 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
     rad_q1, neg_cos, neg_sin = fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)
     cos_q1, sin_q1 = fxp.vec_cordic_sincos(rad_q1, fmt)
     cos_raw, sin_raw = fxp.vec_apply_flags(cos_q1, sin_q1, neg_cos, neg_sin, fmt, ctx)
-    if expand is not None:
-        cos_raw, sin_raw = expand(cos_raw), expand(sin_raw)
-        if cos_raw.shape != (n_states,):
-            raise ValueError(f"expected {n_states} angles, expanded {cos_raw.shape}")
+    cos_raw, sin_raw = expand(cos_raw), expand(sin_raw)
+    if cos_raw.shape != (n_states,):
+        raise ValueError(f"expected {n_states} angles, streamed {cos_raw.shape}")
     mult_re = fxp.vec_add(fxp.vec_mul(in_re, cos_raw, fmt, ctx),
                           -fxp.vec_mul(in_im, sin_raw, fmt, ctx), fmt, ctx)
     mult_im = fxp.vec_add(fxp.vec_mul(in_re, sin_raw, fmt, ctx),
@@ -353,52 +354,46 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
     res_re, res_im = _n_add(np.stack((mult_re, mult_im)), fmt, ctx)
 
     if trace_writer is not None:
-        if expand is not None:
-            neg_cos, neg_sin = expand(neg_cos), expand(neg_sin)
-        _emit_op_trace(trace_writer, n_states, op_index, layer, order,
-                       neg_cos, neg_sin, ctx.overflow)
+        _emit_op_trace(trace_writer, n_states, layer, order,
+                       expand(neg_cos), expand(neg_sin), ctx.overflow)
     return res_re, res_im
 
 
 def run_layer(re: np.ndarray, im: np.ndarray, d_cost_angles: np.ndarray,
               d_mixer_angles: np.ndarray, cfg: PipelineConfig,
               ctx: FxContext | None = None, trace_writer: TraceWriter | None = None,
-              layer: int = 0, cost_expand: Expand | None = None,
-              mixer_expand: Expand | None = None) -> tuple[np.ndarray, np.ndarray]:
+              layer: int = 0, cost_expand: Expand = _stream_as_is,
+              mixer_expand: Expand = _stream_as_is) -> tuple[np.ndarray, np.ndarray]:
     """Cost pass, mixer pass, then the end-of-layer arithmetic right shift.
 
     Returns the shifted raw words.  The two passes grow the state by exactly
     2**n in norm, so the n-bit shift realizes the layer's 1/2**n factor and
-    leaves the state's scale exponent unchanged.  With a cost_expand or a
-    mixer_expand, that pass's angles are the distinct ones, expanded as
-    run_elemental_ansatz's expand describes.
+    leaves the state's scale exponent unchanged.  Each pass streams its
+    expand of its angles, as in run_elemental_ansatz.
     """
     re, im = run_elemental_ansatz(re, im, d_cost_angles, cfg, ctx, trace_writer,
-                                  op_index=2 * layer, layer=layer, order="cost",
-                                  expand=cost_expand)
+                                  layer=layer, order="cost", expand=cost_expand)
     re, im = run_elemental_ansatz(re, im, d_mixer_angles, cfg, ctx, trace_writer,
-                                  op_index=2 * layer + 1, layer=layer, order="mixer",
-                                  expand=mixer_expand)
+                                  layer=layer, order="mixer", expand=mixer_expand)
     n = len(re).bit_length() - 1
     return re >> n, im >> n
 
 
 def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = PipelineConfig(),
-             trace_writer: TraceWriter | None = None, diag: CostDiagonal | None = None,
-             mixer: MixerExponents | None = None) -> tuple[StateVector, OpCounts]:
+             trace_writer: TraceWriter | None = None,
+             diag: CostDiagonal | None = None) -> tuple[StateVector, OpCounts]:
     """Full accelerator run: uniform init, then p layers of cost+mixer passes.
 
-    diag and mixer are g's tables, built here when not given.  Each pass
-    evaluates its distinct angles only: the cost passes the N/2 of the
-    lower half, mirrored, the mixer passes the n + 1 levels, gathered by
-    popcount.
+    diag is g's cost table, built here when not given; the mixer table is
+    mixer_table(n).  Each pass evaluates its distinct angles only: the cost
+    passes the N/2 of the lower half, mirrored, the mixer passes the n + 1
+    levels, gathered by popcount.
     """
     n = g.num_vertices
     n_states = 1 << n
     if diag is None:
         diag = build_cost_diagonal(g, n)  # rejects n above MAX_QUBITS before allocating
-    if mixer is None:
-        mixer = build_mixer_exponents(n)
+    mixer = mixer_table(n)
     start = init_uniform_state(n, cfg.fmt)
     re = fxp.vec_from_real(start.amps.real, cfg.fmt)
     im = np.zeros_like(re)

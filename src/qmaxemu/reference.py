@@ -28,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diagonals import (CostDiagonal, MixerExponents, build_cost_diagonal,
-                        build_mixer_exponents, cost_half_angles, mixer_level_angles)
+from .diagonals import (CostDiagonal, build_cost_diagonal, cost_half_angles,
+                        mixer_level_angles, mixer_table)
 from .graph import WeightedGraph, check_qubit_count
 from .pipeline import (OpCounts, QaoaParams, StateVector, _sum_diff, butterfly,
                        hadamard_sign_column)
@@ -121,24 +121,24 @@ def walsh_streamed(v: np.ndarray) -> np.ndarray:
 
 
 def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
-                            counts: OpCounts | None = None, diag: CostDiagonal | None = None,
-                            mixer: MixerExponents | None = None) -> StateVector:
+                            counts: OpCounts | None = None,
+                            diag: CostDiagonal | None = None) -> StateVector:
     """Pipeline dataflow in float64: phase multiply, +/-1 transform, 1/2**n scale.
 
-    diag and mixer are g's tables, built here when not given.  Each pass
-    takes exp(i*angle) on its distinct angles, expands the phases with the
-    table's expand into a fresh array, and multiplies the state into it;
-    the old state is dropped before the butterfly takes its scratch array,
-    so a run peaks below three state vectors.  The transform is computed by the butterfly, but
-    counts describe the decomposed dataflow, as run_qaoa's do: N multiplies
-    and N*N additions per transform, 2*p transforms.
+    diag is g's cost table, built here when not given; the mixer table is
+    mixer_table(n).  Each pass takes exp(i*angle) on its distinct angles,
+    expands the phases with the table's expand into a fresh array, and
+    multiplies the state into it; the old state is dropped before the
+    butterfly takes its scratch array, so a run peaks below three state
+    vectors.  The transform is computed by the butterfly, but counts
+    describe the decomposed dataflow, as run_qaoa's do: N multiplies and
+    N*N additions per transform, 2*p transforms.
     """
     n = g.num_vertices
     n_states = 1 << n
     if diag is None:
         diag = build_cost_diagonal(g, n)  # rejects n above MAX_QUBITS before allocating
-    if mixer is None:
-        mixer = build_mixer_exponents(n)
+    mixer = mixer_table(n)
     v = np.full(n_states, 1.0 / np.sqrt(n_states), dtype=np.complex128)
     scale = 1.0 / n_states
     for k in range(params.p):

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .diagonals import CostDiagonal, build_cost_diagonal, build_mixer_exponents
+from .diagonals import CostDiagonal, build_cost_diagonal
 from .graph import WeightedGraph, assignment_from_index
 from .pipeline import StateVector, QaoaParams
 from .reference import decomposed_run_qaoa_f64
@@ -146,16 +146,14 @@ def grid_search_p1(g: WeightedGraph, resolution: int, engine: EngineFn | None = 
     state is symmetric under), so only beta < pi/2 is evaluated: that is
     resolution * ceil(resolution/2) engine calls, recorded in trace when
     one is given.  Ties resolve to the lexicographically first lattice
-    point.  The default engine is decomposed_run_qaoa_f64 on tables built
-    once here."""
+    point.  The default engine is decomposed_run_qaoa_f64 on the cost table
+    built once here."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     diag = build_cost_diagonal(g, g.num_vertices)
     if engine is None:
-        mixer = build_mixer_exponents(g.num_vertices)
-
         def engine(g: WeightedGraph, params: QaoaParams) -> StateVector:
-            return decomposed_run_qaoa_f64(g, params, diag=diag, mixer=mixer)
+            return decomposed_run_qaoa_f64(g, params, diag=diag)
     if trace is None:
         trace = OptimizationTrace()
     objective = make_objective(g, 1, engine, trace, diag)

@@ -80,6 +80,19 @@ def test_emulate_mismatched_params_exits_2(capsys, triangle_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("engine", ["pipeline", "decomposed-f64", "dense"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_emulate_non_finite_parameter_exits_2(capsys, triangle_file, engine, value):
+    # a NaN or an infinity would print invalid JSON (NaN, Infinity) and exit 0
+    for gamma, beta in ((value, "0.3"), ("0.3", value)):
+        code = main(["emulate", "--graph", triangle_file, "--engine", engine,
+                     f"--gamma={gamma}", f"--beta={beta}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+
 def test_emulate_fixed_point_flag(capsys, triangle_file):
     code, out = run_cli(capsys, "emulate", "--graph", triangle_file,
                         "--gamma", "0.3", "--beta", "0.2",

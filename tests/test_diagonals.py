@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmaxemu import (WeightedGraph, assignment_from_index, build_cost_diagonal,
+from qmaxemu import (QaoaParams, WeightedGraph, assignment_from_index, build_cost_diagonal,
                      build_mixer_exponents, cost_angles, cost_half_angles, cut_value,
-                     cut_values_all, mixer_angles, mixer_level_angles)
+                     cut_values_all, decomposed_run_qaoa_f64, diagonals, mixer_angles,
+                     mixer_level_angles, mixer_table, run_qaoa)
+from qmaxemu.graph import MAX_QUBITS
 
 from conftest import random_graph
 
@@ -144,6 +146,57 @@ def test_cut_values_all_builds_no_temporaries_at_twenty_qubits():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * 2 ** 20  # the float64 output is 8 MB
+
+
+def test_mixer_table_builds_each_qubit_count_once(monkeypatch):
+    # the accessor caches every n it has seen: a sweep over n = 2..12 has
+    # to rebuild nothing on its second pass, nor when the engines run
+    built = []
+
+    def spy(n):
+        built.append(n)
+        return build_mixer_exponents(n)
+
+    monkeypatch.setattr(diagonals, "build_mixer_exponents", spy)
+    mixer_table.cache_clear()
+    try:
+        tables = {n: mixer_table(n) for n in range(2, 13)}
+        for n in range(2, 13):
+            assert mixer_table(n) is tables[n] and tables[n].n == n
+        assert built == list(range(2, 13))
+        g = WeightedGraph(5, ((0, 1, 1.0), (1, 2, 2.0), (3, 4, 0.5)))
+        params = QaoaParams(1, (0.4,), (0.3,))
+        run_qaoa(g, params)
+        decomposed_run_qaoa_f64(g, params)
+        assert built == list(range(2, 13))
+    finally:
+        mixer_table.cache_clear()  # no table built through the spy outlives it
+
+
+def test_mixer_table_is_read_only_and_equals_a_fresh_build():
+    for n in (1, 5, 12):
+        m, fresh = mixer_table(n), build_mixer_exponents(n)
+        assert not m.popcount.flags.writeable
+        with pytest.raises(ValueError):
+            m.popcount[0] = 1
+        assert m.popcount.tobytes() == fresh.popcount.tobytes()
+        u = m.u  # a fresh array: writing to it leaves the table as it is
+        u[0] = 99
+        assert m.u.tobytes() == fresh.u.tobytes() and m.u.dtype == np.int64
+
+
+def test_mixer_table_rejects_bad_qubit_counts_before_allocating():
+    cached = mixer_table.cache_info().currsize
+    tracemalloc.start()
+    try:
+        for n in (0, MAX_QUBITS + 1, MAX_QUBITS + 1):
+            with pytest.raises(ValueError):
+                mixer_table(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one n = 25 popcount table alone is 32 MB
+    assert mixer_table.cache_info().currsize == cached
 
 
 def test_mixer_exponents_match_popcount_up_to_twenty_qubits():

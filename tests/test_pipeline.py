@@ -298,9 +298,10 @@ def test_elemental_op_matches_dense_matvec():
 
 
 def test_elemental_op_rejects_wrong_angle_count():
-    with pytest.raises(ValueError):
+    # one check after the expand, not numpy's broadcast error, rejects both
+    with pytest.raises(ValueError, match="expected 2 angles"):
         run_elemental_ansatz(*to_words([1.0, 0.0]), np.zeros(3), CFG)
-    with pytest.raises(ValueError):  # distinct angles that expand to 3
+    with pytest.raises(ValueError, match="expected 2 angles"):  # 1 angle expanded to 3
         run_elemental_ansatz(*to_words([1.0, 0.0]), np.zeros(1), CFG,
                              expand=lambda x: np.repeat(x, 3))
 
@@ -435,6 +436,13 @@ def test_trace_records_stage_occupancy(tmp_path):
     assert drain["n_add"] == 3  # last element lands in the accumulator
     orders = {r["order"] for r in records}
     assert orders == {"cost", "mixer"}
+    # each layer's cost pass is op 2*layer and its mixer pass op 2*layer + 1
+    records = []
+    run_qaoa(g, QaoaParams(2, (0.4, 0.1), (0.2, 0.3)), trace_writer=records.append)
+    assert [(r["op"], r["layer"], r["order"]) for r in records[::per_op]] == [
+        (0, 0, "cost"), (1, 0, "mixer"), (2, 1, "cost"), (3, 1, "mixer")]
+    assert all(r["op"] == records[k * per_op]["op"]
+               for k in range(4) for r in records[k * per_op:(k + 1) * per_op])
 
 
 def _run_streaming_every_angle(g, params, cfg, trace_writer=None):

@@ -8,7 +8,7 @@ from qmaxemu import (OpCounts, QaoaParams, WeightedGraph, align_global_phase,
                      build_cost_diagonal, build_mixer_exponents, cost_angles,
                      decomposed_run_qaoa_f64, dense_cost_unitary,
                      dense_mixer_unitary, dense_run_qaoa, fwht_inplace,
-                     mixer_angles, run_qaoa, walsh_streamed)
+                     mixer_angles, mixer_table, run_qaoa, walsh_streamed)
 from qmaxemu.pipeline import hadamard_sign
 from qmaxemu.reference import _apply_mixer
 
@@ -172,11 +172,12 @@ def test_decomposed_holds_at_most_three_state_vectors():
     # dropped before each butterfly; multiplying into a new array peaked at 4
     n = 16
     g = random_graph(np.random.default_rng(89), n, edge_prob=0.3)
-    d, m = build_cost_diagonal(g, n), build_mixer_exponents(n)
+    d = build_cost_diagonal(g, n)
+    mixer_table(n)  # prebuilt, as the cost table is
     params = QaoaParams.from_lists([0.3, 0.1], [0.5, 0.7])
     tracemalloc.start()
     try:
-        decomposed_run_qaoa_f64(g, params, diag=d, mixer=m)
+        decomposed_run_qaoa_f64(g, params, diag=d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -12,6 +12,7 @@ under --strict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -22,7 +23,8 @@ import time
 
 import numpy as np
 
-from .diagonals import build_cost_diagonal, mixer_table
+from .diagonals import mixer_table
+from .diagonals import build_cost_diagonal  # noqa: F401  unused; in perfbench's SITES
 from .engines import ENGINE_NAMES, make_engine, run_engine
 from .fxp import FxFormat
 from .graph import (MAX_QUBITS, GraphFormatError, WeightedGraph, brute_force_max_cut,
@@ -141,11 +143,15 @@ def _params_from_args(args) -> QaoaParams:
     return QaoaParams.from_lists(gamma, beta)
 
 
-def _open_trace(args):
-    if args.trace:
-        fh = open(args.trace, "w", encoding="utf-8")
-        return fh, lambda record: fh.write(json.dumps(record) + "\n")
-    return None, None
+def _open_output(path: str | None, files: contextlib.ExitStack):
+    """Open an output file, if one is named, in files; an unwritable path is
+    an input error."""
+    if path is None:
+        return None
+    try:
+        return files.enter_context(open(path, "w", encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot write output file: {exc}")
 
 
 def _engine_sections(report: dict, run, fmt: FxFormat):
@@ -171,15 +177,19 @@ def cmd_emulate(args) -> int:
     g = load_graph(args.graph)
     params = _params_from_args(args)
     fmt = parse_fixed_point(args.fixed_point)
-    # the cost table is built once, for the engine, expectation and the dump
-    diag = build_cost_diagonal(g, g.num_vertices)
-    trace_fh, trace_writer = _open_trace(args)
-    try:
-        run = run_engine(args.engine, g, params, fmt=fmt, trace_writer=trace_writer, diag=diag)
-    finally:
-        if trace_fh:
-            trace_fh.close()
-    result = expectation(run.state, diag)
+    with contextlib.ExitStack() as files:
+        # both output files are opened before the run, so a bad path fails fast
+        trace_fh = _open_output(args.trace, files)
+        dump_fh = _open_output(args.dump_state, files)
+        trace_writer = trace_fh and (lambda record: trace_fh.write(json.dumps(record) + "\n"))
+        run = run_engine(args.engine, g, params, fmt=fmt, trace_writer=trace_writer)
+        if dump_fh:
+            json.dump(_round_floats({
+                "n": run.state.n,
+                "scale_exp": float(run.state.scale_exp),
+                "amps": [[float(a.real), float(a.imag)] for a in run.state.amps],
+            }), dump_fh)
+    result = expectation(run.state, g.cost_table)
 
     report = base_report("emulate", args, g)
     report["engine"] = args.engine
@@ -190,16 +200,8 @@ def cmd_emulate(args) -> int:
     report["best_cut"] = result.best_cut
     _engine_sections(report, run, fmt)
     if args.dump_diagonals:
-        report["cost_diagonal"] = diag.entries.tolist()
+        report["cost_diagonal"] = g.cost_table.entries.tolist()
         report["mixer_exponents"] = mixer_table(g.num_vertices).u.tolist()
-    if args.dump_state:
-        dump = {
-            "n": run.state.n,
-            "scale_exp": float(run.state.scale_exp),
-            "amps": [[float(a.real), float(a.imag)] for a in run.state.amps],
-        }
-        with open(args.dump_state, "w", encoding="utf-8") as fh:
-            json.dump(_round_floats(dump), fh)
     emit_json(finish_report(report, started, args.seed))
     return _numeric_exit(report, args)
 
@@ -222,10 +224,8 @@ def cmd_solve(args) -> int:
     else:  # nelder-mead
         trace = optimize(g, args.layers, engine, cfg=cfg, seed=seed)
     best_params, f_p = trace.best_params, trace.best_f_p
-
-    diag = build_cost_diagonal(g, g.num_vertices)
-    run = run_engine(args.engine, g, best_params, fmt=fmt, diag=diag)
-    result = expectation(run.state, diag)
+    run = run_engine(args.engine, g, best_params, fmt=fmt)
+    result = expectation(run.state, g.cost_table)
 
     report = base_report("solve", args, g)
     report["engine"] = args.engine
@@ -264,16 +264,16 @@ def cmd_bench(args) -> int:
     for n in qubits:
         g = complete_graph(n)
         params = QaoaParams(args.layers, gamma, beta)
-        diag = build_cost_diagonal(g, n)
+        g.cost_table  # built outside the engines' timed runs
         for name in engines:
             started = time.perf_counter()
             try:
-                run = run_engine(name, g, params, fmt=fmt, diag=diag)
+                run = run_engine(name, g, params, fmt=fmt)
             except ValueError as exc:
                 log.warning("skipping %s at n=%d: %s", name, n, exc)
                 continue
             elapsed = time.perf_counter() - started
-            f_p = expectation(run.state, diag).f_p
+            f_p = expectation(run.state, g.cost_table).f_p
             row = {
                 "schema_version": SCHEMA_VERSION,
                 "command": "bench",

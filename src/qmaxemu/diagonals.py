@@ -1,11 +1,11 @@
 """Diagonal data driving each phase-and-transform operation.
 
 The cost table holds twice the cut value of each basis state (the hardware
-convention: every crossed edge contributes 2*weight) and is an engine
-argument; the mixer table, the integer exponents 2*popcount(l) - n, depends
-on n alone, so the engines take it from mixer_table(n).  Angle vectors
-derived here are plain float64 radians; the fixed-point pipeline quantizes
-them at entry.
+convention: every crossed edge contributes 2*weight) and belongs to the
+graph, so the engines read WeightedGraph.cost_table; the mixer table, the
+integer exponents 2*popcount(l) - n, depends on n alone, so the engines
+take it from mixer_table(n).  Angle vectors derived here are plain float64
+radians; the fixed-point pipeline quantizes them at entry.
 
 Each diagonal takes few distinct values: the cost table is symmetric under
 complementing every bit, and the mixer table takes n + 1 values.  So the

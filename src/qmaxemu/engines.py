@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagonals import CostDiagonal, build_cost_diagonal
 from .fxp import FxFormat
 from .graph import WeightedGraph
 from .pipeline import (OpCounts, PipelineConfig, QaoaParams, StateVector,
@@ -22,34 +21,24 @@ class EngineRun:
 
 def run_engine(name: str, g: WeightedGraph, params: QaoaParams,
                fmt: FxFormat | None = None, fast: bool = False,
-               trace_writer: TraceWriter | None = None,
-               diag: CostDiagonal | None = None) -> EngineRun:
-    """Run one engine.  diag is g's cost table; the table-driven engines
-    build it when not given, and dense does not use it.  `fast` is ignored
-    (decomposed-f64 always runs the butterfly); it stays for callers that
-    still pass it."""
+               trace_writer: TraceWriter | None = None) -> EngineRun:
+    """Run one engine.  `fast` is ignored (decomposed-f64 always runs the
+    butterfly); it stays for callers that still pass it."""
     if name == "pipeline":
         cfg = PipelineConfig(fmt=fmt or FxFormat())
-        state, counts = run_qaoa(g, params, cfg, trace_writer, diag=diag)
+        state, counts = run_qaoa(g, params, cfg, trace_writer)
         return EngineRun(state, counts)
     counts = OpCounts()
     if name == "decomposed-f64":
-        return EngineRun(decomposed_run_qaoa_f64(g, params, counts=counts, diag=diag), counts)
+        return EngineRun(decomposed_run_qaoa_f64(g, params, counts=counts), counts)
     if name == "dense":
         return EngineRun(dense_run_qaoa(g, params, counts=counts), counts)
     raise ValueError(f"unknown engine {name!r}; expected one of {ENGINE_NAMES}")
 
 
 def make_engine(name: str, fmt: FxFormat | None = None):
-    """State-only engine closure for the optimizer.  It builds the cost table
-    of the graph it is called with once, and reuses it for as long as it is
-    called with that same graph object."""
-    graph, diag = None, None
-
+    """State-only engine closure for the optimizer."""
     def engine(g: WeightedGraph, params: QaoaParams) -> StateVector:
-        nonlocal graph, diag
-        if g is not graph:
-            graph, diag = g, build_cost_diagonal(g, g.num_vertices)
-        return run_engine(name, g, params, fmt=fmt, diag=diag).state
+        return run_engine(name, g, params, fmt=fmt).state
 
     return engine

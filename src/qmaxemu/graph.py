@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,16 @@ class WeightedGraph:
     @property
     def total_weight(self) -> float:
         return float(sum(w for _, _, w in self.edges))
+
+    @cached_property
+    def cost_table(self):
+        """The graph's CostDiagonal on |V| qubits, built on first read and kept
+        in the instance __dict__ (not a field: ==, hash and repr ignore it);
+        its entries are read-only, as every engine run shares them."""
+        from .diagonals import build_cost_diagonal  # diagonals imports graph
+        table = build_cost_diagonal(self, self.num_vertices)
+        table.entries.flags.writeable = False
+        return table
 
 
 def _check_edge(i: int, j: int, w: float, num_vertices: int,
@@ -178,9 +189,11 @@ def brute_force_max_cut(g: WeightedGraph) -> tuple[float, list[str]]:
     """Exact maximum cut by enumeration of all 2**|V| assignments.
 
     Returns the maximum value and every maximizing assignment, in ascending
-    index order.  cut_values_all limits it to MAX_QUBITS vertices.
+    index order.  It reads g.cost_table, which holds twice each cut value
+    (exactly, so halving its maximum is exact) and limits it to MAX_QUBITS
+    vertices.
     """
-    values = cut_values_all(g)
-    best = float(values.max())
-    argmax = np.flatnonzero(values == best)
-    return best, [assignment_from_index(int(l), g.num_vertices) for l in argmax]
+    entries = g.cost_table.entries
+    best = entries.max()
+    argmax = np.flatnonzero(entries == best)
+    return float(best) * 0.5, [assignment_from_index(int(l), g.num_vertices) for l in argmax]

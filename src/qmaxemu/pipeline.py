@@ -45,8 +45,8 @@ from typing import Callable
 import numpy as np
 
 from . import fxp
-from .diagonals import (CostDiagonal, build_cost_diagonal, cost_half_angles,
-                        mixer_level_angles, mixer_table)
+from .diagonals import cost_half_angles, mixer_level_angles, mixer_table
+from .diagonals import build_cost_diagonal  # noqa: F401  unused; in perfbench's SITES
 from .fxp import FxContext, FxFormat
 from .graph import WeightedGraph, check_qubit_count
 
@@ -380,19 +380,16 @@ def run_layer(re: np.ndarray, im: np.ndarray, d_cost_angles: np.ndarray,
 
 
 def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = PipelineConfig(),
-             trace_writer: TraceWriter | None = None,
-             diag: CostDiagonal | None = None) -> tuple[StateVector, OpCounts]:
+             trace_writer: TraceWriter | None = None) -> tuple[StateVector, OpCounts]:
     """Full accelerator run: uniform init, then p layers of cost+mixer passes.
 
-    diag is g's cost table, built here when not given; the mixer table is
-    mixer_table(n).  Each pass evaluates its distinct angles only: the cost
-    passes the N/2 of the lower half, mirrored, the mixer passes the n + 1
-    levels, gathered by popcount.
+    The tables are g.cost_table and mixer_table(n).  Each pass evaluates its
+    distinct angles only: the cost passes the N/2 of the lower half,
+    mirrored, the mixer passes the n + 1 levels, gathered by popcount.
     """
     n = g.num_vertices
     n_states = 1 << n
-    if diag is None:
-        diag = build_cost_diagonal(g, n)  # rejects n above MAX_QUBITS before allocating
+    diag = g.cost_table  # rejects n above MAX_QUBITS before allocating
     mixer = mixer_table(n)
     start = init_uniform_state(n, cfg.fmt)
     re = fxp.vec_from_real(start.amps.real, cfg.fmt)

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diagonals import (CostDiagonal, build_cost_diagonal, cost_half_angles,
-                        mixer_level_angles, mixer_table)
+from .diagonals import cost_half_angles, mixer_level_angles, mixer_table
+from .diagonals import build_cost_diagonal  # noqa: F401  unused; in perfbench's SITES
 from .graph import WeightedGraph, check_qubit_count
 from .pipeline import (OpCounts, QaoaParams, StateVector, _sum_diff, butterfly,
                        hadamard_sign_column)
@@ -121,23 +121,20 @@ def walsh_streamed(v: np.ndarray) -> np.ndarray:
 
 
 def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
-                            counts: OpCounts | None = None,
-                            diag: CostDiagonal | None = None) -> StateVector:
+                            counts: OpCounts | None = None) -> StateVector:
     """Pipeline dataflow in float64: phase multiply, +/-1 transform, 1/2**n scale.
 
-    diag is g's cost table, built here when not given; the mixer table is
-    mixer_table(n).  Each pass takes exp(i*angle) on its distinct angles,
-    expands the phases with the table's expand into a fresh array, and
-    multiplies the state into it; the old state is dropped before the
-    butterfly takes its scratch array, so a run peaks below three state
-    vectors.  The transform is computed by the butterfly, but counts
+    The tables are g.cost_table and mixer_table(n).  Each pass takes
+    exp(i*angle) on its distinct angles, expands the phases with the
+    table's expand into a fresh array, and multiplies the state into it;
+    the old state is dropped before the butterfly takes its scratch array,
+    so a run peaks below three state vectors.  The transform is computed by the butterfly, but counts
     describe the decomposed dataflow, as run_qaoa's do: N multiplies and
     N*N additions per transform, 2*p transforms.
     """
     n = g.num_vertices
     n_states = 1 << n
-    if diag is None:
-        diag = build_cost_diagonal(g, n)  # rejects n above MAX_QUBITS before allocating
+    diag = g.cost_table  # rejects n above MAX_QUBITS before allocating
     mixer = mixer_table(n)
     v = np.full(n_states, 1.0 / np.sqrt(n_states), dtype=np.complex128)
     scale = 1.0 / n_states

@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .diagonals import CostDiagonal, build_cost_diagonal
+from .diagonals import CostDiagonal
+from .diagonals import build_cost_diagonal  # noqa: F401  unused; in perfbench's SITES
 from .graph import WeightedGraph, assignment_from_index
 from .pipeline import StateVector, QaoaParams
 from .reference import decomposed_run_qaoa_f64
@@ -90,16 +91,12 @@ def expectation(state: StateVector, d: CostDiagonal) -> ExpectationResult:
 
 
 def make_objective(g: WeightedGraph, p: int, engine: EngineFn,
-                   trace: OptimizationTrace, diag: CostDiagonal | None = None):
-    """Negated-f_p objective over a flat [gamma..., beta...] vector.  diag
-    is g's cost table, built here when not given."""
-    if diag is None:
-        diag = build_cost_diagonal(g, g.num_vertices)
-
+                   trace: OptimizationTrace):
+    """Negated-f_p objective over a flat [gamma..., beta...] vector."""
     def objective(x: np.ndarray) -> float:
         folded = np.mod(x, DOMAIN)
         params = QaoaParams(p, tuple(folded[:p]), tuple(folded[p:]))
-        f_p = expectation(engine(g, params), diag).f_p
+        f_p = expectation(engine(g, params), g.cost_table).f_p
         trace.iterations.append((params, f_p))
         trace.evaluations += 1
         if f_p > trace.best_f_p:
@@ -123,11 +120,13 @@ def optimize(g: WeightedGraph, p: int, engine: EngineFn,
         raise ValueError("layer count must be >= 1")
     if cfg.restarts < 1:
         raise ValueError("need at least one restart")
+    if cfg.max_evals < 1:
+        raise ValueError("need at least one evaluation")
     trace = OptimizationTrace()
     objective = make_objective(g, p, engine, trace)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, DOMAIN, size=(cfg.restarts, 2 * p))
-    per_restart = max(2 * p + 2, cfg.max_evals // max(1, cfg.restarts))
+    per_restart = max(2 * p + 2, cfg.max_evals // cfg.restarts)
     for x0 in starts:
         res = minimize(objective, x0, method="Nelder-Mead",
                        options={"maxfev": per_restart, "xatol": XATOL,
@@ -146,17 +145,12 @@ def grid_search_p1(g: WeightedGraph, resolution: int, engine: EngineFn | None = 
     state is symmetric under), so only beta < pi/2 is evaluated: that is
     resolution * ceil(resolution/2) engine calls, recorded in trace when
     one is given.  Ties resolve to the lexicographically first lattice
-    point.  The default engine is decomposed_run_qaoa_f64 on the cost table
-    built once here."""
+    point.  The default engine is decomposed_run_qaoa_f64."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
-    diag = build_cost_diagonal(g, g.num_vertices)
-    if engine is None:
-        def engine(g: WeightedGraph, params: QaoaParams) -> StateVector:
-            return decomposed_run_qaoa_f64(g, params, diag=diag)
     if trace is None:
         trace = OptimizationTrace()
-    objective = make_objective(g, 1, engine, trace, diag)
+    objective = make_objective(g, 1, engine or decomposed_run_qaoa_f64, trace)
     step = math.pi / resolution
     for i in range(resolution):
         for j in range((resolution + 1) // 2):

@@ -8,7 +8,8 @@ import tracemalloc
 
 import pytest
 
-from qmaxemu import cli
+from qmaxemu import cli, diagonals
+from qmaxemu import graph as graph_module
 from qmaxemu.cli import main
 
 TRIANGLE = "3\n1 2 1.0\n2 3 1.0\n1 3 1.0\n"
@@ -127,6 +128,63 @@ def test_emulate_trace_file(capsys, triangle_file, tmp_path):
     assert len(lines) == 2 * (8 + 19)
     record = json.loads(lines[0])
     assert record["clock"] == 0 and record["order"] == "cost"
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--dump-state"])
+def test_emulate_unwritable_output_exits_2_before_the_run(capsys, monkeypatch,
+                                                           triangle_file, tmp_path, flag):
+    runs = []
+    monkeypatch.setattr(cli, "run_engine", lambda *args, **kwargs: runs.append(args))
+    code = main(["emulate", "--graph", triangle_file, "--gamma", "0.4", "--beta", "0.3",
+                 flag, str(tmp_path / "missing" / "out.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not runs
+    assert captured.err.startswith("error: cannot write output file")
+
+
+@pytest.mark.parametrize("evals", ["0", "-3"])
+def test_solve_rejects_a_non_positive_evaluation_budget(capsys, edge_file, evals):
+    code = main(["solve", "--graph", edge_file, "--layers", "1", "--max-evals", evals])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: need at least one evaluation\n"
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    # every cost table is summed by cut_values_all, whichever module calls it
+    calls = []
+    real = graph_module.cut_values_all
+    spy = lambda *args: calls.append(args) or real(*args)  # noqa: E731
+    monkeypatch.setattr(graph_module, "cut_values_all", spy)
+    monkeypatch.setattr(diagonals, "cut_values_all", spy)
+    return calls
+
+
+@pytest.mark.parametrize("optimizer", ["nelder-mead", "grid"])
+@pytest.mark.parametrize("engine", ["pipeline", "decomposed-f64", "dense"])
+def test_solve_builds_the_cost_table_once(capsys, edge_file, table_builds, engine, optimizer):
+    code, out = run_cli(capsys, "solve", "--graph", edge_file, "--layers", "1",
+                        "--engine", engine, "--optimizer", optimizer, "--seed", "0",
+                        "--restarts", "2", "--max-evals", "40")
+    assert code == 0 and json.loads(out)["brute_force_max"] == 1.0
+    assert len(table_builds) == 1
+
+
+@pytest.mark.parametrize("engine", ["pipeline", "decomposed-f64", "dense"])
+def test_emulate_builds_the_cost_table_once(capsys, triangle_file, table_builds, engine):
+    code, _ = run_cli(capsys, "emulate", "--graph", triangle_file, "--gamma", "0.4",
+                      "--beta", "0.3", "--engine", engine, "--dump-diagonals")
+    assert code == 0
+    assert len(table_builds) == 1
+
+
+def test_oracle_and_bench_build_one_cost_table_per_graph(capsys, triangle_file,
+                                                         table_builds):
+    assert run_cli(capsys, "oracle", "--graph", triangle_file)[0] == 0
+    assert len(table_builds) == 1
+    assert run_cli(capsys, "bench", "--qubits", "2..4", "--layers", "1")[0] == 0
+    assert [n for _, n in table_builds[1:]] == [2, 3, 4]
 
 
 def test_strict_overflow_exits_3(capsys, tmp_path):
@@ -317,8 +375,18 @@ SIX_VERTEX = "6\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n1 4 1.0\n2 6 1.0\n
     (None, ["bench", "--qubits", "2..12", "--layers", "2", "--engine", "dense",
             "--seed", "0"],
      "1c4c2977300d360ce85fcd931ab1d1989978e2b303861bbc09285d36bcab268b"),
+    (SIX_VERTEX, ["solve", "--layers", "1", "--engine", "decomposed-f64",
+                  "--optimizer", "grid", "--seed", "7"],
+     "5b6d4eb3f5ce042ae526634cdb6f0e1879a758ae65af4ee077725075ce5022eb"),
+    (SIX_VERTEX, ["solve", "--layers", "1", "--engine", "dense",
+                  "--optimizer", "grid", "--seed", "7"],
+     "1c6ce271c5660c43157ca2a2f2fd231d66a70a733bdeab5de2916972711cad56"),
+    (SIX_VERTEX, ["solve", "--layers", "1", "--engine", "dense", "--seed", "7",
+                  "--restarts", "2", "--max-evals", "80"],
+     "ac6ea585f7a1b5af3e77b76df4c05473b25d2c669e254c0a31049b0bdeef4a5f"),
 ], ids=["emulate-n5", "emulate-k9-saturating", "bench-2-8", "solve-p1",
-        "emulate-n5-f64", "bench-2-10-f64", "emulate-n5-dense", "bench-2-12-dense"])
+        "emulate-n5-f64", "bench-2-10-f64", "emulate-n5-dense", "bench-2-12-dense",
+        "solve-grid-f64", "solve-grid-dense", "solve-p1-dense"])
 def test_seeded_stdout_digest(capsys, tmp_path, graph, argv, digest):
     if graph is not None:
         path = tmp_path / "g.graph"

@@ -136,6 +136,18 @@ def test_mean_cut_is_half_total_weight():
         assert values.mean() == pytest.approx(0.5 * g.total_weight, rel=1e-12)
 
 
+def test_cost_table_is_built_once_read_only_and_outside_equality():
+    g, twin = (WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.5))) for _ in range(2))
+    table = g.cost_table
+    assert g.cost_table is table
+    assert table.n == 3
+    assert table.entries.tobytes() == (2.0 * cut_values_all(g)).tobytes()
+    with pytest.raises(ValueError):
+        table.entries[0] = 1.0
+    assert "cost_table" not in vars(twin)
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+
+
 def test_assignment_index_roundtrip():
     for l in range(32):
         assert index_from_assignment(assignment_from_index(l, 5)) == l

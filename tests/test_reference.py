@@ -172,12 +172,12 @@ def test_decomposed_holds_at_most_three_state_vectors():
     # dropped before each butterfly; multiplying into a new array peaked at 4
     n = 16
     g = random_graph(np.random.default_rng(89), n, edge_prob=0.3)
-    d = build_cost_diagonal(g, n)
+    g.cost_table  # prebuilt: the graph keeps it
     mixer_table(n)  # prebuilt, as the cost table is
     params = QaoaParams.from_lists([0.3, 0.1], [0.5, 0.7])
     tracemalloc.start()
     try:
-        decomposed_run_qaoa_f64(g, params, diag=d)
+        decomposed_run_qaoa_f64(g, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -176,8 +176,9 @@ def test_pipeline_expectation_consistency(triangle):
 
 
 @pytest.mark.parametrize("name", ["pipeline", "decomposed-f64"])
-def test_optimize_builds_the_cost_table_at_most_twice(monkeypatch, name):
-    # once for the objective's expectation, once in the engine closure
+def test_optimize_builds_the_cost_table_once(monkeypatch, name):
+    # the graph keeps its table: the objective's expectation and the engine
+    # read the same one
     calls = []
     real = diagonals.cut_values_all
     monkeypatch.setattr(diagonals, "cut_values_all",
@@ -185,7 +186,16 @@ def test_optimize_builds_the_cost_table_at_most_twice(monkeypatch, name):
     trace = optimize(complete_graph(5), 2, make_engine(name),
                      OptimizerConfig(restarts=4, max_evals=400), seed=3)
     assert trace.evaluations >= 200
-    assert len(calls) <= 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cfg", [OptimizerConfig(max_evals=0), OptimizerConfig(max_evals=-5),
+                                 OptimizerConfig(restarts=0)])
+def test_optimize_rejects_an_empty_budget(single_edge, cfg):
+    calls = []
+    with pytest.raises(ValueError):
+        optimize(single_edge, 1, lambda g, params: calls.append(params), cfg)
+    assert not calls
 
 
 def test_grid_search_folds_beta_below_half_pi(triangle):

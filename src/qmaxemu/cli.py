@@ -211,6 +211,11 @@ def cmd_solve(args) -> int:
     g = load_graph(args.graph)
     if args.layers < 1:
         raise InputError("--layers must be >= 1")
+    # checked here, not only in optimize, because the grid never calls it
+    if args.restarts < 1:
+        raise InputError("need at least one restart")
+    if args.max_evals < 1:
+        raise InputError("need at least one evaluation")
     fmt = parse_fixed_point(args.fixed_point)
     seed = args.seed if args.seed is not None else 0
     cfg = OptimizerConfig(restarts=args.restarts, max_evals=args.max_evals)

@@ -30,10 +30,11 @@ every partial sum inside the word range it is the plain +/-1 transform;
 otherwise per-block summaries of each row's stream are combined: prefix
 extremes say exactly which rows saturate, and for those a composition of
 clamp-add maps gives the clipped result.  Every butterfly here and in
-reference.fwht_inplace runs on one constant-geometry driver (butterfly):
-n copy-free passes between each array and one scratch array, applying the
-same combines in the same order as the natural-order butterfly, so words
-and flags are identical.
+reference.fwht_inplace runs on one cache-blocked, constant-geometry driver
+(butterfly): the low levels on one L2-sized block at a time, the high
+levels on one column slab of the blocks at a time, each between the array
+and one block-sized scratch array, applying the same combines in the same
+order as the natural-order butterfly, so words and flags are identical.
 """
 
 from __future__ import annotations
@@ -152,43 +153,88 @@ def hadamard_sign_column(col: int, n: int) -> np.ndarray:
 
 Halves = list[np.ndarray]
 
+# Working set of one butterfly block, in bytes: a block of every input plus
+# its scratch.  A core's L2 holds it; see CHANGES.md for the sweep.
+BLOCK_BYTES = 1 << 20
+
+
+def _block_length(arrays: tuple[np.ndarray, ...], n_states: int) -> int:
+    """Elements per block: the largest power of two up to N whose block of
+    every array, with its scratch, fits in BLOCK_BYTES (at least one)."""
+    column_bytes = 2 * sum(a.nbytes for a in arrays) // n_states
+    fit = max(1, BLOCK_BYTES // column_bytes)
+    return min(n_states, 1 << (fit.bit_length() - 1))
+
+
+def _levels(views: list[np.ndarray], scratch: list[np.ndarray],
+            combine: Callable[[Halves, Halves, Halves, Halves], None]) -> None:
+    """All constant-geometry levels along the last axis, in place on views,
+    swapping roles with scratch of their shape at each level."""
+    half = views[0].shape[-1] // 2
+    # each side's even, odd, first-half and second-half views, built once
+    sides = [([a[..., 0::2] for a in side], [a[..., 1::2] for a in side],
+              [a[..., :half] for a in side], [a[..., half:] for a in side])
+             for side in (views, scratch)]
+    levels = half.bit_length()
+    for level in range(levels):
+        (left, right, _, _), (_, _, plus, minus) = sides[level % 2], sides[1 - level % 2]
+        combine(left, right, plus, minus)
+    if levels % 2:  # an odd level count ends in the scratch
+        for a, result in zip(views, scratch):
+            np.copyto(a, result)
+
 
 def butterfly(arrays: tuple[np.ndarray, ...],
               combine: Callable[[Halves, Halves, Halves, Halves], None]
               ) -> tuple[np.ndarray, ...]:
     """Natural-order butterfly along the last axis, in place; N = 2**n.
 
-    Constant geometry (Pease, 1968): each array gets one scratch array of
-    its shape, and the two swap roles at each of the n levels.  A level
-    calls combine(left, right, plus, minus) once, on views: left and right
-    are the even and odd elements src[..., 0::2] and src[..., 1::2], and
-    plus and minus are the halves dst[..., :N/2] and dst[..., N/2:].  With
-    plus = L + R and minus = L - R this is the +/-1 Walsh-Hadamard
-    transform: plus serves the rows whose sign on R is +1, minus those
-    whose sign is -1.
+    Constant geometry (Pease, 1968): a run of levels over m elements passes
+    them between a view and a scratch array of its shape, which swap roles
+    at each level.  A level calls combine(left, right, plus, minus) once,
+    on views: left and right are the even and odd elements src[..., 0::2]
+    and src[..., 1::2], and plus and minus are the halves dst[..., :m/2]
+    and dst[..., m/2:].  With plus = L + R and minus = L - R this is the
+    +/-1 Walsh-Hadamard transform: plus serves the rows whose sign on R is
+    +1, minus those whose sign is -1.
 
     A level moves the index bit it pairs on from the bottom to the top and
-    shifts the others down one place, so level k pairs the indices that
-    differ in bit k of the natural index, for k = 0 .. n-1 in that order,
-    and after n levels every index is back in natural order.  Every output
-    element is therefore built from the same combines of the same operands
-    in the same order as the natural-order butterfly that pairs the halves
-    of each 2**(k+1)-block at level k, so the results are identical to the
-    bit.  When n is odd the result sits in the scratch arrays and is copied
-    into the callers' arrays.
+    shifts the others down one place, so level k of a run pairs the indices
+    that differ in bit k, for k = 0 .. log2(m)-1 in that order, and after
+    the run every index is back in natural order.  When the run's level
+    count is odd, the result sits in the scratch and is copied back.
+
+    The runs are cache-blocked (Bailey, 1990).  With B = _block_length(...):
+    levels 0 .. b-1, b = log2(B), run on each contiguous block
+    [..., s:s+B] in turn; levels b .. n-1 run on the (..., N/B, B) grid,
+    where they pair rows, one column slab of about B elements at a time.
+    When N <= B there is one block and no row level.  Each array gets one
+    scratch array, about one block long, reused by every block and slab.
+
+    Every output element is therefore built from the same combines of the
+    same operands in the same level order as the natural-order butterfly
+    that pairs the halves of each 2**(k+1)-block at level k, so the results
+    are identical to the bit.
     """
     n_states = arrays[0].shape[-1]
     if n_states < 1 or n_states & (n_states - 1):
         raise ValueError(f"butterfly length must be a power of two, got {n_states}")
-    half = n_states // 2
-    src, dst = list(arrays), [np.empty_like(a) for a in arrays]
-    for _ in range(n_states.bit_length() - 1):
-        combine([a[..., 0::2] for a in src], [a[..., 1::2] for a in src],
-                [a[..., :half] for a in dst], [a[..., half:] for a in dst])
-        src, dst = dst, src
-    if src[0] is not arrays[0]:
-        for a, result in zip(arrays, src):
-            np.copyto(a, result)
+    block = _block_length(arrays, n_states)
+    rows = n_states // block
+    width = max(1, block // rows)
+    scratch = [np.empty(a.shape[:-1] + (max(block, rows),), a.dtype) for a in arrays]
+    in_block = [s[..., :block] for s in scratch]
+    for start in range(0, n_states, block):
+        _levels([a[..., start:start + block] for a in arrays], in_block, combine)
+    if rows == 1:  # N <= B: no level pairs elements of different blocks
+        return arrays
+    # Splitting the last axis is a view for any strides, so the grid is the
+    # arrays themselves.  Swapped, a slab has the row index on its last axis.
+    grids = [a.reshape(a.shape[:-1] + (rows, block)) for a in arrays]
+    slab = [s[..., :rows * width].reshape(s.shape[:-1] + (rows, width)).swapaxes(-1, -2)
+            for s in scratch]
+    for start in range(0, block, width):
+        _levels([g[..., start:start + width].swapaxes(-1, -2) for g in grids], slab, combine)
     return arrays
 
 

@@ -97,9 +97,9 @@ def dense_run_qaoa(g: WeightedGraph, params: QaoaParams,
 def fwht_inplace(v: np.ndarray) -> np.ndarray:
     """In-place +/-1 Walsh-Hadamard butterfly (natural order), O(N log N).
 
-    Each level is one vectorised pass of the constant-geometry butterfly,
-    from v into one scratch vector of v's size or back; the result lands
-    in v, which is returned.
+    Each level is one vectorised pass of the cache-blocked butterfly, over
+    one block or column slab of v at a time and into one scratch array of
+    that size or back; the result lands in v, which is returned.
     """
     butterfly((v,), _sum_diff)
     return v
@@ -126,11 +126,13 @@ def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
 
     The tables are g.cost_table and mixer_table(n).  Each pass takes
     exp(i*angle) on its distinct angles, expands the phases with the
-    table's expand into a fresh array, and multiplies the state into it;
-    the old state is dropped before the butterfly takes its scratch array,
-    so a run peaks below three state vectors.  The transform is computed by the butterfly, but counts
-    describe the decomposed dataflow, as run_qaoa's do: N multiplies and
-    N*N additions per transform, 2*p transforms.
+    table's expand into a fresh array, and multiplies the state into it.
+    The angles are freed before expand allocates, and the old state before
+    the butterfly takes its block-sized scratch, so a run peaks at 2.5
+    state vectors: the state, N/2 phases and their expansion.  The
+    transform is computed by the butterfly, but counts describe the
+    decomposed dataflow, as run_qaoa's do: N multiplies and N*N additions
+    per transform, 2*p transforms.
     """
     n = g.num_vertices
     n_states = 1 << n
@@ -138,10 +140,10 @@ def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
     mixer = mixer_table(n)
     v = np.full(n_states, 1.0 / np.sqrt(n_states), dtype=np.complex128)
     scale = 1.0 / n_states
+    passes = ((diag, cost_half_angles, params.gamma), (mixer, mixer_level_angles, params.beta))
     for k in range(params.p):
-        for expand, angles in ((diag.expand, cost_half_angles(diag, params.gamma[k])),
-                               (mixer.expand, mixer_level_angles(mixer, params.beta[k]))):
-            phases = expand(np.exp(1j * angles))
+        for table, angles, theta in passes:
+            phases = table.expand(np.exp(1j * angles(table, theta[k])))
             phases *= v
             v = phases  # drops the old state before the butterfly's scratch is taken
             fwht_inplace(v)

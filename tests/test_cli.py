@@ -150,6 +150,22 @@ def test_solve_rejects_a_non_positive_evaluation_budget(capsys, edge_file, evals
     assert captured.err == "error: need at least one evaluation\n"
 
 
+@pytest.mark.parametrize("optimizer", ["nelder-mead", "grid"])
+@pytest.mark.parametrize("argv,message", [
+    (["--restarts", "0"], "need at least one restart"),
+    (["--max-evals", "0", "--restarts", "-4"], "need at least one restart"),
+    (["--max-evals", "0"], "need at least one evaluation"),
+    (["--max-evals", "-3", "--restarts", "2"], "need at least one evaluation"),
+])
+def test_solve_rejects_a_bad_budget_with_either_optimizer(capsys, edge_file, optimizer,
+                                                          argv, message):
+    code = main(["solve", "--graph", edge_file, "--layers", "1", "--optimizer", optimizer,
+                 *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.fixture
 def table_builds(monkeypatch):
     # every cost table is summed by cut_values_all, whichever module calls it

@@ -192,7 +192,8 @@ def test_n_add_single_min_raw_word_saturates_on_negated_rows(monkeypatch):
 
 def test_n_add_frees_the_prefix_pass_before_clamping():
     # full-range q4.8 words saturate, so both passes run; keeping the prefix
-    # pass's three arrays through the clamp pass peaked at 10.5 x the words
+    # pass's three arrays through the clamp pass peaked at 10.5 x the words,
+    # and N-sized butterfly scratch at 7.5 x
     fmt = FxFormat(12, 8)
     words = np.random.default_rng(23).integers(fmt.min_raw, fmt.max_raw + 1, (2, 1 << 18))
     ctx = FxContext()
@@ -203,7 +204,7 @@ def test_n_add_frees_the_prefix_pass_before_clamping():
     finally:
         tracemalloc.stop()
     assert ctx.overflow
-    assert peak <= 8 * words.nbytes
+    assert peak <= 4.1 * words.nbytes
 
 
 def natural_order_butterfly(arrays, combine):
@@ -249,6 +250,63 @@ def test_butterfly_matches_natural_order_bytes():
             if combine is pipeline._prefix_combine:
                 saturated.append(bool((got[1] > FxFormat(12, 8).max_raw).any()))
     assert any(saturated) and not all(saturated)
+
+
+def test_butterfly_matches_natural_order_bytes_across_blocks(monkeypatch):
+    # blocks of a few elements, so that n <= 12 runs many blocks and slabs;
+    # a block with its scratch takes 32 bytes per element for one complex128
+    # or one (2, N) int64 input, 96 for three (2, N) int64 inputs
+    rng = np.random.default_rng(89)
+    parities = set()
+    for block_bytes in (64, 128, 256, 1024):
+        monkeypatch.setattr(pipeline, "BLOCK_BYTES", block_bytes)
+        for n in range(13):
+            for combine, arrays in butterfly_inputs(rng, n):
+                b = pipeline._block_length(arrays, 1 << n).bit_length() - 1
+                if b < n:
+                    parities.add((b % 2, (n - b) % 2))
+                want = natural_order_butterfly(tuple(a.copy() for a in arrays), combine)
+                got = pipeline.butterfly(arrays, combine)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+    # odd and even in-block and row level counts, in every pairing
+    assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_butterfly_matches_natural_order_bytes_two_levels_past_a_block():
+    # unpatched: log2(B) + 2 levels for one complex128 input, so one-input
+    # transforms run four blocks and two row levels, three-input passes four
+    n = (pipeline.BLOCK_BYTES // 32).bit_length() + 1
+    for combine, arrays in butterfly_inputs(np.random.default_rng(97), n):
+        assert pipeline._block_length(arrays, 1 << n) <= 1 << (n - 2)
+        want = natural_order_butterfly(tuple(a.copy() for a in arrays), combine)
+        for g, w in zip(pipeline.butterfly(arrays, combine), want):
+            assert g.tobytes() == w.tobytes()
+
+
+def _engine_outputs(cases):
+    # amplitude bytes and overflow flag of each fixed-point format and of the
+    # float64 engine; the pipeline's amplitudes are lossless images of its words
+    formats = (FxFormat(32, 25), FxFormat(16, 10), FxFormat(32, 20))
+    out = []
+    for g, params in cases:
+        for fmt in formats:
+            state, counts = run_qaoa(g, params, PipelineConfig(fmt=fmt))
+            out.append((fmt.name, state.amps.tobytes(), counts.overflow))
+        out.append(("f64", decomposed_run_qaoa_f64(g, params).amps.tobytes(), False))
+    return out
+
+
+def test_engines_are_byte_identical_under_a_tiny_block(monkeypatch):
+    rng = np.random.default_rng(227)
+    cases = [(random_graph(rng, n, weight_range=(0.2, 3.0)),
+              QaoaParams.from_lists(rng.uniform(0.0, 2.0, p), rng.uniform(0.0, math.pi, p)))
+             for n in range(2, 13) for p in (1, 2, 3)]
+    default = _engine_outputs(cases)
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 256)
+    assert _engine_outputs(cases) == default
+    saturating = {name for name, _, overflow in default if overflow}
+    assert {"q7.25", "q6.10"} <= saturating
 
 
 @pytest.mark.parametrize("shape", [(6,), (12,), (2, 12), (0,)])

@@ -8,9 +8,11 @@ after every addition.  An operation therefore takes N + PIPELINE_LATENCY
 clocks and costs N complex multiplies plus N*N complex additions; those
 modelled counts and the per-clock trace describe that streamed datapath.
 
-The state is held as raw int64 words (real and imaginary arrays) for the
-whole run; run_qaoa builds the float64 StateVector once, at readout (word
-widths <= 32 bits make that image lossless).
+The state is one (2, N) int64 register, real and imaginary rows, which each
+pass overwrites in place, as the result register replaces the state memory
+at drain; run_qaoa builds the float64 StateVector once, at readout (words of
+<= 32 bits make that image lossless).  A run peaks at 5.3 times the register
+at n = 16 and 20; the rest of the peak is 1_MULT's rounding temporaries.
 
 The host evaluates the datapath in a different order with identical words
 and flags.  The per-element stages are batch-evaluated, which is
@@ -25,16 +27,10 @@ the set of angles, which is the same.
 CORDIC is evaluated by a per-format decision-interval table
 (fxp.vec_cordic_sincos), which gives the 16 stages' words in one lookup.
 N_ADD, defined as accumulation in ascending stream order, is computed in
-O(N log N) by a butterfly (_n_add).  When the words' absolute sums bound
-every partial sum inside the word range it is the plain +/-1 transform;
-otherwise per-block summaries of each row's stream are combined: prefix
-extremes say exactly which rows saturate, and for those a composition of
-clamp-add maps gives the clipped result.  Every butterfly here and in
-reference.fwht_inplace runs on one cache-blocked, constant-geometry driver
-(butterfly): the low levels on one L2-sized block at a time, the high
-levels on one column slab of the blocks at a time, each between the array
-and one block-sized scratch array, applying the same combines in the same
-order as the natural-order butterfly, so words and flags are identical.
+O(N log N) by butterflies (_n_add) on the cache-blocked, constant-geometry
+driver that reference.fwht_inplace shares (butterfly), which applies the
+same combines in the same order as the natural-order butterfly, so words
+and flags are identical.
 """
 
 from __future__ import annotations
@@ -269,7 +265,7 @@ def _clamp_combine(left: Halves, right: Halves, plus: Halves, minus: Halves) -> 
 
 
 def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
-    """N_ADD of the stacked (2, N) re/im 1_MULT words.
+    """N_ADD of the (2, N) register of 1_MULT words, in place; returns words.
 
     Row i of the result is the saturating accumulation, from zero and in
     ascending column order c, of hadamard_sign(i, c) * words[:, c].  The
@@ -291,21 +287,24 @@ def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
     Both passes are skipped when every row of words has sum(|w|) <= max_raw.
     Every prefix sum of every row's signed stream is then at most that sum
     in magnitude, so it stays in [min_raw, max_raw]: no row saturates, the
-    flag is left as it is, and the result is the plain +/-1 transform.
+    flag is left as it is, and the result is the plain +/-1 transform, made
+    without a copy.  Otherwise the prefix pass runs on three copies, freed
+    before the clamp pass runs on words and two bound arrays (3.1 x words).
 
     Words are below 2**31 in magnitude and N <= 2**24, so every sum stays
     below 2**56 and the int64 arithmetic is exact.
     """
     if (np.abs(words).sum(axis=1) <= fmt.max_raw).all():
-        return butterfly((words.copy(),), _sum_diff)[0]
+        return butterfly((words,), _sum_diff)[0]
     s, t, b = butterfly((words.copy(), words.copy(), words.copy()), _prefix_combine)
     if not ((t > fmt.max_raw).any() or (b < fmt.min_raw).any()):
-        return s
+        words[...] = s
+        return words
     del s, t, b  # only the check needed them; free them before the clamp pass
     ctx.overflow = True
-    d, lo, hi = butterfly((words.copy(), np.full_like(words, fmt.min_raw),
+    d, lo, hi = butterfly((words, np.full_like(words, fmt.min_raw),
                            np.full_like(words, fmt.max_raw)), _clamp_combine)
-    return np.clip(d, lo, hi)
+    return np.clip(d, lo, hi, out=words)
 
 
 def init_uniform_state(n: int, fmt: FxFormat = FxFormat()) -> StateVector:
@@ -352,16 +351,17 @@ def _emit_op_trace(write: TraceWriter, n_states: int, layer: int, order: str,
         })
 
 
-def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarray,
-                         cfg: PipelineConfig, ctx: FxContext | None = None,
+def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineConfig,
+                         ctx: FxContext | None = None,
                          trace_writer: TraceWriter | None = None,
                          layer: int = 0, order: str = "cost",
-                         expand: Expand = _stream_as_is) -> tuple[np.ndarray, np.ndarray]:
+                         expand: Expand = _stream_as_is) -> np.ndarray:
     """One streamed phase-and-transform pass: out = H1 . (diag(e^{i angles}) . in).
 
-    in_re/in_im are the raw int64 words of the N input amplitudes; returns
-    the raw words of the result register, which starts zeroed and replaces
-    the state at drain, N + PIPELINE_LATENCY clocks later.  Saturation
+    words is the (2, N) int64 register of the N input amplitudes; the pass
+    overwrites it with the result register, which replaces the state at
+    drain, N + PIPELINE_LATENCY clocks later, and returns it, holding beside
+    it only the phasors and 1_MULT's rounding temporaries.  Saturation
     anywhere sets the sticky flag on ctx but the run continues.
 
     The elements stream expand(angles), which must give N of them.  With a
@@ -369,60 +369,60 @@ def run_elemental_ansatz(in_re: np.ndarray, in_im: np.ndarray, angles: np.ndarra
     streamed: the angle stages and CORDIC run once per distinct angle, and
     their words are expanded before 1_MULT.
     """
-    n_states = len(in_re)
-    angles = np.asarray(angles, dtype=np.float64)
+    n_states = words.shape[-1]
     if ctx is None:
         ctx = FxContext()
     fmt = cfg.fmt
 
-    # Per-element stages (independent across the stream, so batch-evaluated):
-    # CALCULATE_RAD quantizes the angle, NORMALIZE_RAD folds it, CORDIC turns
-    # it into a unit phasor, 1_MULT forms the streamed complex product.  The
-    # stages before 1_MULT are pure functions of the angle, and their
-    # saturation flags depend only on the set of angles, so running them on
-    # the distinct angles and gathering gives the same words and flag.
+    # Per-element stages, batch-evaluated (elements interact only in N_ADD):
+    # CALCULATE_RAD quantizes the angle, NORMALIZE_RAD folds it and CORDIC
+    # turns it into a unit phasor.  They are pure functions of the angle and
+    # their flags depend only on the set of angles: the distinct ones suffice.
     rad = fxp.vec_from_real(angles, fmt, ctx)
     rad_q1, neg_cos, neg_sin = fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)
     cos_q1, sin_q1 = fxp.vec_cordic_sincos(rad_q1, fmt)
     cos_raw, sin_raw = fxp.vec_apply_flags(cos_q1, sin_q1, neg_cos, neg_sin, fmt, ctx)
+    del rad, rad_q1, cos_q1, sin_q1  # free the stage words before 1_MULT
     cos_raw, sin_raw = expand(cos_raw), expand(sin_raw)
     if cos_raw.shape != (n_states,):
         raise ValueError(f"expected {n_states} angles, streamed {cos_raw.shape}")
-    mult_re = fxp.vec_add(fxp.vec_mul(in_re, cos_raw, fmt, ctx),
-                          -fxp.vec_mul(in_im, sin_raw, fmt, ctx), fmt, ctx)
-    mult_im = fxp.vec_add(fxp.vec_mul(in_re, sin_raw, fmt, ctx),
-                          fxp.vec_mul(in_im, cos_raw, fmt, ctx), fmt, ctx)
+    # the new real row waits in mult_re while the old one forms the imaginary row
+    mult_re = fxp.vec_add(fxp.vec_mul(words[0], cos_raw, fmt, ctx),
+                          -fxp.vec_mul(words[1], sin_raw, fmt, ctx), fmt, ctx)
+    words[1] = fxp.vec_add(fxp.vec_mul(words[0], sin_raw, fmt, ctx),
+                           fxp.vec_mul(words[1], cos_raw, fmt, ctx), fmt, ctx)
+    words[0] = mult_re
+    del cos_raw, sin_raw, mult_re  # free them before N_ADD
 
     # N_ADD: the hardware accumulates the product stream into all N slots in
     # ascending stream order, saturating after each addition; _n_add gives
-    # the same words and flag from butterflies over both parts, a single
-    # plain transform when the words' absolute sums rule saturation out.
-    res_re, res_im = _n_add(np.stack((mult_re, mult_im)), fmt, ctx)
+    # the same words and flag by butterflies over the register, in place.
+    _n_add(words, fmt, ctx)
 
     if trace_writer is not None:
         _emit_op_trace(trace_writer, n_states, layer, order,
                        expand(neg_cos), expand(neg_sin), ctx.overflow)
-    return res_re, res_im
+    return words
 
 
-def run_layer(re: np.ndarray, im: np.ndarray, d_cost_angles: np.ndarray,
+def run_layer(words: np.ndarray, d_cost_angles: np.ndarray,
               d_mixer_angles: np.ndarray, cfg: PipelineConfig,
               ctx: FxContext | None = None, trace_writer: TraceWriter | None = None,
               layer: int = 0, cost_expand: Expand = _stream_as_is,
-              mixer_expand: Expand = _stream_as_is) -> tuple[np.ndarray, np.ndarray]:
+              mixer_expand: Expand = _stream_as_is) -> np.ndarray:
     """Cost pass, mixer pass, then the end-of-layer arithmetic right shift.
 
-    Returns the shifted raw words.  The two passes grow the state by exactly
-    2**n in norm, so the n-bit shift realizes the layer's 1/2**n factor and
-    leaves the state's scale exponent unchanged.  Each pass streams its
-    expand of its angles, as in run_elemental_ansatz.
+    Updates the (2, N) register words in place and returns it.  The two
+    passes grow the state by exactly 2**n in norm, so the n-bit shift
+    realizes the layer's 1/2**n factor and leaves the scale exponent
+    unchanged.  Each pass streams its expand of its angles.
     """
-    re, im = run_elemental_ansatz(re, im, d_cost_angles, cfg, ctx, trace_writer,
-                                  layer=layer, order="cost", expand=cost_expand)
-    re, im = run_elemental_ansatz(re, im, d_mixer_angles, cfg, ctx, trace_writer,
-                                  layer=layer, order="mixer", expand=mixer_expand)
-    n = len(re).bit_length() - 1
-    return re >> n, im >> n
+    run_elemental_ansatz(words, d_cost_angles, cfg, ctx, trace_writer,
+                         layer=layer, order="cost", expand=cost_expand)
+    run_elemental_ansatz(words, d_mixer_angles, cfg, ctx, trace_writer,
+                         layer=layer, order="mixer", expand=mixer_expand)
+    words >>= words.shape[-1].bit_length() - 1
+    return words
 
 
 def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = PipelineConfig(),
@@ -438,17 +438,19 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
     diag = g.cost_table  # rejects n above MAX_QUBITS before allocating
     mixer = mixer_table(n)
     start = init_uniform_state(n, cfg.fmt)
-    re = fxp.vec_from_real(start.amps.real, cfg.fmt)
-    im = np.zeros_like(re)
+    words = np.zeros((2, n_states), dtype=np.int64)
+    words[0], scale_exp = fxp.vec_from_real(start.amps.real, cfg.fmt), start.scale_exp
+    del start  # only its scale exponent is needed until readout
     ctx = FxContext()
     for layer in range(params.p):
-        re, im = run_layer(re, im, cost_half_angles(diag, params.gamma[layer]),
-                           mixer_level_angles(mixer, params.beta[layer]),
-                           cfg, ctx, trace_writer, layer=layer,
-                           cost_expand=diag.expand, mixer_expand=mixer.expand)
+        run_layer(words, cost_half_angles(diag, params.gamma[layer]),
+                  mixer_level_angles(mixer, params.beta[layer]),
+                  cfg, ctx, trace_writer, layer=layer,
+                  cost_expand=diag.expand, mixer_expand=mixer.expand)
     ops = 2 * params.p
     counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
                       cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,
                       overflow=ctx.overflow)
-    amps = fxp.vec_to_float(re, cfg.fmt) + 1j * fxp.vec_to_float(im, cfg.fmt)
-    return StateVector(amps=amps, scale_exp=start.scale_exp, n=n), counts
+    amps = np.empty(n_states, dtype=np.complex128)
+    amps.real, amps.imag = (fxp.vec_to_float(row, cfg.fmt) for row in words)
+    return StateVector(amps=amps, scale_exp=scale_exp, n=n), counts

@@ -35,17 +35,15 @@ from .pipeline import (OpCounts, QaoaParams, StateVector, _sum_diff, butterfly,
                        hadamard_sign_column)
 
 
-def dense_cost_unitary(g: WeightedGraph, gamma: float, n: int) -> np.ndarray:
+def dense_cost_unitary(g: WeightedGraph, gamma: float) -> np.ndarray:
     """Diagonal of the product over edges of two-qubit diagonal phase gates
-    with angle -2*w*gamma, as a length-2**n vector.
+    with angle -2*w*gamma, as a length-2**n vector, n = g.num_vertices.
 
     Each gate contributes exp(-i*theta/2) where the endpoint bits agree and
     exp(+i*theta/2) where they differ.
     """
-    if n != g.num_vertices:
-        raise ValueError("dense cost unitary expects one qubit per vertex")
-    idx = np.arange(1 << n, dtype=np.int64)
-    diag = np.ones(1 << n, dtype=np.complex128)
+    idx = np.arange(1 << g.num_vertices, dtype=np.int64)
+    diag = np.ones(len(idx), dtype=np.complex128)
     for i, j, w in g.edges:
         theta = -2.0 * w * gamma
         differ = ((idx >> i) ^ (idx >> j)) & 1
@@ -87,7 +85,7 @@ def dense_run_qaoa(g: WeightedGraph, params: QaoaParams,
     n_states = 1 << n
     v = np.full(n_states, 1.0 / np.sqrt(n_states), dtype=np.complex128)
     for k in range(params.p):
-        v = _apply_mixer(dense_cost_unitary(g, params.gamma[k], n) * v, params.beta[k])
+        v = _apply_mixer(dense_cost_unitary(g, params.gamma[k]) * v, params.beta[k])
     if counts is not None:
         counts.mults += 2 * params.p * n_states * n_states
         counts.adds += 2 * params.p * n_states * (n_states - 1)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from qmaxemu import (QaoaParams, StateVector, WeightedGraph, build_cost_diagonal,
-                     build_mixer_exponents, cost_angles, decomposed_run_qaoa_f64,
-                     dense_run_qaoa, expectation, fxp, hadamard_sign,
-                     init_uniform_state, mixer_angles, probabilities,
-                     pipeline, run_elemental_ansatz, run_layer, run_qaoa)
+                     build_mixer_exponents, cost_angles, cost_half_angles,
+                     decomposed_run_qaoa_f64, dense_run_qaoa, expectation, fxp,
+                     hadamard_sign, init_uniform_state, mixer_angles,
+                     mixer_level_angles, mixer_table, probabilities, pipeline,
+                     run_elemental_ansatz, run_layer, run_qaoa)
 from qmaxemu.fxp import FxContext, FxFormat
 from qmaxemu.pipeline import (PIPELINE_LATENCY, PipelineConfig, _n_add,
                               hadamard_sign_column)
@@ -21,18 +22,19 @@ CFG = PipelineConfig()
 
 
 def to_words(amps):
-    """Raw (re, im) words of complex amplitudes, as the pipeline holds them."""
+    """The (2, N) register of complex amplitudes, as the pipeline holds them."""
     amps = np.asarray(amps, dtype=np.complex128)
-    return fxp.vec_from_real(amps.real, CFG.fmt), fxp.vec_from_real(amps.imag, CFG.fmt)
+    return np.array([fxp.vec_from_real(amps.real, CFG.fmt),
+                     fxp.vec_from_real(amps.imag, CFG.fmt)])
 
 
-def to_amps(re, im):
-    return fxp.vec_to_float(re, CFG.fmt) + 1j * fxp.vec_to_float(im, CFG.fmt)
+def to_amps(words, fmt=CFG.fmt):
+    return fxp.vec_to_float(words[0], fmt) + 1j * fxp.vec_to_float(words[1], fmt)
 
 
-def to_state(re, im, scale_exp) -> StateVector:
-    return StateVector(amps=to_amps(re, im), scale_exp=Fraction(scale_exp),
-                       n=len(re).bit_length() - 1)
+def to_state(words, scale_exp) -> StateVector:
+    return StateVector(amps=to_amps(words), scale_exp=Fraction(scale_exp),
+                       n=words.shape[1].bit_length() - 1)
 
 
 def test_hadamard_sign_basics():
@@ -71,7 +73,7 @@ def assert_n_add_matches_stream(words, fmt) -> bool:
     """Compare _n_add with the streamed oracle, words and flag; return the flag."""
     want_ctx, got_ctx = FxContext(), FxContext()
     want = streamed_n_add(words, fmt, want_ctx)
-    got = _n_add(words, fmt, got_ctx)
+    got = _n_add(words.copy(), fmt, got_ctx)
     assert got.dtype == np.int64
     assert (got == want).all()
     assert got_ctx.overflow == want_ctx.overflow
@@ -124,7 +126,7 @@ def test_n_add_large_block_sums_without_saturation():
     words[0, 0] = fmt.max_raw - 2 * (1 << n)
     words[1, 0] = fmt.min_raw + 2 * (1 << n)
     assert not assert_n_add_matches_stream(words, fmt)
-    got = _n_add(words, fmt, FxContext())
+    got = _n_add(words.copy(), fmt, FxContext())
     assert (got == words @ sign_matrix(n)).all()  # the plain +/-1 transform
 
 
@@ -134,7 +136,7 @@ def test_n_add_saturates_in_imaginary_part_only():
     words[0] = [5, -3, 7, 1, 0, -2, 4, 6]
     words[1] = [fmt.min_raw, -fmt.max_raw, 0, 0, 0, 0, 0, 0]
     assert assert_n_add_matches_stream(words, fmt)
-    got = _n_add(words, fmt, FxContext())
+    got = _n_add(words.copy(), fmt, FxContext())
     assert (got[0] == words[0] @ sign_matrix(3)).all()  # real part unclipped
     assert got[1, 0] == fmt.min_raw
 
@@ -162,7 +164,7 @@ def test_n_add_bound_holds_at_max_raw(monkeypatch):
     assert np.abs(words[0]).sum() == fmt.max_raw
     assert n_add_takes_bound_path(words, fmt, monkeypatch)
     ctx = FxContext()
-    got = _n_add(words, fmt, ctx)
+    got = _n_add(words.copy(), fmt, ctx)
     assert not ctx.overflow
     assert (got == words @ sign_matrix(2)).all()
     assert got[0, 1] == fmt.max_raw
@@ -332,11 +334,11 @@ def test_init_uniform_state():
 
 
 def test_elemental_op_reduces_to_hadamard_on_zero_angles():
-    out = run_elemental_ansatz(*to_words([1.0, 0.0]), np.zeros(2), CFG)
-    np.testing.assert_allclose(to_amps(*out), [1.0, 1.0], atol=2 ** -12)
+    out = run_elemental_ansatz(to_words([1.0, 0.0]), np.zeros(2), CFG)
+    np.testing.assert_allclose(to_amps(out), [1.0, 1.0], atol=2 ** -12)
 
-    out = run_elemental_ansatz(*to_words([1.0, 1.0]), np.zeros(2), CFG)
-    np.testing.assert_allclose(to_amps(*out), [2.0, 0.0], atol=2 ** -12)
+    out = run_elemental_ansatz(to_words([1.0, 1.0]), np.zeros(2), CFG)
+    np.testing.assert_allclose(to_amps(out), [2.0, 0.0], atol=2 ** -12)
 
 
 def test_elemental_op_matches_dense_matvec():
@@ -349,18 +351,18 @@ def test_elemental_op_matches_dense_matvec():
         angles = rng.uniform(-math.pi, math.pi, n_states)
         amps = (rng.uniform(-0.5, 0.5, n_states)
                 + 1j * rng.uniform(-0.5, 0.5, n_states))
-        out = run_elemental_ansatz(*to_words(amps), angles, CFG)
+        out = run_elemental_ansatz(to_words(amps), angles, CFG)
         # exact-arithmetic oracle for the same dataflow
         want = signs @ (np.exp(1j * angles) * amps)
-        assert np.abs(to_amps(*out) - want).max() <= 2 ** -12
+        assert np.abs(to_amps(out) - want).max() <= 2 ** -12
 
 
 def test_elemental_op_rejects_wrong_angle_count():
     # one check after the expand, not numpy's broadcast error, rejects both
     with pytest.raises(ValueError, match="expected 2 angles"):
-        run_elemental_ansatz(*to_words([1.0, 0.0]), np.zeros(3), CFG)
+        run_elemental_ansatz(to_words([1.0, 0.0]), np.zeros(3), CFG)
     with pytest.raises(ValueError, match="expected 2 angles"):  # 1 angle expanded to 3
-        run_elemental_ansatz(*to_words([1.0, 0.0]), np.zeros(1), CFG,
+        run_elemental_ansatz(to_words([1.0, 0.0]), np.zeros(1), CFG,
                              expand=lambda x: np.repeat(x, 3))
 
 
@@ -397,9 +399,9 @@ def test_layer_is_identity_at_zero_parameters():
         d = build_cost_diagonal(g, n)
         m = build_mixer_exponents(n)
         before = init_uniform_state(n).amps
-        re, im = run_layer(*to_words(before), cost_angles(d, 0.0),
-                           mixer_angles(m, 0.0), CFG)
-        np.testing.assert_allclose(to_amps(re, im), before, atol=2 ** -12)
+        words = run_layer(to_words(before), cost_angles(d, 0.0),
+                          mixer_angles(m, 0.0), CFG)
+        np.testing.assert_allclose(to_amps(words), before, atol=2 ** -12)
 
 
 def test_layer_matches_dense_oracle():
@@ -418,10 +420,10 @@ def test_layer_scale_exp_constant_at_default_shift():
     d = build_cost_diagonal(g, 3)
     m = build_mixer_exponents(3)
     start = init_uniform_state(3)
-    re, im = to_words(start.amps)
+    words = to_words(start.amps)
     for _ in range(4):
-        re, im = run_layer(re, im, cost_angles(d, 0.3), mixer_angles(m, 0.2), CFG)
-    assert abs(to_state(re, im, start.scale_exp).physical_norm() - 1.0) < 2 ** -10
+        run_layer(words, cost_angles(d, 0.3), mixer_angles(m, 0.2), CFG)
+    assert abs(to_state(words, start.scale_exp).physical_norm() - 1.0) < 2 ** -10
 
 
 def test_run_qaoa_zero_parameters_gives_uniform(triangle):
@@ -503,29 +505,34 @@ def test_trace_records_stage_occupancy(tmp_path):
                for k in range(4) for r in records[k * per_op:(k + 1) * per_op])
 
 
+def _start_register(n, fmt):
+    words = np.zeros((2, 1 << n), dtype=np.int64)
+    words[0] = fxp.vec_from_real(init_uniform_state(n, fmt).amps.real, fmt)
+    return words
+
+
 def _run_streaming_every_angle(g, params, cfg, trace_writer=None):
     # run_qaoa's layer loop with both passes streaming all N angles: the
     # oracle for run_qaoa's passes on the distinct angles, N/2 for a cost
-    # pass and n + 1 for a mixer pass
+    # pass and n + 1 for a mixer pass; returns the final register
     n = g.num_vertices
     d, m = build_cost_diagonal(g, n), build_mixer_exponents(n)
-    re = fxp.vec_from_real(init_uniform_state(n, cfg.fmt).amps.real, cfg.fmt)
-    im = np.zeros_like(re)
+    words = _start_register(n, cfg.fmt)
     ctx = FxContext()
     for layer in range(params.p):
-        re, im = run_layer(re, im, cost_angles(d, params.gamma[layer]),
-                           mixer_angles(m, params.beta[layer]), cfg, ctx, trace_writer,
-                           layer=layer)
-    return fxp.vec_to_float(re, cfg.fmt) + 1j * fxp.vec_to_float(im, cfg.fmt), ctx.overflow
+        run_layer(words, cost_angles(d, params.gamma[layer]),
+                  mixer_angles(m, params.beta[layer]), cfg, ctx, trace_writer, layer=layer)
+    return words, ctx.overflow
 
 
 def _assert_distinct_angles_match_n_angles(g, params, fmt, trace=False):
     cfg = PipelineConfig(fmt=fmt)
     got_records, want_records = [], []
     state, counts = run_qaoa(g, params, cfg, got_records.append if trace else None)
-    amps, overflow = _run_streaming_every_angle(
+    words, overflow = _run_streaming_every_angle(
         g, params, cfg, want_records.append if trace else None)
-    assert state.amps.tobytes() == amps.tobytes()
+    # run_qaoa's readout, against the sum re + 1j*im of the register's rows
+    assert state.amps.tobytes() == to_amps(words, fmt).tobytes()
     assert counts.overflow == overflow
     assert json.dumps(got_records) == json.dumps(want_records)
     return overflow
@@ -571,3 +578,52 @@ def test_cost_on_half_angles_matches_when_calculate_rad_saturates():
     assert ctx.overflow
     params = QaoaParams(1, (2.5,), (0.3,))
     assert _assert_distinct_angles_match_n_angles(path_graph(4), params, fmt, trace=True)
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(32, 25), FxFormat(32, 20)], ids=lambda f: f.name)
+def test_passes_update_the_register_in_place(fmt):
+    # the cost and mixer passes and run_layer return the register they were
+    # given, and the words they leave are those of the all-angle oracle;
+    # q7.25 saturates on this instance, q12.20 does not
+    g = random_graph(np.random.default_rng(229), 10, weight_range=(0.2, 3.0))
+    params = QaoaParams.from_lists([0.9, 0.4], [0.5, 1.1])
+    cfg, diag, mixer = PipelineConfig(fmt=fmt), g.cost_table, mixer_table(10)
+    by_pass, by_layer = _start_register(10, fmt), _start_register(10, fmt)
+    pass_ctx, layer_ctx = FxContext(), FxContext()
+    for layer in range(params.p):
+        cost = cost_half_angles(diag, params.gamma[layer])
+        levels = mixer_level_angles(mixer, params.beta[layer])
+        assert run_elemental_ansatz(by_pass, cost, cfg, pass_ctx,
+                                    expand=diag.expand) is by_pass
+        assert run_elemental_ansatz(by_pass, levels, cfg, pass_ctx,
+                                    expand=mixer.expand) is by_pass
+        by_pass >>= 10
+        assert run_layer(by_layer, cost, levels, cfg, layer_ctx, cost_expand=diag.expand,
+                         mixer_expand=mixer.expand) is by_layer
+    want, overflow = _run_streaming_every_angle(g, params, cfg)
+    assert by_pass.dtype == by_layer.dtype == np.int64
+    assert by_pass.tobytes() == want.tobytes() and by_layer.tobytes() == want.tobytes()
+    assert pass_ctx.overflow == layer_ctx.overflow == overflow == (fmt.name == "q7.25")
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(32, 20), FxFormat(32, 25)], ids=lambda f: f.name)
+def test_run_qaoa_holds_one_register(fmt):
+    # every stage updates the one (2, N) int64 register in place: a run
+    # peaks at 5.3 x the register, 1_MULT's rounding temporaries included,
+    # and a second re/im pair, a stacked copy for N_ADD or a start vector
+    # held to readout would each add at least 1 x.  The cost, mixer and
+    # CORDIC tables belong to the graph, n and the format, not to the run,
+    # so they are built before tracing.
+    n = 16
+    g = random_graph(np.random.default_rng(5), n, weight_range=(0.2, 3.0))
+    params = QaoaParams.from_lists([0.3, 0.2], [0.4, 0.7])
+    g.cost_table, mixer_table(n)
+    run_qaoa(path_graph(2), params, PipelineConfig(fmt=fmt))  # builds the CORDIC table
+    tracemalloc.start()
+    try:
+        _, counts = run_qaoa(g, params, PipelineConfig(fmt=fmt))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.overflow == (fmt.name == "q7.25")
+    assert peak <= 6 * 2 * 8 * (1 << n)

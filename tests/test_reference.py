@@ -22,12 +22,12 @@ def assert_unitary(u, atol=1e-10):
 
 
 def test_dense_cost_unitary_identity_at_zero(triangle):
-    np.testing.assert_allclose(np.diag(dense_cost_unitary(triangle, 0.0, 3)), np.eye(8))
+    np.testing.assert_allclose(np.diag(dense_cost_unitary(triangle, 0.0)), np.eye(8))
 
 
 def test_dense_cost_unitary_single_edge_hand_values():
     g = WeightedGraph(2, ((0, 1, 1.0),))
-    u = np.diag(dense_cost_unitary(g, math.pi / 2, 2))
+    u = np.diag(dense_cost_unitary(g, math.pi / 2))
     np.testing.assert_allclose(np.diag(u), [1j, -1j, -1j, 1j], atol=1e-12)
 
 
@@ -37,7 +37,7 @@ def test_dense_cost_unitary_equals_diagonal_up_to_global_phase():
         g = random_graph(rng, int(rng.integers(2, 6)))
         n = g.num_vertices
         gamma = float(rng.uniform(0, math.pi))
-        u = np.diag(np.diag(dense_cost_unitary(g, gamma, n)))
+        u = np.diag(np.diag(dense_cost_unitary(g, gamma)))
         d = np.exp(-1j * gamma * build_cost_diagonal(g, n).entries)
         # ratio must be one constant phase across all entries
         ratio = u / d
@@ -68,7 +68,7 @@ def test_dense_unitaries_are_unitary():
     rng = np.random.default_rng(59)
     for _ in range(5):
         g = random_graph(rng, 4)
-        assert_unitary(np.diag(dense_cost_unitary(g, float(rng.uniform(0, 3)), 4)))
+        assert_unitary(np.diag(dense_cost_unitary(g, float(rng.uniform(0, 3)))))
         assert_unitary(dense_mixer_unitary(float(rng.uniform(0, 3)), 4))
 
 

@@ -11,7 +11,9 @@ The modelled CORDIC has 16 rotation stages, and the scalar
 `cordic_sincos` runs them one by one.  Its vector twin gets the same words
 from a per-format decision-interval table: the stage directions depend
 only on the input angle, so the inputs fall into at most 2**15 intervals
-of equal output, found by a binary search (`_cordic_table`).
+of equal output (`_cordic_table`).  A bucket index over the input range
+(`_cordic_index`) finds each input's interval in O(1): every bucket holds
+at most one interval start beyond the interval of its first input.
 
 Policy (shared by both paths):
   * conversion and multiplication round to nearest, ties to even;
@@ -282,10 +284,18 @@ def fx_sincos(rad: Fx, ctx: FxContext | None = None) -> tuple[Fx, Fx]:
 # --------------------------------------------------------------------------
 
 def _vec_saturate(raw: np.ndarray, fmt: FxFormat, ctx: FxContext | None) -> np.ndarray:
-    out = np.minimum(np.maximum(raw, fmt.min_raw), fmt.max_raw)
-    if ctx is not None and not ctx.overflow and (out != raw).any():
-        ctx.overflow = True
-    return out
+    """Clip raw to the word range in place and return it, raising the
+    sticky flag when any word was out of range.
+
+    Its callers (vec_mul, vec_add, vec_apply_flags) pass arrays they have
+    just computed and own, so writing into raw never touches an input.
+    """
+    if raw.size and (raw.max() > fmt.max_raw or raw.min() < fmt.min_raw):
+        if ctx is not None:
+            ctx.overflow = True
+        # np.clip costs several times this at the small N of overhead-bound runs
+        np.minimum(np.maximum(raw, fmt.min_raw, out=raw), fmt.max_raw, out=raw)
+    return raw
 
 
 def vec_from_real(x: np.ndarray, fmt: FxFormat, ctx: FxContext | None = None) -> np.ndarray:
@@ -307,7 +317,14 @@ def vec_to_float(raw: np.ndarray, fmt: FxFormat) -> np.ndarray:
 def vec_mul(a_raw: np.ndarray, b_raw: np.ndarray, fmt: FxFormat,
             ctx: FxContext | None = None) -> np.ndarray:
     prod = a_raw * b_raw  # |raw| < 2**31 so the int64 product is exact
-    return _vec_saturate(_rne_shift(prod, fmt.frac_bits), fmt, ctx)
+    # _rne_shift on the fresh product, in place: one temporary, not three
+    f = fmt.frac_bits
+    odd = prod >> f
+    odd &= 1
+    odd += (1 << (f - 1)) - 1
+    prod += odd
+    prod >>= f
+    return _vec_saturate(prod, fmt, ctx)
 
 
 def vec_add(a_raw: np.ndarray, b_raw: np.ndarray, fmt: FxFormat,
@@ -369,12 +386,47 @@ def _cordic_table(fmt: FxFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lo, x, y
 
 
+@lru_cache(maxsize=8)
+def _cordic_index(fmt: FxFormat) -> tuple[int, np.ndarray, np.ndarray]:
+    """Bucket index over the CORDIC inputs [0, _q1_max]: (shift, first, next).
+
+    Input r falls in bucket r >> shift.  first[b] is the _cordic_table leaf
+    holding the bucket's first input and next[b] the start of the leaf after
+    it (_q1_max + 1 past the last leaf).  shift is the largest for which no
+    bucket holds a second leaf start beyond that one, so r's leaf is
+    first[b] + (r >= next[b]).
+    """
+    starts = _cordic_table(fmt)[0]
+    top = _q1_max(fmt)
+    shift = 0
+    while shift < top.bit_length():
+        # the starts that open a leaf inside a bucket, not at its first input
+        inner = starts[(starts & ((2 << shift) - 1)) != 0] >> (shift + 1)
+        if (inner[1:] == inner[:-1]).any():
+            break
+        shift += 1
+    # leaf i holds the first inputs of buckets ceil(starts[i] / 2**shift) up
+    # to the next leaf's; int32 throughout keeps the build's peak near the
+    # index's own size
+    opens = -(-starts >> shift)
+    first = np.repeat(np.arange(len(starts), dtype=np.int32),
+                      np.diff(opens, append=(top >> shift) + 1))
+    nxt = np.append(starts[1:], top + 1).astype(np.int32)[first]
+    for a in (first, nxt):
+        a.flags.writeable = False  # shared by every call for this format
+    return shift, first, nxt
+
+
 def vec_cordic_sincos(rad_q1: np.ndarray, fmt: FxFormat) -> tuple[np.ndarray, np.ndarray]:
-    """Vector twin of cordic_sincos, evaluated by a lookup in _cordic_table."""
-    if ((rad_q1 < 0) | (rad_q1 > _q1_max(fmt))).any():
+    """Vector twin of cordic_sincos, evaluated by a lookup in _cordic_table
+    through its bucket index."""
+    if rad_q1.size and (rad_q1.min() < 0 or rad_q1.max() > _q1_max(fmt)):
         raise ValueError("angles outside the first quadrant")
-    starts, x, y = _cordic_table(fmt)
-    leaf = np.searchsorted(starts, rad_q1, side="right") - 1
+    _, x, y = _cordic_table(fmt)
+    shift, first, nxt = _cordic_index(fmt)
+    bucket = rad_q1 >> shift
+    # an intp index gathers directly; an int32 one is converted on each gather
+    leaf = np.add(first[bucket], rad_q1 >= nxt[bucket], dtype=np.intp)
     return x[leaf], y[leaf]
 
 

@@ -11,8 +11,9 @@ modelled counts and the per-clock trace describe that streamed datapath.
 The state is one (2, N) int64 register, real and imaginary rows, which each
 pass overwrites in place, as the result register replaces the state memory
 at drain; run_qaoa builds the float64 StateVector once, at readout (words of
-<= 32 bits make that image lossless).  A run peaks at 5.3 times the register
-at n = 16 and 20; the rest of the peak is 1_MULT's rounding temporaries.
+<= 32 bits make that image lossless).  1_MULT rounds and clips its fresh
+products in place, so a run peaks in N_ADD's prefix pass, at 4.8 to 4.9
+times the register at n = 16.
 
 The host evaluates the datapath in a different order with identical words
 and flags.  The per-element stages are batch-evaluated, which is
@@ -25,7 +26,8 @@ complementing every bit), a mixer pass the n + 1 angles u*beta, u = -n,
 -n+2, ..., n, gathered by popcount.  Their saturation flags depend only on
 the set of angles, which is the same.
 CORDIC is evaluated by a per-format decision-interval table
-(fxp.vec_cordic_sincos), which gives the 16 stages' words in one lookup.
+(fxp.vec_cordic_sincos), which gives the 16 stages' words in one O(1)
+lookup through a bucket index over the input range.
 N_ADD, defined as accumulation in ascending stream order, is computed in
 O(N log N) by butterflies (_n_add) on the cache-blocked, constant-geometry
 driver that reference.fwht_inplace shares (butterfly), which applies the

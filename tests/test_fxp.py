@@ -295,6 +295,59 @@ def test_vector_context_flags_overflow():
         assert ctx4.overflow
 
 
+def read_only(a):
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
+def kernel_pairs(fmt):
+    """(vector kernel, scalar twin) pairs, both called as f(a, b, ctx) and
+    returning a tuple of results.  vec_apply_flags negates a where it is
+    odd and b where its bit 1 is set, as apply_flags does per element."""
+    def vec_flags(a, b, ctx):
+        return fxp.vec_apply_flags(a, b, read_only(a & 1 == 1), read_only(b & 2 == 2),
+                                   fmt, ctx)
+
+    def scalar_flags(p, q, ctx):
+        return apply_flags(p, q, QuadrantFlags(p.raw & 1 == 1, q.raw & 2 == 2), ctx)
+
+    return [(lambda a, b, ctx: (fxp.vec_mul(a, b, fmt, ctx),),
+             lambda p, q, ctx: (fx_mul(p, q, ctx),)),
+            (lambda a, b, ctx: (fxp.vec_add(a, b, fmt, ctx),),
+             lambda p, q, ctx: (fx_add(p, q, ctx),)),
+            (vec_flags, scalar_flags)]
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(32, 25), FxFormat(32, 20), FxFormat(12, 8)],
+                         ids=lambda f: f.name)
+def test_vector_kernel_contract(fmt):
+    # the kernels saturate their fresh result in place: they must never
+    # write into an input, must hand back arrays of their own, and must
+    # raise the sticky flag exactly when the scalar path would
+    edge = [fmt.min_raw, fmt.min_raw + 1, fmt.min_raw + 2, -1, 0, 1,
+            fmt.max_raw - 2, fmt.max_raw - 1, fmt.max_raw]
+    a, b = (read_only(np.array(v, dtype=np.int64))
+            for v in zip(*[(p, q) for p in edge for q in edge]))
+    empty = read_only(np.zeros(0, dtype=np.int64))
+    for vec, scalar in kernel_pairs(fmt):
+        before = a.copy(), b.copy()
+        for out in vec(a, b, FxContext()):
+            assert out.flags.writeable and out.shape == a.shape
+            assert not (np.shares_memory(out, a) or np.shares_memory(out, b))
+        assert (a == before[0]).all() and (b == before[1]).all()
+        for flag in (False, True):  # empty operands leave the flag as it was
+            ctx = FxContext(overflow=flag)
+            assert all(out.shape == (0,) for out in vec(empty, empty, ctx))
+            assert ctx.overflow is flag
+        for k, (p, q) in enumerate(zip(a.tolist(), b.tolist())):
+            ctx_v, ctx_s = FxContext(), FxContext()
+            words = vec(a[k:k + 1], b[k:k + 1], ctx_v)
+            want = scalar(Fx(p, fmt), Fx(q, fmt), ctx_s)
+            assert [int(w[0]) for w in words] == [w.raw for w in want]
+            assert ctx_v.overflow == ctx_s.overflow, (p, q)
+
+
 def test_numpy_right_shift_is_arithmetic():
     # the CORDIC table and the rounding shift rely on sign-propagating shifts
     assert int(np.int64(-5) >> 1) == -5 >> 1 == -3
@@ -357,6 +410,27 @@ def test_cordic_table_shape_and_sharing(fmt):
     assert cos.flags.writeable and sin.flags.writeable
 
 
+def test_cordic_index_finds_the_leaf_in_every_format():
+    # each bucket holds at most one leaf start beyond its first input's
+    # leaf, so the O(1) lookup must agree with a binary search on the
+    # inputs where that could fail: every leaf edge and every bucket edge
+    fmts = [FxFormat(w, f) for w in range(4, 33) for f in range(2, w - 1)
+            if FxFormat(w, f).max_raw * FxFormat(w, f).ulp >= 2.0 * math.pi]
+    assert len(fmts) > 300
+    for fmt in fmts:
+        starts, x, y = fxp._cordic_table(fmt)
+        shift, first, nxt = fxp._cordic_index(fmt)
+        top = fxp._q1_max(fmt)
+        assert len(first) == len(nxt) == (top >> shift) + 1 <= 1 << 16
+        assert not (first.flags.writeable or nxt.flags.writeable)
+        bucket = np.arange(len(first), dtype=np.int64) << shift
+        raws = np.concatenate((starts, starts[1:] - 1, bucket,
+                               np.minimum(bucket + (1 << shift) - 1, top), [0, top]))
+        leaf = np.searchsorted(starts, raws, side="right") - 1
+        cos, sin = fxp.vec_cordic_sincos(raws, fmt)
+        assert (cos == x[leaf]).all() and (sin == y[leaf]).all(), fmt.name
+
+
 def test_vec_cordic_rejects_angles_outside_first_quadrant():
     half_pi = fx_half_pi(FMT).raw
     for raw in (-1, half_pi + 1):
@@ -387,3 +461,8 @@ def test_rne_shift_matches_divmod_definition():
         assert (fxp._rne_shift(values, shift) == want).all()
         for v, w in zip(values.tolist(), want.tolist()):
             assert fxp._rne_shift(v, shift) == w
+        if shift <= 30:  # vec_mul rounds its product in place by the same rule
+            fmt = FxFormat(32, shift)
+            fits = np.abs(values) <= fmt.max_raw
+            got = fxp.vec_mul(values[fits], np.ones(fits.sum(), dtype=np.int64), fmt)
+            assert (got == want[fits]).all()

@@ -135,12 +135,17 @@ def _rne_shift(value, shift: int):
     return (value + ((value >> shift) & 1) + ((1 << (shift - 1)) - 1)) >> shift
 
 
+def _round_scaled(x: float, fmt: FxFormat) -> int:
+    """round(x * 2**frac_bits), ties to even, for finite x: clamped one step
+    past the word range first, so that an inf product saturates."""
+    return round(min(max(float(x) * (1 << fmt.frac_bits), fmt.min_raw - 1), fmt.max_raw + 1))
+
+
 def fx_from_real(x: float, fmt: FxFormat, ctx: FxContext | None = None) -> Fx:
     """Convert a real to fixed point, round-to-nearest-even, saturating."""
     if not math.isfinite(x):
         raise ValueError(f"cannot convert non-finite value {x!r}")
-    # x * 2**f is an exact exponent shift in binary floating point.
-    return Fx(_saturate(round(x * (1 << fmt.frac_bits)), fmt, ctx), fmt)
+    return Fx(_saturate(_round_scaled(x, fmt), fmt, ctx), fmt)
 
 
 def fx_add(a: Fx, b: Fx, ctx: FxContext | None = None) -> Fx:
@@ -287,8 +292,9 @@ def _vec_saturate(raw: np.ndarray, fmt: FxFormat, ctx: FxContext | None) -> np.n
     """Clip raw to the word range in place and return it, raising the
     sticky flag when any word was out of range.
 
-    Its callers (vec_mul, vec_add, vec_apply_flags) pass arrays they have
-    just computed and own, so writing into raw never touches an input.
+    Its callers (vec_mul, vec_cmul, vec_add, vec_apply_flags) pass arrays
+    they have just computed or were asked to update in place, so writing
+    into raw never touches another input.
     """
     if raw.size and (raw.max() > fmt.max_raw or raw.min() < fmt.min_raw):
         if ctx is not None:
@@ -299,14 +305,17 @@ def _vec_saturate(raw: np.ndarray, fmt: FxFormat, ctx: FxContext | None) -> np.n
 
 
 def vec_from_real(x: np.ndarray, fmt: FxFormat, ctx: FxContext | None = None) -> np.ndarray:
+    """Vector twin of fx_from_real.  Rounding is monotone, so x's extremes
+    decide finiteness and saturation; x is clipped only when one saturates."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
+    x_lo, x_hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
         raise ValueError("cannot convert non-finite values")
-    scaled = np.rint(x * float(1 << fmt.frac_bits))  # rint ties to even
-    lo, hi = float(fmt.min_raw), float(fmt.max_raw)
-    if ctx is not None and ((scaled > hi).any() or (scaled < lo).any()):
-        ctx.overflow = True
-    return np.clip(scaled, lo, hi).astype(np.int64)
+    if _round_scaled(x_lo, fmt) < fmt.min_raw or _round_scaled(x_hi, fmt) > fmt.max_raw:
+        if ctx is not None:
+            ctx.overflow = True
+        x = np.clip(x, fmt.min_raw * fmt.ulp, fmt.max_raw * fmt.ulp)
+    return np.rint(x * float(1 << fmt.frac_bits)).astype(np.int64)  # rint ties to even
 
 
 def vec_to_float(raw: np.ndarray, fmt: FxFormat) -> np.ndarray:
@@ -315,8 +324,9 @@ def vec_to_float(raw: np.ndarray, fmt: FxFormat) -> np.ndarray:
 
 
 def vec_mul(a_raw: np.ndarray, b_raw: np.ndarray, fmt: FxFormat,
-            ctx: FxContext | None = None) -> np.ndarray:
-    prod = a_raw * b_raw  # |raw| < 2**31 so the int64 product is exact
+            ctx: FxContext | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """fx_mul on arrays; out=a_raw rounds and clips the product in place."""
+    prod = np.multiply(a_raw, b_raw, out=out)  # |raw| < 2**31 so the int64 product is exact
     # _rne_shift on the fresh product, in place: one temporary, not three
     f = fmt.frac_bits
     odd = prod >> f
@@ -325,6 +335,19 @@ def vec_mul(a_raw: np.ndarray, b_raw: np.ndarray, fmt: FxFormat,
     prod += odd
     prod >>= f
     return _vec_saturate(prod, fmt, ctx)
+
+
+def vec_cmul(words: np.ndarray, cos: np.ndarray, sin: np.ndarray, fmt: FxFormat,
+             ctx: FxContext | None = None) -> np.ndarray:
+    """Vector twin of cfx_mul_phase on a (2, N) register of real and
+    imaginary rows, in place; returns words.  The products are rounded and
+    clipped, the real row subtracts im * sin and the imaginary row adds
+    re * sin, and the sums are clipped: the scalar's saturations."""
+    cross = vec_mul(words[::-1], sin, fmt, ctx)
+    vec_mul(words, cos, fmt, ctx, out=words)
+    words[0] -= cross[0]
+    words[1] += cross[1]
+    return _vec_saturate(words, fmt, ctx)
 
 
 def vec_add(a_raw: np.ndarray, b_raw: np.ndarray, fmt: FxFormat,
@@ -417,16 +440,21 @@ def _cordic_index(fmt: FxFormat) -> tuple[int, np.ndarray, np.ndarray]:
     return shift, first, nxt
 
 
+def _cordic_leaf(rad_q1: np.ndarray, fmt: FxFormat) -> np.ndarray:
+    """Each first-quadrant input's _cordic_table leaf, by the bucket index."""
+    shift, first, nxt = _cordic_index(fmt)
+    bucket = rad_q1 >> shift
+    # an intp index gathers directly; an int32 one is converted on each gather
+    return np.add(first[bucket], rad_q1 >= nxt[bucket], dtype=np.intp)
+
+
 def vec_cordic_sincos(rad_q1: np.ndarray, fmt: FxFormat) -> tuple[np.ndarray, np.ndarray]:
     """Vector twin of cordic_sincos, evaluated by a lookup in _cordic_table
     through its bucket index."""
     if rad_q1.size and (rad_q1.min() < 0 or rad_q1.max() > _q1_max(fmt)):
         raise ValueError("angles outside the first quadrant")
     _, x, y = _cordic_table(fmt)
-    shift, first, nxt = _cordic_index(fmt)
-    bucket = rad_q1 >> shift
-    # an intp index gathers directly; an int32 one is converted on each gather
-    leaf = np.add(first[bucket], rad_q1 >= nxt[bucket], dtype=np.intp)
+    leaf = _cordic_leaf(rad_q1, fmt)
     return x[leaf], y[leaf]
 
 
@@ -437,9 +465,27 @@ def vec_apply_flags(cos_raw, sin_raw, neg_cos, neg_sin, fmt: FxFormat,
     return cos, sin
 
 
-def vec_sincos(raw: np.ndarray, fmt: FxFormat,
-               ctx: FxContext | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Vector twin of fx_sincos on raw angle values."""
-    rad_q1, neg_cos, neg_sin = vec_normalize_rad(vec_reduce_mod_2pi(raw, fmt), fmt)
-    cos_q1, sin_q1 = vec_cordic_sincos(rad_q1, fmt)
-    return vec_apply_flags(cos_q1, sin_q1, neg_cos, neg_sin, fmt, ctx)
+@lru_cache(maxsize=8)
+def _fold_tables(fmt: FxFormat) -> tuple:
+    """two_pi, normalize_rad's branch starts after 0, and by branch its fold
+    centre and the signs it restores to cos and sin."""
+    two_pi, pi, half_pi, three_half_pi, _, _ = _trig_constants(fmt)
+    return (two_pi, np.array([half_pi, pi, three_half_pi]), np.array([0, pi, pi, two_pi]),
+            np.array([1, -1, -1, 1]), np.array([1, 1, -1, -1]))
+
+
+def vec_sincos(raw: np.ndarray, fmt: FxFormat) -> tuple[np.ndarray, np.ndarray]:
+    """Vector twin of fx_sincos on raw angle values, in one pass: reduce,
+    find the branch q by one search, fold to |rad - centre[q]|, look the
+    CORDIC words up, and restore signs by gathers, which never saturates:
+    CORDIC words are below 2**(frac_bits + 1) in magnitude."""
+    two_pi, starts, centre, cos_sign, sin_sign = _fold_tables(fmt)
+    rad = raw % two_pi
+    q = np.searchsorted(starts, rad, "right")
+    rad -= centre[q]
+    _, x, y = _cordic_table(fmt)
+    leaf = _cordic_leaf(np.abs(rad, out=rad), fmt)
+    cos, sin = x[leaf], y[leaf]
+    cos *= cos_sign[q]
+    sin *= sin_sign[q]
+    return cos, sin

@@ -11,20 +11,21 @@ modelled counts and the per-clock trace describe that streamed datapath.
 The state is one (2, N) int64 register, real and imaginary rows, which each
 pass overwrites in place, as the result register replaces the state memory
 at drain; run_qaoa builds the float64 StateVector once, at readout (words of
-<= 32 bits make that image lossless).  1_MULT rounds and clips its fresh
-products in place, so a run peaks in N_ADD's prefix pass, at 4.8 to 4.9
-times the register at n = 16.
+<= 32 bits make that image lossless).  1_MULT (fxp.vec_cmul) rounds and
+clips its products in place on the register, where a run peaks, at 4.25
+times the register at n = 16; N_ADD stays below 4 times.
 
 The host evaluates the datapath in a different order with identical words
 and flags.  The per-element stages are batch-evaluated, which is
 value-identical to streaming because elements only interact in N_ADD.
-CALCULATE_RAD, NORMALIZE_RAD, CORDIC and the sign restore run only on the
-distinct angles of a pass, and their words are expanded to the N streamed
-elements before 1_MULT: a cost pass evaluates the N/2 angles of the states
-with bit n-1 clear and mirrors them (the cost table is symmetric under
-complementing every bit), a mixer pass the n + 1 angles u*beta, u = -n,
--n+2, ..., n, gathered by popcount.  Their saturation flags depend only on
-the set of angles, which is the same.
+CALCULATE_RAD, NORMALIZE_RAD, CORDIC and the sign restore (the last three
+in one kernel, fxp.vec_sincos) run only on the distinct angles of a pass,
+and their words are expanded to the N streamed elements before 1_MULT: a
+cost pass evaluates the N/2 angles of the states with bit n-1 clear and
+mirrors them (the cost table is symmetric under complementing every bit),
+a mixer pass the n + 1 angles u*beta, u = -n, -n+2, ..., n, gathered by
+popcount.  Their saturation flags depend only on the set of angles, which
+is the same.
 CORDIC is evaluated by a per-format decision-interval table
 (fxp.vec_cordic_sincos), which gives the 16 stages' words in one O(1)
 lookup through a bucket index over the input range.
@@ -266,13 +267,53 @@ def _clamp_combine(left: Halves, right: Halves, plus: Halves, minus: Halves) -> 
     np.clip(hil - dr, neg_lo, neg_hi, out=minus[2])
 
 
+# _n_add bounds 2**min(n, CERTIFIED_DEPTH) stream blocks; 4 is the least depth
+# that certifies test_run_qaoa_holds_one_register's unsaturated q12.20 run
+CERTIFIED_DEPTH = 4
+
+
+def _top_levels_bound(words: np.ndarray, block_l1: np.ndarray) -> np.ndarray:
+    """Finish the transform of words in place, whose blocks hold their own
+    transforms and have sums of |w| block_l1, and return twice a bound on
+    every prefix sum of every row's signed stream, periodic in the row.
+
+    In a block with transform Y and sum of |w| T, a prefix P with sum of |w|
+    A has |P| <= A and |P| <= |Y(j)| + T - A: 2B(j) = |Y(j)| + T.  A pair
+    L, R has 2B(j) = max(2B_L(j), 2|Y_L(j)| + 2B_R(j)), the children's rows
+    taken modulo their width w, so the pair's bound has period w.
+    """
+    # rows of the (2 * blocks, width) grid of words hold one block each
+    width = words.shape[-1] // block_l1.shape[1]
+    bound = np.abs(words.reshape(-1, width))
+    bound += block_l1.reshape(-1, 1)
+    while width < words.shape[-1]:
+        pairs, children = words.reshape(-1, 2, width), bound.reshape(-1, 2, bound.shape[-1])
+        left, right = pairs[:, 0], pairs[:, 1]
+        bound = np.abs(left)
+        bound *= 2
+        periods = bound.reshape(len(bound), -1, children.shape[-1])
+        periods += children[:, 1, None]
+        np.maximum(periods, children[:, 0, None], out=periods)
+        # the level itself: the pair becomes the block (L + R, L - R)
+        diff = left - right
+        left += right
+        right[...] = diff
+        width *= 2
+    return bound
+
+
 def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
     """N_ADD of the (2, N) register of 1_MULT words, in place; returns words.
 
     Row i of the result is the saturating accumulation, from zero and in
-    ascending column order c, of hadamard_sign(i, c) * words[:, c].  The
-    butterfly's entries summarise the signed sub-stream of one column block
-    for one row sign pattern:
+    ascending column order c, of hadamard_sign(i, c) * words[:, c].  A row
+    whose prefix sums all stay in [min_raw, max_raw] is the plain +/-1
+    transform.  Two bounds prove that for every row, and then the transform
+    runs in place and the flag is left as it is: sum(|w|) <= max_raw on
+    each row of words, or else _top_levels_bound over 2**min(n,
+    CERTIFIED_DEPTH) blocks.  When both fail, the transform is undone in
+    place (H H w = N w), and the butterfly's entries summarise the signed
+    sub-stream of one column block for one row sign pattern:
 
     (a) its sum s and its largest (t) and smallest (b) unclipped prefix
         sum.  Clipped and unclipped accumulation agree up to the first
@@ -286,23 +327,32 @@ def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
         onto itself since min_raw = -max_raw - 1.  The result is the whole
         stream's map applied to 0.
 
-    Both passes are skipped when every row of words has sum(|w|) <= max_raw.
-    Every prefix sum of every row's signed stream is then at most that sum
-    in magnitude, so it stays in [min_raw, max_raw]: no row saturates, the
-    flag is left as it is, and the result is the plain +/-1 transform, made
-    without a copy.  Otherwise the prefix pass runs on three copies, freed
-    before the clamp pass runs on words and two bound arrays (3.1 x words).
+    Pass (a) is skipped when a row's whole sum leaves the range.  It runs on
+    three copies, freed before the clamp pass runs on words and two bound
+    arrays (3.1 x words).
 
     Words are below 2**31 in magnitude and N <= 2**24, so every sum stays
     below 2**56 and the int64 arithmetic is exact.
     """
-    if (np.abs(words).sum(axis=1) <= fmt.max_raw).all():
+    n = words.shape[-1].bit_length() - 1
+    # splitting the last axis is a view, so the blocks are words themselves
+    blocks = words.reshape(2, 1 << min(n, CERTIFIED_DEPTH), -1)
+    block_l1 = np.abs(blocks).sum(axis=-1)
+    if (block_l1.sum(axis=-1) <= fmt.max_raw).all():
         return butterfly((words,), _sum_diff)[0]
-    s, t, b = butterfly((words.copy(), words.copy(), words.copy()), _prefix_combine)
-    if not ((t > fmt.max_raw).any() or (b < fmt.min_raw).any()):
-        words[...] = s
+    butterfly((blocks,), _sum_diff)
+    if _top_levels_bound(words, block_l1).max() <= 2 * fmt.max_raw:
         return words
-    del s, t, b  # only the check needed them; free them before the clamp pass
+    # a row whose whole sum leaves the range saturates: no prefix pass needed
+    saturates = words.max() > fmt.max_raw or words.min() < fmt.min_raw
+    butterfly((words,), _sum_diff)
+    words >>= n
+    if not saturates:
+        s, t, b = butterfly((words.copy(), words.copy(), words.copy()), _prefix_combine)
+        if not ((t > fmt.max_raw).any() or (b < fmt.min_raw).any()):
+            words[...] = s
+            return words
+        del s, t, b  # only the check needed them; free them before the clamp pass
     ctx.overflow = True
     d, lo, hi = butterfly((words, np.full_like(words, fmt.min_raw),
                            np.full_like(words, fmt.max_raw)), _clamp_combine)
@@ -381,20 +431,16 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     # turns it into a unit phasor.  They are pure functions of the angle and
     # their flags depend only on the set of angles: the distinct ones suffice.
     rad = fxp.vec_from_real(angles, fmt, ctx)
-    rad_q1, neg_cos, neg_sin = fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)
-    cos_q1, sin_q1 = fxp.vec_cordic_sincos(rad_q1, fmt)
-    cos_raw, sin_raw = fxp.vec_apply_flags(cos_q1, sin_q1, neg_cos, neg_sin, fmt, ctx)
-    del rad, rad_q1, cos_q1, sin_q1  # free the stage words before 1_MULT
+    # the trace's sign bits, kept only when tracing
+    if trace_writer is not None:
+        _, neg_cos, neg_sin = fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)
+    cos_raw, sin_raw = fxp.vec_sincos(rad, fmt)
+    del rad  # free the angle words before 1_MULT
     cos_raw, sin_raw = expand(cos_raw), expand(sin_raw)
     if cos_raw.shape != (n_states,):
         raise ValueError(f"expected {n_states} angles, streamed {cos_raw.shape}")
-    # the new real row waits in mult_re while the old one forms the imaginary row
-    mult_re = fxp.vec_add(fxp.vec_mul(words[0], cos_raw, fmt, ctx),
-                          -fxp.vec_mul(words[1], sin_raw, fmt, ctx), fmt, ctx)
-    words[1] = fxp.vec_add(fxp.vec_mul(words[0], sin_raw, fmt, ctx),
-                           fxp.vec_mul(words[1], cos_raw, fmt, ctx), fmt, ctx)
-    words[0] = mult_re
-    del cos_raw, sin_raw, mult_re  # free them before N_ADD
+    fxp.vec_cmul(words, cos_raw, sin_raw, fmt, ctx)
+    del cos_raw, sin_raw  # free them before N_ADD
 
     # N_ADD: the hardware accumulates the product stream into all N slots in
     # ascending stream order, saturating after each addition; _n_add gives

@@ -7,8 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qmaxemu import QaoaParams, WeightedGraph, run_qaoa
+
+# CI runs `pytest --hypothesis-profile=ci`: the same examples on every run,
+# and a failure prints the blob that reproduces it
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 # CLI tests start `python -m qmaxemu` in a subprocess; point it at the same
 # source tree as this process, which pytest's `pythonpath` setting only adds

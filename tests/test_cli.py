@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -92,6 +93,18 @@ def test_emulate_non_finite_parameter_exits_2(capsys, triangle_file, engine, val
         assert code == 2
         assert captured.out == ""
         assert "finite" in captured.err
+
+
+def test_emulate_saturating_angle_prints_no_warning(capsys, triangle_file):
+    # gamma * cost reaches 6e305, whose scaled image overflows float64:
+    # CALCULATE_RAD saturates it with the flag, and numpy says nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["emulate", "--graph", triangle_file, "--gamma", "1e305",
+                     "--beta", "0.3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["overflow"] is True
 
 
 def test_emulate_fixed_point_flag(capsys, triangle_file):

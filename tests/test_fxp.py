@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,45 @@ def test_from_real_saturates_with_sticky_flag():
     assert bottom.raw == FMT.min_raw and ctx.overflow
     with pytest.raises(ValueError):
         fx_from_real(float("inf"), FMT)
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(32, 25), FxFormat(32, 20), FxFormat(12, 8)],
+                         ids=lambda f: f.name)
+def test_from_real_scalar_and_vector_agree_at_the_extremes(fmt):
+    top, bottom, half = fmt.max_raw * fmt.ulp, fmt.min_raw * fmt.ulp, fmt.ulp / 2
+    # (value, saturates): the limits, and the ties half an ulp beyond them,
+    # which round to even: out past max_raw (odd), back to min_raw (even);
+    # then values whose scaled image overflows float64
+    cases = [(top, False), (top + half, True), (bottom, False), (bottom - half, False),
+             (bottom - 2 * half, True), (1e308, True), (-1e308, True), (0.0, False)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        for x, saturates in cases:
+            ctx_s, ctx_v = FxContext(), FxContext()
+            want = fx_from_real(x, fmt, ctx_s).raw
+            assert fxp.vec_from_real(np.array([x]), fmt, ctx_v).tolist() == [want]
+            assert ctx_s.overflow == ctx_v.overflow == saturates, x
+        ctx = FxContext()
+        got = fxp.vec_from_real(np.array([x for x, _ in cases]), fmt, ctx)
+    assert got.tolist() == [fx_from_real(x, fmt).raw for x, _ in cases]
+    assert got.tolist()[5:7] == [fmt.max_raw, fmt.min_raw]
+    assert ctx.overflow
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_from_real_rejects_non_finite_values_on_both_paths(bad):
+    with pytest.raises(ValueError):
+        fx_from_real(bad, FMT)
+    with pytest.raises(ValueError):
+        fxp.vec_from_real(np.array([0.0, bad, 1e308]), FMT)
+
+
+def test_vec_from_real_of_an_empty_array():
+    for flag in (False, True):
+        ctx = FxContext(overflow=flag)
+        got = fxp.vec_from_real(np.zeros(0), FMT, ctx)
+        assert got.dtype == np.int64 and got.shape == (0,)
+        assert ctx.overflow is flag
 
 
 def test_mul_examples():
@@ -346,6 +386,80 @@ def test_vector_kernel_contract(fmt):
             want = scalar(Fx(p, fmt), Fx(q, fmt), ctx_s)
             assert [int(w[0]) for w in words] == [w.raw for w in want]
             assert ctx_v.overflow == ctx_s.overflow, (p, q)
+
+
+# ---------------------------------------------------------------------------
+# The fused angle kernel and complex 1_MULT against the scalar path
+# ---------------------------------------------------------------------------
+
+def _assert_vec_sincos_matches_scalar(fmt, raws):
+    cos, sin = fxp.vec_sincos(raws, fmt)
+    for r, c, s in zip(raws.tolist(), cos.tolist(), sin.tolist()):
+        ctx = FxContext()
+        want_cos, want_sin = fx_sincos(Fx(r, fmt), ctx)
+        assert (c, s) == (want_cos.raw, want_sin.raw), (fmt.name, r)
+        assert not ctx.overflow  # restoring a sign never saturates
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(12, 8), FxFormat(16, 10)], ids=lambda f: f.name)
+def test_vec_sincos_matches_scalar_on_every_input_over_six_turns(fmt):
+    two_pi = fx_two_pi(fmt).raw
+    _assert_vec_sincos_matches_scalar(fmt, np.arange(-3 * two_pi, 3 * two_pi, dtype=np.int64))
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(32, 25), FxFormat(32, 20)], ids=lambda f: f.name)
+def test_vec_sincos_matches_scalar_across_the_word_range(fmt):
+    two_pi, pi, half_pi, three_half_pi, _, _ = fxp._trig_constants(fmt)
+    edges = [e + k * two_pi + d for e in (0, half_pi, pi, three_half_pi)
+             for k in (-2, 0, 3) for d in (-1, 0, 1)]
+    raws = np.concatenate((edges, [fmt.min_raw, fmt.max_raw],
+                           np.random.default_rng(67).integers(fmt.min_raw, fmt.max_raw + 1,
+                                                              3000)))
+    _assert_vec_sincos_matches_scalar(fmt, raws)
+
+
+def test_cordic_words_leave_room_to_negate():
+    # vec_sincos restores signs without saturating: in every format the
+    # table's words (they depend on frac_bits alone) stay below
+    # 2**(frac_bits + 1), well inside the word range
+    for frac_bits in range(2, 29):
+        fmt = FxFormat(frac_bits + 4, frac_bits)
+        _, x, y = fxp._cordic_table(fmt)
+        assert np.abs(np.concatenate((x, y))).max() < 2 << frac_bits <= fmt.max_raw
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(32, 25), FxFormat(32, 20), FxFormat(12, 8)],
+                         ids=lambda f: f.name)
+def test_vec_cmul_matches_scalar(fmt):
+    # register words across the full range and at the limits, phasors from
+    # the CORDIC (some a little above 1.0) and arbitrary words, whose
+    # products saturate
+    rng = np.random.default_rng(71)
+    edge = [fmt.min_raw, fmt.min_raw + 1, -1, 0, 1, fmt.max_raw - 1, fmt.max_raw]
+    count = 600
+    re = np.concatenate((np.repeat(edge, len(edge)),
+                         rng.integers(fmt.min_raw, fmt.max_raw + 1, count)))
+    im = np.concatenate((np.tile(edge, len(edge)),
+                         rng.integers(fmt.min_raw, fmt.max_raw + 1, count)))
+    cos, sin = fxp.vec_sincos(rng.integers(fmt.min_raw, fmt.max_raw + 1, len(re)), fmt)
+    wild = rng.random(len(re)) < 0.3
+    cos[wild] = rng.integers(fmt.min_raw, fmt.max_raw + 1, wild.sum())
+    sin[wild] = rng.integers(fmt.min_raw, fmt.max_raw + 1, wild.sum())
+    words = np.stack((re, im))
+    ctx = FxContext()
+    assert fxp.vec_cmul(words, cos, sin, fmt, ctx) is words  # in place
+    flags = []
+    for k in range(len(re)):
+        ctx_v, ctx_s = FxContext(), FxContext()
+        one = np.array([[re[k]], [im[k]]])
+        fxp.vec_cmul(one, cos[k:k + 1], sin[k:k + 1], fmt, ctx_v)
+        want = cfx_mul_phase(CFx(Fx(int(re[k]), fmt), Fx(int(im[k]), fmt)),
+                             Fx(int(cos[k]), fmt), Fx(int(sin[k]), fmt), ctx_s)
+        assert one[:, 0].tolist() == words[:, k].tolist() == [want.re.raw, want.im.raw]
+        assert ctx_v.overflow == ctx_s.overflow, k
+        flags.append(ctx_s.overflow)
+    assert ctx.overflow == any(flags) and not all(flags)
+    assert any(flags[k] for k in range(len(edge) ** 2, len(re)) if not wild[k])
 
 
 def test_numpy_right_shift_is_arithmetic():

@@ -142,16 +142,13 @@ def test_n_add_saturates_in_imaginary_part_only():
 
 
 def n_add_takes_bound_path(words, fmt, monkeypatch) -> bool:
-    """Check _n_add against the stream and say whether it skipped the
-    prefix-summary pass, which only the no-saturation bound allows."""
+    """Check _n_add against the stream and say whether it skipped both the
+    prefix-summary and the clamp pass, which only the no-saturation
+    certificates allow."""
     calls = []
-
-    def counted(*args):
-        calls.append(1)
-        prefix_combine(*args)
-
-    prefix_combine = pipeline._prefix_combine
-    monkeypatch.setattr(pipeline, "_prefix_combine", counted)
+    for name in ("_prefix_combine", "_clamp_combine"):
+        monkeypatch.setattr(pipeline, name, lambda *args, combine=getattr(pipeline, name):
+                            calls.append(1) or combine(*args))
     assert_n_add_matches_stream(words, fmt)
     return not calls
 
@@ -192,12 +189,110 @@ def test_n_add_single_min_raw_word_saturates_on_negated_rows(monkeypatch):
     assert got[1].tolist() == [fmt.min_raw, fmt.max_raw, fmt.min_raw, fmt.max_raw]
 
 
-def test_n_add_frees_the_prefix_pass_before_clamping():
-    # full-range q4.8 words saturate, so both passes run; keeping the prefix
-    # pass's three arrays through the clamp pass peaked at 10.5 x the words,
-    # and N-sized butterfly scratch at 7.5 x
+def test_n_add_certifies_words_past_the_sum_bound(monkeypatch):
+    # sum(|w|) = 2100 > max_raw = 2047, yet the blocks' bound holds on
+    # every row: no prefix pass, no flag, and the plain +/-1 transform
     fmt = FxFormat(12, 8)
-    words = np.random.default_rng(23).integers(fmt.min_raw, fmt.max_raw + 1, (2, 1 << 18))
+    words = np.array([[-800, 100, 600, 300, 300, 0, 0, 0], [0] * 8], dtype=np.int64)
+    assert np.abs(words[0]).sum() > fmt.max_raw
+    assert n_add_takes_bound_path(words, fmt, monkeypatch)
+    ctx = FxContext()
+    got = _n_add(words.copy(), fmt, ctx)
+    assert not ctx.overflow
+    assert (got == words @ sign_matrix(3)).all()
+
+
+def test_n_add_certificate_on_near_limit_words(monkeypatch):
+    # words whose sum(|w|) passes max_raw, scaled so that some streams
+    # saturate and most do not: the certificate spares most of those that
+    # do not the prefix pass, and the stream comparison shows it never
+    # spares one that does
+    rng = np.random.default_rng(61)
+    outcomes = {}  # (saturates, certified) -> count
+    for fmt in N_ADD_FORMATS:
+        for n in range(6, 11):
+            for spread in (3.0, 4.0, 6.0):
+                sigma = fmt.max_raw / (spread * math.sqrt(1 << n))
+                words = np.rint(rng.normal(0.0, sigma, (2, 1 << n))).astype(np.int64)
+                assert (np.abs(words).sum(axis=1) > fmt.max_raw).any()
+                certified = n_add_takes_bound_path(words, fmt, monkeypatch)
+                monkeypatch.undo()
+                ctx = FxContext()
+                streamed_n_add(words, fmt, ctx)
+                saturates = ctx.overflow
+                assert not (certified and saturates)
+                outcomes[saturates, certified] = outcomes.get((saturates, certified), 0) + 1
+    assert outcomes.get((True, False), 0) > 0
+    assert outcomes[False, True] > outcomes.get((False, False), 0)
+
+
+def test_n_add_never_certifies_saturating_words(monkeypatch):
+    # adversarial words: a single min_raw, one row's signs on words that sum
+    # to max_raw + 1, and a prefix one past the limit that returns to zero
+    fmt = FxFormat(12, 8)
+    rng = np.random.default_rng(67)
+    for n in range(1, 9):
+        size = 1 << n
+        cases = []
+        for col in {1, size // 2, size - 1}:  # column 0 is never negated
+            words = np.zeros((2, size), dtype=np.int64)
+            words[1, col] = fmt.min_raw
+            cases.append(words)
+        row = int(rng.integers(size))
+        signs = hadamard_sign_column(row, n)  # the sign matrix is symmetric
+        cuts = np.sort(rng.integers(0, fmt.max_raw + 2, size - 1))
+        magnitudes = np.diff(cuts, prepend=0, append=fmt.max_raw + 1)
+        words = np.zeros((2, size), dtype=np.int64)
+        words[0] = signs * magnitudes
+        cases.append(words)
+        if size > 1:
+            back = words.copy()
+            half = size // 2
+            back[0, :half] = signs[:half] * np.diff(
+                np.sort(rng.integers(0, fmt.max_raw + 2, half - 1)), prepend=0,
+                append=fmt.max_raw + 1)
+            back[0, half:] = -signs[half:] * np.abs(back[0, :half])[::-1]
+            cases.append(back)
+        for words in cases:
+            assert not n_add_takes_bound_path(words, fmt, monkeypatch), (n, words)
+            monkeypatch.undo()
+            ctx = FxContext()
+            _n_add(words.copy(), fmt, ctx)
+            assert ctx.overflow
+
+
+def prefix_saturating_words(n, fmt):
+    """Words (k, k, k, -k) on columns 0..3, k = 0.4 max_raw: every row sums
+    to +/-2k, in range, but the rows whose signs there are all + reach 3k."""
+    k = 2 * fmt.max_raw // 5
+    words = np.zeros((2, 1 << n), dtype=np.int64)
+    words[:, :4] = [k, k, k, -k]
+    return words
+
+
+def test_n_add_skips_the_prefix_pass_when_a_sum_leaves_the_range(monkeypatch):
+    # a row whose whole sum leaves the range saturates, so _n_add goes
+    # straight to the clamp pass; one whose prefixes alone do needs both
+    fmt = FxFormat(12, 8)
+    for n in (2, 5, 9):
+        past = np.zeros((2, 1 << n), dtype=np.int64)
+        past[0, :2] = fmt.max_raw // 2 + 1  # row 0 sums to max_raw + 1
+        for words, prefix_pass in ((past, False), (prefix_saturating_words(n, fmt), True)):
+            passes = []
+            prefix_combine = pipeline._prefix_combine
+            monkeypatch.setattr(pipeline, "_prefix_combine",
+                                lambda *args: passes.append(1) or prefix_combine(*args))
+            assert assert_n_add_matches_stream(words, fmt)
+            monkeypatch.undo()
+            assert bool(passes) == prefix_pass
+
+
+def test_n_add_frees_the_prefix_pass_before_clamping():
+    # every sum is in range but some prefixes are not, so both passes run;
+    # keeping the prefix pass's three arrays through the clamp pass peaked
+    # at 10.5 x the words, and N-sized butterfly scratch at 7.5 x
+    fmt = FxFormat(12, 8)
+    words = prefix_saturating_words(18, fmt)
     ctx = FxContext()
     tracemalloc.start()
     try:
@@ -607,20 +702,27 @@ def test_passes_update_the_register_in_place(fmt):
 
 
 @pytest.mark.parametrize("fmt", [FxFormat(32, 20), FxFormat(32, 25)], ids=lambda f: f.name)
-def test_run_qaoa_holds_one_register(fmt):
+def test_run_qaoa_holds_one_register(fmt, monkeypatch):
     # every stage updates the one (2, N) int64 register in place, and 1_MULT
-    # rounds and clips its fresh products in place.  A run peaks at 4.82 x
-    # (q12.20) and 4.88 x (q7.25) the register, in N_ADD's prefix pass;
-    # 1_MULT stays below 4.4 x.  Out-of-place rounding and clipping in
-    # 1_MULT would reach 5.3 x, and a second re/im pair, a stacked copy for
-    # N_ADD or a start vector held to readout would each add at least 1 x.
-    # The cost, mixer and CORDIC tables belong to the graph, n and the
-    # format, not to the run, so they are built before tracing.
+    # rounds and clips its products in place.  A run peaks at 4.25 x the
+    # register in 1_MULT; N_ADD stays below 4 x.  The q12.20 run never
+    # saturates, and the N_ADD certificate spares it every prefix pass; the
+    # q7.25 run's saturating passes go straight to the clamp pass, since a
+    # row's whole sum leaves the range.  An out-of-place 1_MULT of
+    # both rows at once would reach 5.3 x, and a second re/im pair, a
+    # stacked copy for N_ADD or a start vector held to readout would each
+    # add at least 1 x.  The cost, mixer and CORDIC tables belong to the
+    # graph, n and the format, not to the run, so they are built before
+    # tracing.
     n = 16
     g = random_graph(np.random.default_rng(5), n, weight_range=(0.2, 3.0))
     params = QaoaParams.from_lists([0.3, 0.2], [0.4, 0.7])
     g.cost_table, mixer_table(n)
     run_qaoa(path_graph(2), params, PipelineConfig(fmt=fmt))  # builds the CORDIC table
+    prefix_passes = []
+    prefix_combine = pipeline._prefix_combine
+    monkeypatch.setattr(pipeline, "_prefix_combine",
+                        lambda *args: prefix_passes.append(1) or prefix_combine(*args))
     tracemalloc.start()
     try:
         _, counts = run_qaoa(g, params, PipelineConfig(fmt=fmt))
@@ -628,4 +730,5 @@ def test_run_qaoa_holds_one_register(fmt):
     finally:
         tracemalloc.stop()
     assert counts.overflow == (fmt.name == "q7.25")
+    assert not prefix_passes
     assert peak <= 5 * 2 * 8 * (1 << n)

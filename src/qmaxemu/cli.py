@@ -260,6 +260,8 @@ def cmd_bench(args) -> int:
     for name in engines:
         if name not in ENGINE_NAMES:
             raise InputError(f"unknown engine {name!r}")
+    if len(set(engines)) < len(engines):
+        raise InputError(f"--engine names an engine twice: {args.engine!r}")
     # Fixed bench parameters, small enough that the streamed amplitudes of
     # complete graphs stay inside the default format's integer headroom.
     gamma = tuple(0.2 for _ in range(args.layers))

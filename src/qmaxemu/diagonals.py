@@ -11,13 +11,22 @@ Each diagonal takes few distinct values: the cost table is symmetric under
 complementing every bit, and the mixer table takes n + 1 values.  So the
 engines evaluate a per-element function on the distinct angles only
 (cost_half_angles, mixer_level_angles) and widen the result to all N
-states with the table's expand.
+states with the table's expand.  An angle whose float64 product overflows
+saturates at +/-max float64, with no numpy warning.  That lies past every
+word range, so the pipeline's CALCULATE_RAD saturates it as it would the
+exact product; the float64 engines reject such a parameter, which they
+find from the table's peak.
+
+The same symmetry holds for the pipeline's state, which run_qaoa keeps in
+its parity sector, N/2 words indexed by the low n - 1 bits j; sector_table
+gives the mixer's exponents there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,6 +51,12 @@ class CostDiagonal:
         reversed, so out[l] == out[2**n - 1 - l] as for entries."""
         return np.concatenate((half, half[::-1]))
 
+    @cached_property
+    def peak(self) -> float:
+        """The largest |entry|: gamma * peak is finite exactly when every
+        cost angle is.  Two scans, and no N-element temporary."""
+        return float(max(self.entries.max(), -self.entries.min()))
+
 
 @dataclass(frozen=True)
 class MixerExponents:
@@ -57,6 +72,12 @@ class MixerExponents:
     @property
     def u(self) -> np.ndarray:  # a fresh int64 array; no engine reads it
         return 2 * self.popcount.astype(np.int64) - self.n
+
+    @property
+    def peak(self) -> float:
+        """The largest |u|, n: beta * peak is finite exactly when every
+        mixer angle is."""
+        return float(self.n)
 
     def expand(self, levels: np.ndarray) -> np.ndarray:
         """Per-state values from the n + 1 per-exponent ones, by popcount."""
@@ -90,6 +111,47 @@ def mixer_table(n: int) -> MixerExponents:
     return m
 
 
+@dataclass(frozen=True)
+class ParitySector:
+    """The even-popcount states of N = 2**n, one in each pair {j, j + N/2},
+    indexed by j < N/2: state j where popcount(j) is even, else j + N/2.
+
+    odd[j] is 1 where the state is j + N/2, and level[j] is the state's
+    popcount, popcount(j) + odd[j], which indexes the mixer's n + 1
+    per-exponent values.
+    """
+
+    level: np.ndarray  # uint8, length 2**(n-1)
+    odd: np.ndarray  # uint8, length 2**(n-1)
+    n: int
+
+    def expand(self, levels: np.ndarray) -> np.ndarray:
+        """Per-state values of the sector from the n + 1 per-exponent ones."""
+        return levels[self.level]
+
+
+@lru_cache(maxsize=None)
+def sector_table(n: int) -> ParitySector:
+    """The pipeline's parity-sector table, built once per n from
+    mixer_table(n) and shared, so read-only."""
+    popcount = mixer_table(n).popcount[:1 << (n - 1)]
+    odd = popcount & 1
+    level = popcount + odd
+    for a in (level, odd):
+        a.flags.writeable = False
+    return ParitySector(level=level, odd=odd, n=n)
+
+
+def _scaled(factor: float, values: np.ndarray, peak: float) -> np.ndarray:
+    """factor * values, where peak bounds |values|; a product past float64
+    saturates at +/-max float64, without numpy's overflow warning."""
+    if math.isfinite(factor * peak):
+        return factor * values
+    top = np.finfo(np.float64).max
+    with np.errstate(over="ignore"):
+        return np.clip(factor * values, -top, top)
+
+
 def cost_angles(d: CostDiagonal, gamma: float) -> np.ndarray:
     """Phase angles of the cost diagonal: exp(i*angle[l]) with angle = -gamma*entry."""
     return -gamma * d.entries
@@ -99,7 +161,7 @@ def cost_half_angles(d: CostDiagonal, gamma: float) -> np.ndarray:
     """The cost angles of the lower half, which hold every distinct one:
     d.expand(cost_half_angles(d, gamma)) equals cost_angles(d, gamma) bit
     for bit."""
-    return -gamma * d.entries[:len(d.entries) // 2]
+    return _scaled(-gamma, d.entries[:len(d.entries) // 2], d.peak)
 
 
 def mixer_angles(m: MixerExponents, beta: float) -> np.ndarray:
@@ -111,4 +173,4 @@ def mixer_level_angles(m: MixerExponents, beta: float) -> np.ndarray:
     """The n + 1 distinct mixer angles u*beta, u = -n, -n+2, ..., n, in the
     order popcount indexes them: mixer_angles(m, beta) equals
     mixer_level_angles(m, beta)[m.popcount] bit for bit."""
-    return np.arange(-m.n, m.n + 1, 2, dtype=np.int64).astype(np.float64) * beta
+    return _scaled(beta, np.arange(-m.n, m.n + 1, 2, dtype=np.int64).astype(np.float64), m.peak)

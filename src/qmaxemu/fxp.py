@@ -444,8 +444,10 @@ def _cordic_leaf(rad_q1: np.ndarray, fmt: FxFormat) -> np.ndarray:
     """Each first-quadrant input's _cordic_table leaf, by the bucket index."""
     shift, first, nxt = _cordic_index(fmt)
     bucket = rad_q1 >> shift
+    leaf, leaf_end = first[bucket], nxt[bucket]
+    del bucket  # freed before the index is built
     # an intp index gathers directly; an int32 one is converted on each gather
-    return np.add(first[bucket], rad_q1 >= nxt[bucket], dtype=np.intp)
+    return np.add(leaf, rad_q1 >= leaf_end, dtype=np.intp)
 
 
 def vec_cordic_sincos(rad_q1: np.ndarray, fmt: FxFormat) -> tuple[np.ndarray, np.ndarray]:
@@ -485,7 +487,9 @@ def vec_sincos(raw: np.ndarray, fmt: FxFormat) -> tuple[np.ndarray, np.ndarray]:
     rad -= centre[q]
     _, x, y = _cordic_table(fmt)
     leaf = _cordic_leaf(np.abs(rad, out=rad), fmt)
+    del rad  # each temporary is freed once read, for the pipeline's peak
     cos, sin = x[leaf], y[leaf]
+    del leaf
     cos *= cos_sign[q]
     sin *= sin_sign[q]
     return cos, sin

@@ -8,12 +8,22 @@ after every addition.  An operation therefore takes N + PIPELINE_LATENCY
 clocks and costs N complex multiplies plus N*N complex additions; those
 modelled counts and the per-clock trace describe that streamed datapath.
 
-The state is one (2, N) int64 register, real and imaginary rows, which each
-pass overwrites in place, as the result register replaces the state memory
-at drain; run_qaoa builds the float64 StateVector once, at readout (words of
-<= 32 bits make that image lossless).  1_MULT (fxp.vec_cmul) rounds and
-clips its products in place on the register, where a run peaks, at 4.25
-times the register at n = 16; N_ADD stays below 4 times.
+The state is one int64 register, real and imaginary rows, which each pass
+overwrites in place, as the result register replaces the state memory at
+drain; run_qaoa builds the float64 StateVector once, at readout (words of
+<= 32 bits make that image lossless).  run_qaoa holds it in the state's
+parity sector (complement symmetry; Shaydulin & Wild, IEEE TQE 2, 2021):
+N/2 words per row, the lower half h before a cost pass and the words e at
+the even-popcount states after one.  A pass whose N_ADD input has
+sum(|w|) <= max_raw in each row runs as an N/2 1_MULT and an N/2
+butterfly (_sector_n_add); any other pass builds the full (2, N) product
+for _n_add, and the run returns to the sector unless a row saturated,
+after which it holds the full register to the end.  1_MULT (fxp.vec_cmul)
+rounds and clips its products in place on the register, where a run
+peaks: at 2.25 times the full register when every pass is certified, and
+at 4.25 times on the full register, at n = 16 and 20.  A pass that takes
+the full-N N_ADD holds the N/2 words beside it (up to 4.45 times where a
+q7.25 pass at n = 16 clamps).
 
 The host evaluates the datapath in a different order with identical words
 and flags.  The per-element stages are batch-evaluated, which is
@@ -45,7 +55,8 @@ from typing import Callable
 import numpy as np
 
 from . import fxp
-from .diagonals import cost_half_angles, mixer_level_angles, mixer_table
+from .diagonals import (ParitySector, cost_half_angles, mixer_level_angles, mixer_table,
+                        sector_table)
 from .diagonals import build_cost_diagonal  # noqa: F401  unused; in perfbench's SITES
 from .fxp import FxContext, FxFormat
 from .graph import WeightedGraph, check_qubit_count
@@ -365,12 +376,18 @@ def init_uniform_state(n: int, fmt: FxFormat = FxFormat()) -> StateVector:
     Stored amplitude is 2**-ceil(n/2); the residual scale (including the
     sqrt(2) for odd n) lives in scale_exp so the physical norm is exactly 1.
     """
+    value, scale_exp = _uniform_start(n, fmt)
+    amps = np.full(1 << n, value, dtype=np.complex128)
+    return StateVector(amps=amps, scale_exp=scale_exp, n=n)
+
+
+def _uniform_start(n: int, fmt: FxFormat) -> tuple[float, Fraction]:
+    """init_uniform_state's stored amplitude and scale exponent."""
     check_qubit_count(n)
     half_up = (n + 1) // 2
     if fmt.frac_bits < half_up:
         raise ValueError(f"format {fmt.name} cannot store 2**-{half_up}")
-    amps = np.full(1 << n, 2.0 ** -half_up, dtype=np.complex128)
-    return StateVector(amps=amps, scale_exp=Fraction(half_up) - Fraction(n, 2), n=n)
+    return 2.0 ** -half_up, Fraction(half_up) - Fraction(n, 2)
 
 
 def _emit_op_trace(write: TraceWriter, n_states: int, layer: int, order: str,
@@ -403,11 +420,64 @@ def _emit_op_trace(write: TraceWriter, n_states: int, layer: int, order: str,
         })
 
 
+def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFormat,
+                  ctx: FxContext) -> np.ndarray:
+    """N_ADD of a pass run in the parity sector (see run_qaoa) on its N/2
+    1_MULT words; returns the register the pass leaves.
+
+    The pass's N product words are words and their mirror for a cost pass,
+    and words at the sector's states, 0 elsewhere, for a mixer pass, so each
+    row's sum of |w| is twice or once that of words.  When it is at most
+    max_raw, N_ADD is the plain transform, and since sign(i, N-1-c) =
+    sign(i, c) * (-1)**popcount(i), and sign(i, c) for c < N/2 depends only
+    on i mod N/2:
+    - after a cost pass the odd-popcount rows are exactly 0, and an even
+      one is twice row i mod N/2 of the N/2 transform of words, which is
+      therefore the register e;
+    - after a mixer pass the result is its own mirror, and its lower half is
+      the N/2 transform of words, the register h.
+
+    Otherwise the full (2, N) product is built and _n_add runs on it with a
+    local context.  If no row saturated, its result is still the plain
+    transform, and the run returns to the sector in words; if one did, the
+    symmetry may be broken, and the full register is returned.  So words
+    is returned, updated in place, unless a row saturated.
+    """
+    half = words.shape[-1]
+    cost = order == "cost"
+    l1 = np.abs(words).sum(axis=-1)
+    if cost:
+        l1 *= 2
+    if (l1 <= fmt.max_raw).all():
+        butterfly((words,), _sum_diff)
+        if cost:
+            words <<= 1
+        return words
+    full = np.empty((2, 2 * half), dtype=np.int64)
+    lower, upper = full[:, :half], full[:, half:]
+    if cost:
+        lower[...] = words
+        upper[...] = words[:, ::-1]
+    else:  # no scatter: word j goes to state j + N/2 where odd[j], else to j
+        np.multiply(words, sector.odd, out=upper)
+        np.subtract(words, upper, out=lower)
+    local = FxContext()
+    _n_add(full, fmt, local)
+    if local.overflow:
+        ctx.overflow = True
+        return full
+    if cost:  # one word of each pair {j, j + N/2} is 0
+        return np.add(lower, upper, out=words)
+    words[...] = lower
+    return words
+
+
 def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineConfig,
                          ctx: FxContext | None = None,
                          trace_writer: TraceWriter | None = None,
                          layer: int = 0, order: str = "cost",
-                         expand: Expand = _stream_as_is) -> np.ndarray:
+                         expand: Expand = _stream_as_is,
+                         sector: ParitySector | None = None) -> np.ndarray:
     """One streamed phase-and-transform pass: out = H1 . (diag(e^{i angles}) . in).
 
     words is the (2, N) int64 register of the N input amplitudes; the pass
@@ -420,8 +490,15 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     table's expand, angles holds the distinct angles, every one of them
     streamed: the angle stages and CORDIC run once per distinct angle, and
     their words are expanded before 1_MULT.
+
+    With run_qaoa's sector, a register of N/2 words holds the state in its
+    parity sector.  1_MULT then runs on those words, taking the distinct
+    angles' words as they are in a cost pass and by sector.expand in a
+    mixer pass, and N_ADD is _sector_n_add, whose register is returned;
+    the trace still streams expand(angles).
     """
-    n_states = words.shape[-1]
+    n_states = 1 << sector.n if sector is not None else words.shape[-1]
+    in_sector = words.shape[-1] < n_states
     if ctx is None:
         ctx = FxContext()
     fmt = cfg.fmt
@@ -436,16 +513,23 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
         _, neg_cos, neg_sin = fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)
     cos_raw, sin_raw = fxp.vec_sincos(rad, fmt)
     del rad  # free the angle words before 1_MULT
-    cos_raw, sin_raw = expand(cos_raw), expand(sin_raw)
-    if cos_raw.shape != (n_states,):
-        raise ValueError(f"expected {n_states} angles, streamed {cos_raw.shape}")
+    if in_sector:
+        stream = sector.expand if order == "mixer" else _stream_as_is
+    else:
+        stream = expand
+    cos_raw, sin_raw = stream(cos_raw), stream(sin_raw)
+    if cos_raw.shape != (words.shape[-1],):
+        raise ValueError(f"expected {words.shape[-1]} angles, streamed {cos_raw.shape}")
     fxp.vec_cmul(words, cos_raw, sin_raw, fmt, ctx)
     del cos_raw, sin_raw  # free them before N_ADD
 
     # N_ADD: the hardware accumulates the product stream into all N slots in
     # ascending stream order, saturating after each addition; _n_add gives
     # the same words and flag by butterflies over the register, in place.
-    _n_add(words, fmt, ctx)
+    if in_sector:
+        words = _sector_n_add(words, order, sector, fmt, ctx)
+    else:
+        _n_add(words, fmt, ctx)
 
     if trace_writer is not None:
         _emit_op_trace(trace_writer, n_states, layer, order,
@@ -457,19 +541,23 @@ def run_layer(words: np.ndarray, d_cost_angles: np.ndarray,
               d_mixer_angles: np.ndarray, cfg: PipelineConfig,
               ctx: FxContext | None = None, trace_writer: TraceWriter | None = None,
               layer: int = 0, cost_expand: Expand = _stream_as_is,
-              mixer_expand: Expand = _stream_as_is) -> np.ndarray:
+              mixer_expand: Expand = _stream_as_is,
+              sector: ParitySector | None = None) -> np.ndarray:
     """Cost pass, mixer pass, then the end-of-layer arithmetic right shift.
 
     Updates the (2, N) register words in place and returns it.  The two
     passes grow the state by exactly 2**n in norm, so the n-bit shift
     realizes the layer's 1/2**n factor and leaves the scale exponent
-    unchanged.  Each pass streams its expand of its angles.
+    unchanged.  Each pass streams its expand of its angles.  With a sector,
+    a pass may return a new register (run_elemental_ansatz), and the layer
+    returns the one it leaves.
     """
-    run_elemental_ansatz(words, d_cost_angles, cfg, ctx, trace_writer,
-                         layer=layer, order="cost", expand=cost_expand)
-    run_elemental_ansatz(words, d_mixer_angles, cfg, ctx, trace_writer,
-                         layer=layer, order="mixer", expand=mixer_expand)
-    words >>= words.shape[-1].bit_length() - 1
+    n = sector.n if sector is not None else words.shape[-1].bit_length() - 1
+    words = run_elemental_ansatz(words, d_cost_angles, cfg, ctx, trace_writer, layer=layer,
+                                 order="cost", expand=cost_expand, sector=sector)
+    words = run_elemental_ansatz(words, d_mixer_angles, cfg, ctx, trace_writer, layer=layer,
+                                 order="mixer", expand=mixer_expand, sector=sector)
+    words >>= n
     return words
 
 
@@ -477,28 +565,39 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
              trace_writer: TraceWriter | None = None) -> tuple[StateVector, OpCounts]:
     """Full accelerator run: uniform init, then p layers of cost+mixer passes.
 
-    The tables are g.cost_table and mixer_table(n).  Each pass evaluates its
-    distinct angles only: the cost passes the N/2 of the lower half,
-    mirrored, the mixer passes the n + 1 levels, gathered by popcount.
+    The tables are g.cost_table, mixer_table(n) and sector_table(n).  Each
+    pass evaluates its distinct angles only: the cost passes the N/2 of the
+    lower half, mirrored, the mixer passes the n + 1 levels, gathered by
+    popcount.
+
+    The register holds the state's parity sector, N/2 words per row: the
+    start state and each cost-pass product are their own mirror, so before
+    a cost pass it is the lower half h, and after one the words e at the
+    even-popcount states (sector_table; _sector_n_add says why).  After an
+    N_ADD that saturates, the run holds the full (2, N) register to the
+    end, since the symmetry may break.  Words, flags, counts and traces are
+    those of the full-N passes.
     """
     n = g.num_vertices
     n_states = 1 << n
     diag = g.cost_table  # rejects n above MAX_QUBITS before allocating
-    mixer = mixer_table(n)
-    start = init_uniform_state(n, cfg.fmt)
-    words = np.zeros((2, n_states), dtype=np.int64)
-    words[0], scale_exp = fxp.vec_from_real(start.amps.real, cfg.fmt), start.scale_exp
-    del start  # only its scale exponent is needed until readout
+    mixer, sector = mixer_table(n), sector_table(n)
+    value, scale_exp = _uniform_start(n, cfg.fmt)
+    words = np.zeros((2, n_states // 2), dtype=np.int64)
+    words[0] = fxp.vec_from_real(np.full(1, value), cfg.fmt)
     ctx = FxContext()
     for layer in range(params.p):
-        run_layer(words, cost_half_angles(diag, params.gamma[layer]),
-                  mixer_level_angles(mixer, params.beta[layer]),
-                  cfg, ctx, trace_writer, layer=layer,
-                  cost_expand=diag.expand, mixer_expand=mixer.expand)
+        words = run_layer(words, cost_half_angles(diag, params.gamma[layer]),
+                          mixer_level_angles(mixer, params.beta[layer]),
+                          cfg, ctx, trace_writer, layer=layer, cost_expand=diag.expand,
+                          mixer_expand=mixer.expand, sector=sector)
     ops = 2 * params.p
     counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
                       cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,
                       overflow=ctx.overflow)
     amps = np.empty(n_states, dtype=np.complex128)
-    amps.real, amps.imag = (fxp.vec_to_float(row, cfg.fmt) for row in words)
+    for part, row in zip((amps.real, amps.imag), words):
+        part[:row.size] = fxp.vec_to_float(row, cfg.fmt)
+        if row.size < n_states:  # the sector's h: the state is h, then h reversed
+            part[row.size:] = part[row.size - 1::-1]
     return StateVector(amps=amps, scale_exp=scale_exp, n=n), counts

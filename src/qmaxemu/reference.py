@@ -24,6 +24,7 @@ through align_global_phase.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,8 @@ def dense_cost_unitary(g: WeightedGraph, gamma: float) -> np.ndarray:
     diag = np.ones(len(idx), dtype=np.complex128)
     for i, j, w in g.edges:
         theta = -2.0 * w * gamma
+        if not math.isfinite(theta):
+            raise ValueError(f"cost phase -2*w*gamma overflows float64 at gamma={gamma!r}")
         differ = ((idx >> i) ^ (idx >> j)) & 1
         diag = diag * np.where(differ, np.exp(0.5j * theta), np.exp(-0.5j * theta))
     return diag
@@ -130,15 +133,19 @@ def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
     state vectors: the state, N/2 phases and their expansion.  The
     transform is computed by the butterfly, but counts describe the
     decomposed dataflow, as run_qaoa's do: N multiplies and N*N additions
-    per transform, 2*p transforms.
+    per transform, 2*p transforms.  A parameter whose angles overflow
+    float64 is rejected, as their phases would be NaN.
     """
     n = g.num_vertices
     n_states = 1 << n
     diag = g.cost_table  # rejects n above MAX_QUBITS before allocating
     mixer = mixer_table(n)
+    passes = ((diag, cost_half_angles, params.gamma), (mixer, mixer_level_angles, params.beta))
+    for table, _, theta in passes:
+        if not all(math.isfinite(t * table.peak) for t in theta):
+            raise ValueError(f"a phase angle overflows float64 at parameters {theta!r}")
     v = np.full(n_states, 1.0 / np.sqrt(n_states), dtype=np.complex128)
     scale = 1.0 / n_states
-    passes = ((diag, cost_half_angles, params.gamma), (mixer, mixer_level_angles, params.beta))
     for k in range(params.p):
         for table, angles, theta in passes:
             phases = table.expand(np.exp(1j * angles(table, theta[k])))

@@ -74,7 +74,10 @@ def expectation(state: StateVector, d: CostDiagonal) -> ExpectationResult:
 
     A cut l and its complement N-1-l tie in exact arithmetic, so the modal
     cut is the pair with the largest summed probability, reported by its
-    lower index; ties between pairs resolve to the lowest."""
+    lower index.  Pairs whose computed sums are exactly equal resolve to
+    the lowest index.  Pairs that are equal only in exact arithmetic, as
+    under a symmetry of the graph, are not ties: with the float64 engines,
+    rounding chooses between them."""
     if len(state.amps) != len(d.entries):
         raise ValueError("state and cost diagonal lengths differ")
     probs = probabilities(state)

@@ -107,6 +107,31 @@ def test_emulate_saturating_angle_prints_no_warning(capsys, triangle_file):
     assert json.loads(captured.out)["overflow"] is True
 
 
+def test_emulate_gamma_past_float64_saturates_in_the_pipeline(capsys, triangle_file):
+    # gamma * cost overflows float64 itself: CALCULATE_RAD still saturates
+    # it with the flag, as at 1e305, and numpy says nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["emulate", "--graph", triangle_file, "--gamma", "1e308",
+                     "--beta", "0.3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["overflow"] is True
+
+
+@pytest.mark.parametrize("engine", ["decomposed-f64", "dense"])
+def test_emulate_gamma_past_float64_is_an_input_error_in_float64(capsys, triangle_file,
+                                                                 engine):
+    # the float64 engines' phases would be NaN, printed as invalid JSON
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["emulate", "--graph", triangle_file, "--engine", engine,
+                     "--gamma", "1e308", "--beta", "0.3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "overflows float64" in captured.err
+
+
 def test_emulate_fixed_point_flag(capsys, triangle_file):
     code, out = run_cli(capsys, "emulate", "--graph", triangle_file,
                         "--gamma", "0.3", "--beta", "0.2",
@@ -318,6 +343,14 @@ def test_bench_csv_format(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("n,engine,layers")
     assert lines[1].split(",")[0] == "3"
+
+
+def test_bench_rejects_an_engine_named_twice(capsys):
+    code = main(["bench", "--qubits", "2..3", "--layers", "1",
+                 "--engine", "pipeline,pipeline"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "twice" in captured.err
 
 
 def test_bench_skips_dense_beyond_guard(capsys):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qmaxemu import (QaoaParams, WeightedGraph, assignment_from_index, build_cos
                      build_mixer_exponents, cost_angles, cost_half_angles, cut_value,
                      cut_values_all, decomposed_run_qaoa_f64, diagonals, mixer_angles,
                      mixer_level_angles, mixer_table, run_qaoa)
+from qmaxemu.diagonals import sector_table
 from qmaxemu.graph import MAX_QUBITS
 
 from conftest import random_graph
@@ -233,3 +235,28 @@ def test_cost_half_angles_mirror_to_cost_angles_bitwise(n):
         # the float64 engine's phases: exp on N/2 angles, then the mirror
         assert (d.expand(np.exp(1j * half)).tobytes()
                 == np.exp(1j * cost_angles(d, gamma)).tobytes())
+
+
+def test_sector_table_holds_the_even_popcount_state_of_each_pair():
+    for n in (1, 2, 5, 10):
+        sector, m = sector_table(n), mixer_table(n)
+        assert sector_table(n) is sector and sector.n == n
+        assert not sector.level.flags.writeable and not sector.odd.flags.writeable
+        half = 1 << (n - 1)
+        state = np.arange(half) + half * sector.odd.astype(np.int64)
+        assert (m.popcount[state] % 2 == 0).all()
+        assert (sector.level == m.popcount[state]).all()
+        levels = np.arange(n + 1) * 10
+        assert (sector.expand(levels) == m.expand(levels)[state]).all()
+
+
+def test_angles_past_float64_saturate_without_a_warning():
+    triangle = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
+    d, m = build_cost_diagonal(triangle, 3), build_mixer_exponents(3)
+    top = np.finfo(np.float64).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cost_half_angles(d, 1e308).tolist() == [0.0, -top, -top, -top]
+        assert mixer_level_angles(m, 1e308).tolist() == [-top, -1e308, 1e308, top]
+        # a product that fits is float64's own
+        assert cost_half_angles(d, 1e307).tobytes() == (-1e307 * d.entries[:4]).tobytes()

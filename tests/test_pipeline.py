@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmaxemu import (QaoaParams, StateVector, WeightedGraph, build_cost_diagonal,
                      build_mixer_exponents, cost_angles, cost_half_angles,
@@ -12,6 +14,7 @@ from qmaxemu import (QaoaParams, StateVector, WeightedGraph, build_cost_diagonal
                      hadamard_sign, init_uniform_state, mixer_angles,
                      mixer_level_angles, mixer_table, probabilities, pipeline,
                      run_elemental_ansatz, run_layer, run_qaoa)
+from qmaxemu.diagonals import sector_table
 from qmaxemu.fxp import FxContext, FxFormat
 from qmaxemu.pipeline import (PIPELINE_LATENCY, PipelineConfig, _n_add,
                               hadamard_sign_column)
@@ -703,21 +706,25 @@ def test_passes_update_the_register_in_place(fmt):
 
 @pytest.mark.parametrize("fmt", [FxFormat(32, 20), FxFormat(32, 25)], ids=lambda f: f.name)
 def test_run_qaoa_holds_one_register(fmt, monkeypatch):
-    # every stage updates the one (2, N) int64 register in place, and 1_MULT
-    # rounds and clips its products in place.  A run peaks at 4.25 x the
-    # register in 1_MULT; N_ADD stays below 4 x.  The q12.20 run never
+    # every stage updates the register in place, and 1_MULT rounds and
+    # clips its products in place.  Here passes fail the parity sector's
+    # sum-of-|w| check, so their N_ADD runs on the full (2, N) register,
+    # beside the N/2 words: the q12.20 run peaks at 3.76 x the full
+    # register, in the block bound.  The q7.25 run saturates in its first
+    # mixer pass and stays on the full register, peaking at 4.45 x where
+    # that pass clamps, then at 4.25 x in 1_MULT.  The q12.20 run never
     # saturates, and the N_ADD certificate spares it every prefix pass; the
     # q7.25 run's saturating passes go straight to the clamp pass, since a
     # row's whole sum leaves the range.  An out-of-place 1_MULT of
     # both rows at once would reach 5.3 x, and a second re/im pair, a
     # stacked copy for N_ADD or a start vector held to readout would each
-    # add at least 1 x.  The cost, mixer and CORDIC tables belong to the
-    # graph, n and the format, not to the run, so they are built before
-    # tracing.
+    # add at least 1 x.  The cost, mixer, sector and CORDIC tables belong
+    # to the graph, n and the format, not to the run, so they are built
+    # before tracing.
     n = 16
     g = random_graph(np.random.default_rng(5), n, weight_range=(0.2, 3.0))
     params = QaoaParams.from_lists([0.3, 0.2], [0.4, 0.7])
-    g.cost_table, mixer_table(n)
+    g.cost_table, mixer_table(n), sector_table(n)
     run_qaoa(path_graph(2), params, PipelineConfig(fmt=fmt))  # builds the CORDIC table
     prefix_passes = []
     prefix_combine = pipeline._prefix_combine
@@ -732,3 +739,111 @@ def test_run_qaoa_holds_one_register(fmt, monkeypatch):
     assert counts.overflow == (fmt.name == "q7.25")
     assert not prefix_passes
     assert peak <= 5 * 2 * 8 * (1 << n)
+
+
+def test_certified_run_holds_the_parity_sector(monkeypatch):
+    # every pass of this run is certified by sum |w| in the sector, so no
+    # full-N N_ADD runs and the register stays N/2 words of each row: the
+    # run peaks at 2.25 x the full (2, N) register, in 1_MULT, where the
+    # full-N passes peak at 4.25 x
+    n = 16
+    g = random_graph(np.random.default_rng(5), n, weight_range=(0.2, 3.0))
+    params = QaoaParams.from_lists([0.02, 0.01], [0.4, 0.7])
+    cfg = PipelineConfig(fmt=FxFormat(32, 20))
+    g.cost_table, mixer_table(n), sector_table(n)
+    run_qaoa(path_graph(2), params, cfg)  # builds the CORDIC table
+    full_passes = []
+    n_add = pipeline._n_add
+    monkeypatch.setattr(pipeline, "_n_add",
+                        lambda *args: full_passes.append(1) or n_add(*args))
+    tracemalloc.start()
+    try:
+        _, counts = run_qaoa(g, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not counts.overflow and not full_passes
+    assert peak <= 2.5 * 2 * 8 * (1 << n)
+
+
+def _parity_breaks(order, words):
+    """Whether a full-N register after a pass of this order lies outside the
+    parity sector: odd-popcount states not 0 after a cost pass, or a state
+    that is not its own mirror after a mixer pass."""
+    if order == "cost":
+        odd = mixer_table(words.shape[-1].bit_length() - 1).popcount & 1
+        return bool(words[:, odd == 1].any())
+    return bool((words != words[:, ::-1]).any())
+
+
+@pytest.mark.parametrize("fmt,n,seed,gamma,beta,registers,breaks", [
+    # the first mixer pass saturates: the run leaves the sector there
+    (FxFormat(32, 25), 10, 229, [0.9, 0.4], [0.5, 1.1], [512, 1024, 1024, 1024], None),
+    # the first cost pass saturates, and the symmetry breaks there
+    (FxFormat(12, 8), 10, 0, [0.3, 1.4], [0.8, 0.2], [1024] * 4, 0),
+    # the mixer passes fail sum |w| but saturate no row: back to the sector
+    (FxFormat(32, 25), 8, 0, [0.9, 0.4], [0.5, 1.1], [128] * 4, None),
+], ids=["q7.25-mixer", "q4.8-cost-breaks", "q7.25-returns"])
+def test_run_leaves_the_parity_sector_after_a_saturating_n_add(fmt, n, seed, gamma, beta,
+                                                               registers, breaks,
+                                                               monkeypatch):
+    g = random_graph(np.random.default_rng(seed), n, weight_range=(0.2, 3.0))
+    params = QaoaParams.from_lists(gamma, beta)
+    cfg = PipelineConfig(fmt=fmt)
+    passes = []
+    run_pass = pipeline.run_elemental_ansatz
+    full_passes = []
+    n_add = pipeline._n_add
+
+    def recording(*args, **kwargs):  # run_layer looks the pass up in the module
+        words = run_pass(*args, **kwargs)
+        passes.append((kwargs["order"], words.copy()))
+        return words
+
+    monkeypatch.setattr(pipeline, "run_elemental_ansatz", recording)
+    monkeypatch.setattr(pipeline, "_n_add",
+                        lambda *args: full_passes.append(1) or n_add(*args))
+    state, counts = run_qaoa(g, params, cfg)
+    got = [words.shape[-1] for _, words in passes]
+    assert full_passes  # every case runs the full-N N_ADD
+    passes.clear()
+    want, overflow = _run_streaming_every_angle(g, params, cfg)
+    assert got == registers
+    assert state.amps.tobytes() == to_amps(want, fmt).tobytes()
+    assert counts.overflow == overflow == (registers[-1] == 1 << n)
+    broken = [k for k, (order, words) in enumerate(passes) if _parity_breaks(order, words)]
+    assert (broken[0] if broken else None) == breaks
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(32, 20), FxFormat(32, 25)], ids=lambda f: f.name)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+       gamma=st.floats(0.0, 4.0), beta=st.floats(0.0, 4.0))
+@settings(max_examples=40, deadline=None)
+def test_certified_passes_keep_the_parity_sector(fmt, n, seed, gamma, beta):
+    # what run_qaoa's sector relies on, shown on the full-N passes: on a
+    # register whose N_ADD input has sum |w| <= max_raw in each row, a cost
+    # pass on a mirror-symmetric register leaves every odd-popcount state at
+    # exactly 0, and a mixer pass on a register that is 0 there returns its
+    # own mirror
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, weight_range=(0.2, 3.0))
+    d, m = g.cost_table, mixer_table(n)
+    odd = m.popcount & 1 == 1
+    cfg = PipelineConfig(fmt=fmt)
+    # |w| <= max_raw / (4N) in each part keeps each 1_MULT word below
+    # max_raw / (2N) + 2, so each row's sum of |w| below max_raw
+    top = fmt.max_raw // (4 << n)
+    half = rng.integers(-top, top + 1, (2, 1 << (n - 1)))
+    symmetric = np.concatenate((half, half[:, ::-1]), axis=1)
+    supported = rng.integers(-top, top + 1, (2, 1 << n))
+    supported[:, odd] = 0
+    for words, angles, table, order in ((symmetric, cost_half_angles(d, gamma), d, "cost"),
+                                        (supported, mixer_level_angles(m, beta), m, "mixer")):
+        cos, sin = fxp.vec_sincos(fxp.vec_from_real(angles, fmt), fmt)
+        product = fxp.vec_cmul(words.copy(), table.expand(cos), table.expand(sin), fmt)
+        assert (np.abs(product).sum(axis=-1) <= fmt.max_raw).all()  # certified
+        out = run_elemental_ansatz(words, angles, cfg, order=order, expand=table.expand)
+        if order == "cost":
+            assert not out[:, odd].any()
+        else:
+            assert (out == out[:, ::-1]).all()

@@ -14,16 +14,17 @@ drain; run_qaoa builds the float64 StateVector once, at readout (words of
 <= 32 bits make that image lossless).  run_qaoa holds it in the state's
 parity sector (complement symmetry; Shaydulin & Wild, IEEE TQE 2, 2021):
 N/2 words per row, the lower half h before a cost pass and the words e at
-the even-popcount states after one.  A pass whose N_ADD input has
-sum(|w|) <= max_raw in each row runs as an N/2 1_MULT and an N/2
-butterfly (_sector_n_add); any other pass builds the full (2, N) product
-for _n_add, and the run returns to the sector unless a row saturated,
-after which it holds the full register to the end.  1_MULT (fxp.vec_cmul)
-rounds and clips its products in place on the register, where a run
-peaks: at 2.25 times the full register when every pass is certified, and
-at 4.25 times on the full register, at n = 16 and 20.  A pass that takes
-the full-N N_ADD holds the N/2 words beside it (up to 4.45 times where a
-q7.25 pass at n = 16 clamps).
+the even-popcount states after one.  Every pass runs an N/2 1_MULT and an
+N/2 butterfly (_sector_n_add), which is its N_ADD when the block bound
+over the two halves of its N-stream, read off that transform, certifies
+that no row saturates (_halves_certified); any other pass builds the
+full (2, N) product for _n_add, and the run returns to the sector unless
+a row saturated, after which it holds the full register to the end.
+1_MULT (fxp.vec_cmul) rounds and clips its products in place on the
+register, where a run peaks: at 2.25 times the full register when every
+pass is certified, and at 4.25 times on the full register, at n = 16 and
+20.  A pass that takes the full-N N_ADD holds the N/2 words beside it (up
+to 4.45 times where a q7.25 pass at n = 16 clamps).
 
 The host evaluates the datapath in a different order with identical words
 and flags.  The per-element stages are batch-evaluated, which is
@@ -339,8 +340,10 @@ def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
         stream's map applied to 0.
 
     Pass (a) is skipped when a row's whole sum leaves the range.  It runs on
-    three copies, freed before the clamp pass runs on words and two bound
-    arrays (3.1 x words).
+    words, as its sum array, and two copies, freed before the clamp pass
+    runs on words and two bound arrays (each pass 2.2 x words beside them
+    at n = 18); when a row saturates, the transform in words is undone
+    first.
 
     Words are below 2**31 in magnitude and N <= 2**24, so every sum stays
     below 2**56 and the int64 arithmetic is exact.
@@ -359,11 +362,12 @@ def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
     butterfly((words,), _sum_diff)
     words >>= n
     if not saturates:
-        s, t, b = butterfly((words.copy(), words.copy(), words.copy()), _prefix_combine)
+        _, t, b = butterfly((words, words.copy(), words.copy()), _prefix_combine)
         if not ((t > fmt.max_raw).any() or (b < fmt.min_raw).any()):
-            words[...] = s
             return words
-        del s, t, b  # only the check needed them; free them before the clamp pass
+        del t, b  # only the check needed them; free them before the clamp pass
+        butterfly((words,), _sum_diff)
+        words >>= n
     ctx.overflow = True
     d, lo, hi = butterfly((words, np.full_like(words, fmt.min_raw),
                            np.full_like(words, fmt.max_raw)), _clamp_combine)
@@ -420,39 +424,78 @@ def _emit_op_trace(write: TraceWriter, n_states: int, layer: int, order: str,
         })
 
 
+def _halves_certified(h: np.ndarray, l_lo: np.ndarray, l_up: np.ndarray, cost: bool,
+                      fmt: FxFormat) -> bool:
+    """Whether a sector pass's N_ADD provably saturates no row, from its
+    N-stream's two halves: h is the N/2 transform of the pass's words, and
+    l_lo and l_up each half's sum of |w| per row.
+
+    Row i signs element c of either half by sign(i mod N/2, c), times
+    (-1)**(bit n-1 of i) in the upper half, so each half's |Y|, its
+    transform's magnitude, has period N/2 in i.  For a cost pass both
+    halves' |Y| is |h|.  For a mixer pass, since
+    sign(i, j) * (-1)**popcount(j) = sign(N/2-1-i, j), the lower half's Y
+    is (h + rev h)/2 and the upper half's (h - rev h)/2, rev h = h[::-1].
+    _top_levels_bound's pair bound, max(|Y_lo| + l_lo, 2|Y_lo| + |Y_up| +
+    l_up) <= 2 max_raw, then certifies every prefix of every row; it holds
+    whenever l_lo + l_up <= max_raw, which is tried first.
+    """
+    if (l_lo + l_up <= fmt.max_raw).all():
+        return True
+    if cost:
+        return bool((3 * np.abs(h).max(axis=-1) + l_up <= 2 * fmt.max_raw).all())
+    # 2|Y_lo| and 2|Y_up| are their own mirror: half of the rows suffice
+    rows = (h.shape[-1] + 1) // 2
+    h, rev = h[:, :rows], h[:, ::-1][:, :rows]
+    lower = np.add(h, rev)
+    np.abs(lower, out=lower)
+    upper = np.subtract(h, rev)
+    np.abs(upper, out=upper)
+    upper += lower
+    upper += lower
+    limit = 4 * fmt.max_raw
+    return bool((lower.max(axis=-1) + 2 * l_lo <= limit).all()
+                and (upper.max(axis=-1) + 2 * l_up <= limit).all())
+
+
 def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFormat,
                   ctx: FxContext) -> np.ndarray:
     """N_ADD of a pass run in the parity sector (see run_qaoa) on its N/2
     1_MULT words; returns the register the pass leaves.
 
-    The pass's N product words are words and their mirror for a cost pass,
-    and words at the sector's states, 0 elsewhere, for a mixer pass, so each
-    row's sum of |w| is twice or once that of words.  When it is at most
-    max_raw, N_ADD is the plain transform, and since sign(i, N-1-c) =
-    sign(i, c) * (-1)**popcount(i), and sign(i, c) for c < N/2 depends only
-    on i mod N/2:
+    The pass's N product words stream as two halves: words, then words
+    reversed, for a cost pass; for a mixer pass, words at the sector's
+    states, 0 elsewhere, that is the words off sector.odd, then those on
+    it.  When _halves_certified proves that no row saturates, N_ADD is the
+    plain transform, and since sign(i, N-1-c) = sign(i, c) *
+    (-1)**popcount(i), and sign(i, c) for c < N/2 depends only on i mod N/2:
     - after a cost pass the odd-popcount rows are exactly 0, and an even
       one is twice row i mod N/2 of the N/2 transform of words, which is
       therefore the register e;
     - after a mixer pass the result is its own mirror, and its lower half is
       the N/2 transform of words, the register h.
 
-    Otherwise the full (2, N) product is built and _n_add runs on it with a
-    local context.  If no row saturated, its result is still the plain
-    transform, and the run returns to the sector in words; if one did, the
-    symmetry may be broken, and the full register is returned.  So words
-    is returned, updated in place, unless a row saturated.
+    Otherwise the transform is undone in place (H H = (N/2) I), the full
+    (2, N) product is built and _n_add runs on it with a local context.  If
+    no row saturated, its result is still the plain transform, and the run
+    returns to the sector in words; if one did, the symmetry may be broken,
+    and the full register is returned.  So words is returned, updated in
+    place, unless a row saturated.
     """
     half = words.shape[-1]
     cost = order == "cost"
-    l1 = np.abs(words).sum(axis=-1)
-    if cost:
-        l1 *= 2
-    if (l1 <= fmt.max_raw).all():
-        butterfly((words,), _sum_diff)
+    magnitudes = np.abs(words)
+    l1 = magnitudes.sum(axis=-1)
+    l_up = l1 if cost else magnitudes @ sector.odd
+    l_lo = l1 if cost else l1 - l_up
+    del magnitudes
+    butterfly((words,), _sum_diff)
+    if _halves_certified(words, l_lo, l_up, cost, fmt):
         if cost:
             words <<= 1
         return words
+    butterfly((words,), _sum_diff)  # H H = (N/2) I
+    words >>= sector.n - 1
     full = np.empty((2, 2 * half), dtype=np.int64)
     lower, upper = full[:, :half], full[:, half:]
     if cost:

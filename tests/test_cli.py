@@ -407,6 +407,10 @@ def test_seeded_output_is_byte_identical(triangle_file):
 FIVE_VERTEX = "5\n1 2 1.0\n2 3 0.5\n3 4 1.5\n4 5 1.0\n1 5 0.75\n1 3 0.25\n"
 K9 = "9\n" + "".join(f"{i} {j} 1.0\n" for i in range(1, 10) for j in range(i + 1, 10))
 SIX_VERTEX = "6\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n1 4 1.0\n2 6 1.0\n"
+EIGHT_VERTEX = ("8\n"
+                "1 2 1.0\n1 3 0.5\n1 5 2.0\n2 3 1.5\n2 4 0.75\n"
+                "2 7 1.25\n3 6 1.0\n4 5 2.5\n4 8 0.5\n5 6 1.75\n"
+                "5 8 1.0\n6 7 0.25\n7 8 1.5\n3 8 2.0\n")
 
 
 # sha256 of the seeded stdout of small runs of all three engines: any change
@@ -446,9 +450,14 @@ SIX_VERTEX = "6\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n1 4 1.0\n2 6 1.0\n
     (SIX_VERTEX, ["solve", "--layers", "1", "--engine", "dense", "--seed", "7",
                   "--restarts", "2", "--max-evals", "80"],
      "ac6ea585f7a1b5af3e77b76df4c05473b25d2c669e254c0a31049b0bdeef4a5f"),
+    # p = 2 at n = 8 in q7.25: most mixer passes fail the sector's sum of
+    # |w| check, some take the full-N N_ADD, and some saturate
+    (EIGHT_VERTEX, ["solve", "--layers", "2", "--seed", "3", "--restarts", "2",
+                    "--max-evals", "60"],
+     "5b1b52daad31235cca4058e2b8183aaa75ab8c7ff0202f38af758169c76824cc"),
 ], ids=["emulate-n5", "emulate-k9-saturating", "bench-2-8", "solve-p1",
         "emulate-n5-f64", "bench-2-10-f64", "emulate-n5-dense", "bench-2-12-dense",
-        "solve-grid-f64", "solve-grid-dense", "solve-p1-dense"])
+        "solve-grid-f64", "solve-grid-dense", "solve-p1-dense", "solve-p2-n8"])
 def test_seeded_stdout_digest(capsys, tmp_path, graph, argv, digest):
     if graph is not None:
         path = tmp_path / "g.graph"

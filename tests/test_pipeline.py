@@ -704,26 +704,32 @@ def test_passes_update_the_register_in_place(fmt):
     assert pass_ctx.overflow == layer_ctx.overflow == overflow == (fmt.name == "q7.25")
 
 
-@pytest.mark.parametrize("fmt", [FxFormat(32, 20), FxFormat(32, 25)], ids=lambda f: f.name)
-def test_run_qaoa_holds_one_register(fmt, monkeypatch):
+@pytest.mark.parametrize("fmt,gamma,prefix_pass", [
+    (FxFormat(32, 20), [0.3, 0.2], False),
+    (FxFormat(32, 25), [0.3, 0.2], False),
+    (FxFormat(32, 20), [0.2, 0.1], True),
+], ids=["q12.20", "q7.25", "q12.20-prefix-pass"])
+def test_run_qaoa_holds_one_register(fmt, gamma, prefix_pass, monkeypatch):
     # every stage updates the register in place, and 1_MULT rounds and
-    # clips its products in place.  Here passes fail the parity sector's
-    # sum-of-|w| check, so their N_ADD runs on the full (2, N) register,
-    # beside the N/2 words: the q12.20 run peaks at 3.76 x the full
-    # register, in the block bound.  The q7.25 run saturates in its first
-    # mixer pass and stays on the full register, peaking at 4.45 x where
-    # that pass clamps, then at 4.25 x in 1_MULT.  The q12.20 run never
-    # saturates, and the N_ADD certificate spares it every prefix pass; the
-    # q7.25 run's saturating passes go straight to the clamp pass, since a
-    # row's whole sum leaves the range.  An out-of-place 1_MULT of
-    # both rows at once would reach 5.3 x, and a second re/im pair, a
-    # stacked copy for N_ADD or a start vector held to readout would each
-    # add at least 1 x.  The cost, mixer, sector and CORDIC tables belong
-    # to the graph, n and the format, not to the run, so they are built
-    # before tracing.
+    # clips its products in place.  Here mixer passes fail both of the
+    # parity sector's certificates, so their N_ADD runs on the full (2, N)
+    # register, beside the N/2 words.  The q12.20 run peaks at 3.76 x the
+    # full register, in the block bound.  The q7.25 run saturates in its
+    # first mixer pass and stays on the full register, peaking at 4.45 x
+    # where that pass clamps, then at 4.25 x in 1_MULT; its saturating
+    # passes go straight to the clamp pass, since a row's whole sum leaves
+    # the range.  Neither run saturates in a prefix pass.  The smaller
+    # q12.20 gamma never saturates either, but its first mixer pass fails
+    # the block bound too, and its prefix pass peaks at 4.32 x on the
+    # register and two copies; a third copy would reach 5.32 x.  An
+    # out-of-place 1_MULT of both rows at once would reach 5.3 x, and a
+    # second re/im pair, a stacked copy for N_ADD or a start vector held to
+    # readout would each add at least 1 x.  The cost, mixer, sector and
+    # CORDIC tables belong to the graph, n and the format, not to the run,
+    # so they are built before tracing.
     n = 16
     g = random_graph(np.random.default_rng(5), n, weight_range=(0.2, 3.0))
-    params = QaoaParams.from_lists([0.3, 0.2], [0.4, 0.7])
+    params = QaoaParams.from_lists(gamma, [0.4, 0.7])
     g.cost_table, mixer_table(n), sector_table(n)
     run_qaoa(path_graph(2), params, PipelineConfig(fmt=fmt))  # builds the CORDIC table
     prefix_passes = []
@@ -737,7 +743,7 @@ def test_run_qaoa_holds_one_register(fmt, monkeypatch):
     finally:
         tracemalloc.stop()
     assert counts.overflow == (fmt.name == "q7.25")
-    assert not prefix_passes
+    assert bool(prefix_passes) == prefix_pass
     assert peak <= 5 * 2 * 8 * (1 << n)
 
 
@@ -776,16 +782,18 @@ def _parity_breaks(order, words):
     return bool((words != words[:, ::-1]).any())
 
 
-@pytest.mark.parametrize("fmt,n,seed,gamma,beta,registers,breaks", [
+@pytest.mark.parametrize("fmt,n,seed,gamma,beta,registers,full,breaks", [
     # the first mixer pass saturates: the run leaves the sector there
-    (FxFormat(32, 25), 10, 229, [0.9, 0.4], [0.5, 1.1], [512, 1024, 1024, 1024], None),
+    (FxFormat(32, 25), 10, 229, [0.9, 0.4], [0.5, 1.1], [512, 1024, 1024, 1024], True, None),
     # the first cost pass saturates, and the symmetry breaks there
-    (FxFormat(12, 8), 10, 0, [0.3, 1.4], [0.8, 0.2], [1024] * 4, 0),
-    # the mixer passes fail sum |w| but saturate no row: back to the sector
-    (FxFormat(32, 25), 8, 0, [0.9, 0.4], [0.5, 1.1], [128] * 4, None),
-], ids=["q7.25-mixer", "q4.8-cost-breaks", "q7.25-returns"])
+    (FxFormat(12, 8), 10, 0, [0.3, 1.4], [0.8, 0.2], [1024] * 4, True, 0),
+    # the mixer passes fail sum |w|, but the half-stream bound certifies them
+    (FxFormat(32, 25), 8, 0, [0.9, 0.4], [0.5, 1.1], [128] * 4, False, None),
+    # a pass fails both certificates but saturates no row: back to the sector
+    (FxFormat(32, 25), 8, 19, [0.9, 0.4], [0.5, 1.1], [128] * 4, True, None),
+], ids=["q7.25-mixer", "q4.8-cost-breaks", "q7.25-halves", "q7.25-returns"])
 def test_run_leaves_the_parity_sector_after_a_saturating_n_add(fmt, n, seed, gamma, beta,
-                                                               registers, breaks,
+                                                               registers, full, breaks,
                                                                monkeypatch):
     g = random_graph(np.random.default_rng(seed), n, weight_range=(0.2, 3.0))
     params = QaoaParams.from_lists(gamma, beta)
@@ -805,7 +813,7 @@ def test_run_leaves_the_parity_sector_after_a_saturating_n_add(fmt, n, seed, gam
                         lambda *args: full_passes.append(1) or n_add(*args))
     state, counts = run_qaoa(g, params, cfg)
     got = [words.shape[-1] for _, words in passes]
-    assert full_passes  # every case runs the full-N N_ADD
+    assert bool(full_passes) == full  # whether a pass ran the full-N N_ADD
     passes.clear()
     want, overflow = _run_streaming_every_angle(g, params, cfg)
     assert got == registers
@@ -847,3 +855,70 @@ def test_certified_passes_keep_the_parity_sector(fmt, n, seed, gamma, beta):
             assert not out[:, odd].any()
         else:
             assert (out == out[:, ::-1]).all()
+
+
+def sector_product(words, order):
+    """The full (2, N) N_ADD input of a sector pass on its N/2 words: the
+    words then their mirror for a cost pass, and for a mixer pass the words
+    at the sector's even-popcount states, 0 elsewhere."""
+    half = words.shape[-1]
+    if order == "cost":
+        return np.concatenate((words, words[:, ::-1]), axis=1)
+    states = np.arange(half) + np.where(sector_table(half.bit_length()).odd, half, 0)
+    full = np.zeros((2, 2 * half), dtype=np.int64)
+    full[:, states] = words
+    return full
+
+
+def half_stream_bound(product):
+    """Twice the block bound over the two halves of an N-stream, the largest
+    on any row: with each half's own transform Y and sum of |w| T,
+    max(|Y_lo| + T_lo, 2|Y_lo| + |Y_up| + T_up)."""
+    half = product.shape[-1] // 2
+    signs = sign_matrix(half.bit_length() - 1)
+    (y_lo, t_lo), (y_up, t_up) = [
+        (np.abs(part @ signs), np.abs(part).sum(axis=-1, keepdims=True))
+        for part in (product[:, :half], product[:, half:])]
+    return int(np.maximum(y_lo + t_lo, 2 * y_lo + y_up + t_up).max())
+
+
+@given(n=st.integers(1, 10), fmt=st.sampled_from(N_ADD_FORMATS),
+       order=st.sampled_from(["cost", "mixer"]), seed=st.integers(0, 2**32 - 1),
+       bits=st.integers(1, 32), offset=st.one_of(st.none(), st.integers(-4, 4)))
+@settings(max_examples=80, deadline=None)
+def test_sector_n_add_matches_the_full_stream(n, fmt, order, seed, bits, offset):
+    # _sector_n_add against _n_add on the full product and the streamed
+    # oracle, on random words, or, with an offset, on words scaled so that
+    # the half-stream bound lands within a few units of its limit: the same
+    # words and flag, and the full-N N_ADD runs exactly when that bound fails
+    half = 1 << (n - 1)
+    rng = np.random.default_rng(seed)
+    bits = min(bits, fmt.word_bits)
+    words = rng.integers(-(1 << bits - 1), 1 << bits - 1, size=(2, half), dtype=np.int64)
+    if offset is not None and words.any():
+        scale = half_stream_bound(sector_product(words, order)) / (2 * fmt.max_raw)
+        words = np.clip((words / scale).astype(np.int64), fmt.min_raw, fmt.max_raw)
+        top = np.unravel_index(np.abs(words).argmax(), words.shape)
+        words[top] = np.clip(words[top] + np.sign(words[top]) * offset,
+                             fmt.min_raw, fmt.max_raw)
+    product = sector_product(words, order)
+    bound = half_stream_bound(product) <= 2 * fmt.max_raw
+    want_ctx, got_ctx = FxContext(), FxContext()
+    want = streamed_n_add(product, fmt, want_ctx)
+    assert (_n_add(product.copy(), fmt, FxContext()) == want).all()
+    full_passes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_n_add",
+                      lambda *args, n_add=pipeline._n_add: full_passes.append(1) or n_add(*args))
+        got = pipeline._sector_n_add(words.copy(), order, sector_table(n), fmt, got_ctx)
+    assert got_ctx.overflow == want_ctx.overflow
+    assert bool(full_passes) == (not bound)
+    assert not (bound and want_ctx.overflow)
+    if got.shape[-1] == half:  # back in the sector: rebuild the full register
+        assert not got_ctx.overflow
+        # after a cost pass the words e sit at the even-popcount states, as
+        # a mixer pass's product does; after a mixer pass, h then its mirror
+        got = (sector_product(got, "mixer") if order == "cost"
+               else np.concatenate((got, got[:, ::-1]), axis=1))
+    assert got.dtype == np.int64
+    assert (got == want).all()

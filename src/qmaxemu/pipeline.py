@@ -15,7 +15,7 @@ drain; run_qaoa builds the float64 StateVector once, at readout (words of
 parity sector (complement symmetry; Shaydulin & Wild, IEEE TQE 2, 2021):
 N/2 words per row, the lower half h before a cost pass and the words e at
 the even-popcount states after one.  Every pass runs an N/2 1_MULT and an
-N/2 butterfly (_sector_n_add), which is its N_ADD when the block bound
+N/2 transform (_sector_n_add), which is its N_ADD when the block bound
 over the two halves of its N-stream, read off that transform, certifies
 that no row saturates (_halves_certified); any other pass builds the
 full (2, N) product for _n_add, and the run returns to the sector unless
@@ -23,8 +23,10 @@ a row saturated, after which it holds the full register to the end.
 1_MULT (fxp.vec_cmul) rounds and clips its products in place on the
 register, where a run peaks: at 2.25 times the full register when every
 pass is certified, and at 4.25 times on the full register, at n = 16 and
-20.  A pass that takes the full-N N_ADD holds the N/2 words beside it (up
-to 4.45 times where a q7.25 pass at n = 16 clamps).
+20.  A sector N_ADD peaks at 1.75 times, holding the words, the
+transform's float64 image and its last product.  A pass that takes the
+full-N N_ADD holds the N/2 words beside it (up to 4.45 times where a
+q7.25 pass at n = 16 clamps).
 
 The host evaluates the datapath in a different order with identical words
 and flags.  The per-element stages are batch-evaluated, which is
@@ -41,19 +43,27 @@ CORDIC is evaluated by a per-format decision-interval table
 (fxp.vec_cordic_sincos), which gives the 16 stages' words in one O(1)
 lookup through a bucket index over the input range.
 N_ADD, defined as accumulation in ascending stream order, is computed in
-O(N log N) by butterflies (_n_add) on the cache-blocked, constant-geometry
-driver that reference.fwht_inplace shares (butterfly), which applies the
-same combines in the same order as the natural-order butterfly, so words
-and flags are identical.
+O(N log N) by transforms (_n_add).  The +/-1 transforms of the 1_MULT
+words, which the certificates read, are a few float64 BLAS products with
+Kronecker factors of H (_exact_transform): every partial sum is an
+integer bounded by the row's sum of |w|, within 2**53 wherever the
+result is used, so each product is exact in any summation order and the words are those of the int64
+butterfly.  The undo, prefix and clamp passes, and reference.fwht_inplace,
+whose float64 sums depend on their order, run on the cache-blocked,
+constant-geometry driver (butterfly), which applies the same combines in
+the same order as the natural-order butterfly, so words and flags are
+identical.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import hadamard
 
 from . import fxp
 from .diagonals import (ParitySector, cost_half_angles, mixer_level_angles, mixer_table,
@@ -279,6 +289,54 @@ def _clamp_combine(left: Halves, right: Halves, plus: Halves, minus: Halves) -> 
     np.clip(hil - dr, neg_lo, neg_hi, out=minus[2])
 
 
+# _exact_transform's Sylvester factors have at most 2**FACTOR_BITS rows
+FACTOR_BITS = 6
+
+
+@functools.cache
+def _sylvester(bits: int) -> np.ndarray:
+    """The read-only float64 Sylvester Hadamard matrix of 2**bits rows,
+    whose entry (i, j) is hadamard_sign(i, j)."""
+    h = hadamard(1 << bits, dtype=np.float64)
+    h.flags.writeable = False
+    return h
+
+
+def _exact_transform(words: np.ndarray) -> np.ndarray:
+    """The +/-1 transform of int64 words along the last axis, as a new
+    float64 array, leaving words as they are; exact while every row's sum
+    of |w| is at most 2**53.
+
+    A sign splits over the index bits, hadamard_sign(i, j) being the product
+    of the signs of any partition of their bits into fields, so H_N is the
+    Kronecker product of Sylvester factors of at most 2**FACTOR_BITS rows
+    and the transform is one float64 matrix product per factor, as in the
+    four-step FFT but without twiddles (Bailey, 1990).  The factors hold
+    +/-1 and the operands are integers, and every partial sum of a product
+    is a signed sum of disjoint parts of one row, so bounded by its sum of
+    |w|.  While that is at most 2**53, every operation is therefore exact,
+    whatever order, blocking, FMA or thread count BLAS uses, and the
+    float64 result holds exactly the butterfly's words.  The callers stay
+    within it: _n_add transforms rows whose sum is at most max_raw, or
+    blocks of at most 2**20 words of magnitude at most 2**31, and a sector pass whose sum
+    passes it, possible only at n = 24, is rejected by _halves_certified's
+    terms in the sums alone, before the image is read.
+    """
+    image = words.astype(np.float64)
+    right = words.shape[-1]
+    bits = right.bit_length() - 1
+    factors = -(-bits // FACTOR_BITS)
+    for k in range(factors):
+        size_bits = (bits + k) // factors  # as even as possible, summing to bits
+        size, h = 1 << size_bits, _sylvester(size_bits)
+        right >>= size_bits
+        if right == 1:  # the last factor: one product over contiguous rows; H = H^T
+            image = image.reshape(-1, size) @ h
+        else:
+            image = np.matmul(h, image.reshape(-1, size, right))
+    return image.reshape(words.shape)
+
+
 # _n_add bounds 2**min(n, CERTIFIED_DEPTH) stream blocks; 4 is the least depth
 # that certifies test_run_qaoa_holds_one_register's unsaturated q12.20 run
 CERTIFIED_DEPTH = 4
@@ -287,30 +345,41 @@ CERTIFIED_DEPTH = 4
 def _top_levels_bound(words: np.ndarray, block_l1: np.ndarray) -> np.ndarray:
     """Finish the transform of words in place, whose blocks hold their own
     transforms and have sums of |w| block_l1, and return twice a bound on
-    every prefix sum of every row's signed stream, periodic in the row.
+    every prefix sum of every row's signed stream.
 
     In a block with transform Y and sum of |w| T, a prefix P with sum of |w|
-    A has |P| <= A and |P| <= |Y(j)| + T - A: 2B(j) = |Y(j)| + T.  A pair
-    L, R has 2B(j) = max(2B_L(j), 2|Y_L(j)| + 2B_R(j)), the children's rows
-    taken modulo their width w, so the pair's bound has period w.
+    A has |P| <= A and |P| <= |Y(j)| + T - A: the leaf bound 2B(j) = |Y(j)| +
+    T.  A pair L, R also has the pair bound max(2B_L(j), 2|Y_L(j)| +
+    2B_R(j)), the children's rows taken modulo their width w, and its bound
+    is the lesser of the two.  So a pair's bound never exceeds the leaf bound
+    of the block it forms, and starting from smaller blocks never loosens
+    the result.
     """
     # rows of the (2 * blocks, width) grid of words hold one block each
     width = words.shape[-1] // block_l1.shape[1]
+    l1 = block_l1.reshape(-1, 1)
     bound = np.abs(words.reshape(-1, width))
-    bound += block_l1.reshape(-1, 1)
+    bound += l1
     while width < words.shape[-1]:
-        pairs, children = words.reshape(-1, 2, width), bound.reshape(-1, 2, bound.shape[-1])
+        pairs, children = words.reshape(-1, 2, width), bound.reshape(-1, 2, width)
         left, right = pairs[:, 0], pairs[:, 1]
-        bound = np.abs(left)
-        bound *= 2
-        periods = bound.reshape(len(bound), -1, children.shape[-1])
-        periods += children[:, 1, None]
-        np.maximum(periods, children[:, 0, None], out=periods)
+        spanning = np.abs(left)
+        spanning *= 2
+        spanning += children[:, 1]
+        np.maximum(spanning, children[:, 0], out=spanning)
+        del bound, children  # free the children's bounds before the pair's
         # the level itself: the pair becomes the block (L + R, L - R)
         diff = left - right
         left += right
         right[...] = diff
+        del diff
         width *= 2
+        l1 = l1.reshape(-1, 2).sum(axis=-1, keepdims=True)
+        bound = np.abs(words.reshape(-1, width))
+        bound += l1
+        halves = bound.reshape(-1, 2, width // 2)
+        np.minimum(halves, spanning[:, None], out=halves)
+        del halves, spanning  # a view of bound would keep it through the next level
     return bound
 
 
@@ -321,11 +390,14 @@ def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
     ascending column order c, of hadamard_sign(i, c) * words[:, c].  A row
     whose prefix sums all stay in [min_raw, max_raw] is the plain +/-1
     transform.  Two bounds prove that for every row, and then the transform
-    runs in place and the flag is left as it is: sum(|w|) <= max_raw on
-    each row of words, or else _top_levels_bound over 2**min(n,
-    CERTIFIED_DEPTH) blocks.  When both fail, the transform is undone in
-    place (H H w = N w), and the butterfly's entries summarise the signed
-    sub-stream of one column block for one row sign pattern:
+    is written to words and the flag is left as it is: sum(|w|) <= max_raw
+    on each row of words, or else _top_levels_bound over 2**min(n,
+    CERTIFIED_DEPTH) blocks.  _exact_transform computes the transform of
+    the rows, or of the blocks for the block bound, as exact float64 matrix
+    products, their sums of |w| bounding its partial sums.  When both bounds
+    fail, the int64 butterfly undoes the transform in place (H H w = N w),
+    and its entries summarise the signed sub-stream of one column block for
+    one row sign pattern:
 
     (a) its sum s and its largest (t) and smallest (b) unclipped prefix
         sum.  Clipped and unclipped accumulation agree up to the first
@@ -346,15 +418,19 @@ def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
     first.
 
     Words are below 2**31 in magnitude and N <= 2**24, so every sum stays
-    below 2**56 and the int64 arithmetic is exact.
+    below 2**56 and the int64 arithmetic is exact.  The undo, prefix and
+    clamp passes stay on the butterfly: the words' sum of |w| does not
+    bound the partial sums of a product with the finished transform, and
+    the prefix and clamp combines are no products.
     """
     n = words.shape[-1].bit_length() - 1
     # splitting the last axis is a view, so the blocks are words themselves
     blocks = words.reshape(2, 1 << min(n, CERTIFIED_DEPTH), -1)
     block_l1 = np.abs(blocks).sum(axis=-1)
     if (block_l1.sum(axis=-1) <= fmt.max_raw).all():
-        return butterfly((words,), _sum_diff)[0]
-    butterfly((blocks,), _sum_diff)
+        np.copyto(words, _exact_transform(words), casting="unsafe")
+        return words
+    np.copyto(blocks, _exact_transform(blocks), casting="unsafe")
     if _top_levels_bound(words, block_l1).max() <= 2 * fmt.max_raw:
         return words
     # a row whose whole sum leaves the range saturates: no prefix pass needed
@@ -439,6 +515,13 @@ def _halves_certified(h: np.ndarray, l_lo: np.ndarray, l_up: np.ndarray, cost: b
     _top_levels_bound's pair bound, max(|Y_lo| + l_lo, 2|Y_lo| + |Y_up| +
     l_up) <= 2 max_raw, then certifies every prefix of every row; it holds
     whenever l_lo + l_up <= max_raw, which is tried first.
+
+    h may be _exact_transform's float64 image.  While the words' sum of
+    |w| is at most 2**53 it is exact, and a rounded sum here can only pass
+    2**53, far above the limits compared with, so every comparison is
+    decided as in int64.  Past that, l_up (cost) or l_lo + l_up (mixer)
+    passes 2**53, and the terms in the sums alone exceed the limits
+    whatever |h| is, so an inexact image certifies nothing.
     """
     if (l_lo + l_up <= fmt.max_raw).all():
         return True
@@ -475,12 +558,14 @@ def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFo
     - after a mixer pass the result is its own mirror, and its lower half is
       the N/2 transform of words, the register h.
 
-    Otherwise the transform is undone in place (H H = (N/2) I), the full
-    (2, N) product is built and _n_add runs on it with a local context.  If
-    no row saturated, its result is still the plain transform, and the run
-    returns to the sector in words; if one did, the symmetry may be broken,
-    and the full register is returned.  So words is returned, updated in
-    place, unless a row saturated.
+    _exact_transform computes that transform as a float64 image, and words
+    keep the 1_MULT words until the bound has been read.  A certified pass writes
+    the image to words.  Otherwise no transform needs undoing: the full
+    (2, N) product is built from words and _n_add runs on it with a local
+    context.  If no row saturated, its result is still the plain transform,
+    and the run returns to the sector in words; if one did, the symmetry may
+    be broken, and the full register is returned.  So words is returned,
+    updated in place, unless a row saturated.
     """
     half = words.shape[-1]
     cost = order == "cost"
@@ -489,13 +574,13 @@ def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFo
     l_up = l1 if cost else magnitudes @ sector.odd
     l_lo = l1 if cost else l1 - l_up
     del magnitudes
-    butterfly((words,), _sum_diff)
-    if _halves_certified(words, l_lo, l_up, cost, fmt):
+    h = _exact_transform(words)
+    if _halves_certified(h, l_lo, l_up, cost, fmt):
         if cost:
-            words <<= 1
+            h *= 2
+        np.copyto(words, h, casting="unsafe")
         return words
-    butterfly((words,), _sum_diff)  # H H = (N/2) I
-    words >>= sector.n - 1
+    del h  # words still hold the 1_MULT words: free the image before the product
     full = np.empty((2, 2 * half), dtype=np.int64)
     lower, upper = full[:, :half], full[:, half:]
     if cost:

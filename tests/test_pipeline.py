@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -257,11 +260,59 @@ def test_n_add_never_certifies_saturating_words(monkeypatch):
             back[0, half:] = -signs[half:] * np.abs(back[0, :half])[::-1]
             cases.append(back)
         for words in cases:
-            assert not n_add_takes_bound_path(words, fmt, monkeypatch), (n, words)
-            monkeypatch.undo()
+            # from every depth: each level's bound is the lesser of the pair
+            # bound and the pair's own leaf bound
+            for depth in range(min(n, pipeline.CERTIFIED_DEPTH) + 1):
+                monkeypatch.setattr(pipeline, "CERTIFIED_DEPTH", depth)
+                assert not n_add_takes_bound_path(words, fmt, monkeypatch), (n, depth, words)
+                monkeypatch.undo()
             ctx = FxContext()
             _n_add(words.copy(), fmt, ctx)
             assert ctx.overflow
+
+
+def test_block_bound_certifies_more_with_depth(monkeypatch):
+    # a pair's bound is at most the leaf bound of the block it forms, so a
+    # depth that certifies a stream certifies it from every greater depth;
+    # the pair bound alone failed that on 12 of these 300 streams
+    rng = np.random.default_rng(71)
+    fmt = FxFormat(12, 8)
+    gains = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        sigma = fmt.max_raw / (rng.uniform(1.5, 6.0) * math.sqrt(1 << n))
+        words = np.clip(np.rint(rng.normal(0.0, sigma, (2, 1 << n))).astype(np.int64),
+                        fmt.min_raw, fmt.max_raw)
+        certified = []
+        for depth in range(n + 1):
+            monkeypatch.setattr(pipeline, "CERTIFIED_DEPTH", depth)
+            certified.append(n_add_takes_bound_path(words, fmt, monkeypatch))
+            monkeypatch.undo()
+        assert certified == sorted(certified), (certified, words)
+        gains += certified[-1] and not certified[0]
+    assert gains > 0
+
+
+def test_prefix_passes_do_not_increase_with_depth(monkeypatch):
+    # the n = 16 q12.20 run of test_run_qaoa_holds_one_register: as the
+    # block bound starts from more blocks, fewer of its N_ADD passes need
+    # the prefix pass, and none at CERTIFIED_DEPTH
+    n = 16
+    g = random_graph(np.random.default_rng(5), n, weight_range=(0.2, 3.0))
+    params = QaoaParams.from_lists([0.3, 0.2], [0.4, 0.7])
+    passes = []
+    for depth in range(pipeline.CERTIFIED_DEPTH + 1):
+        prefix_passes = []
+        monkeypatch.setattr(pipeline, "CERTIFIED_DEPTH", depth)
+        monkeypatch.setattr(pipeline, "butterfly",
+                            lambda arrays, combine, butterfly=pipeline.butterfly:
+                            prefix_passes.append(combine is pipeline._prefix_combine)
+                            or butterfly(arrays, combine))
+        _, counts = run_qaoa(g, params, PipelineConfig(fmt=FxFormat(32, 20)))
+        monkeypatch.undo()
+        assert not counts.overflow
+        passes.append(sum(prefix_passes))
+    assert passes == sorted(passes, reverse=True) and passes[-1] == 0
 
 
 def prefix_saturating_words(n, fmt):
@@ -407,6 +458,86 @@ def test_engines_are_byte_identical_under_a_tiny_block(monkeypatch):
     assert _engine_outputs(cases) == default
     saturating = {name for name, _, overflow in default if overflow}
     assert {"q7.25", "q6.10"} <= saturating
+
+
+@given(n=st.integers(0, 14), bits=st.integers(1, 32), at_min_raw=st.booleans(),
+       blocks=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_exact_transform_matches_butterfly(n, bits, at_min_raw, blocks, seed):
+    # the float64 Kronecker products against the int64 butterfly, on the
+    # (2, N) register and on _n_add's (2, 16, N/16) block view, with words
+    # up to 2**31 in magnitude or all at q7.25's min_raw = -2**31
+    rng = np.random.default_rng(seed)
+    words = rng.integers(-(1 << bits - 1), 1 << bits - 1, size=(2, 1 << n))
+    if at_min_raw:
+        words[...] = FxFormat(32, 25).min_raw
+    if blocks:
+        words = words.reshape(2, 1 << min(n, 4), -1)
+    given_words = words.copy()
+    want = pipeline.butterfly((words.copy(),), pipeline._sum_diff)[0]
+    got = pipeline._exact_transform(words)
+    assert got.dtype == np.float64 and got.shape == words.shape
+    assert got.astype(np.int64).tobytes() == want.tobytes()
+    assert words.tobytes() == given_words.tobytes()
+
+
+def test_sector_sums_past_the_exact_limit_certify_nothing():
+    # _exact_transform is exact while a row's sum of |w| is at most 2**53;
+    # a sector pass past it (possible only at n = 24) is rejected by the
+    # sums alone, whatever its image holds, so an inexact image is never used
+    fmt = FxFormat(32, 25)
+    past = (1 << 53) + 1
+    h = np.zeros((2, 8))
+    sums = np.full(2, past)
+    assert not pipeline._halves_certified(h, sums, sums, True, fmt)
+    for l_up in (0, 1 << 52, past):
+        l_lo, l_up = np.full(2, past - l_up), np.full(2, l_up)
+        assert not pipeline._halves_certified(h, l_lo, l_up, False, fmt), l_up
+
+
+# Hashes run_qaoa's words, flags and counts over random instances at n <= 12,
+# in q7.25 (saturating from about n = 10) and q12.20, and one n = 16 exact
+# transform, whose first and last products, 32 x 32 by 32 x 2048 and 2048 x 64
+# by 64 x 64, OpenBLAS splits over two threads.
+_THREADS_PROGRAM = """
+import hashlib, sys
+import numpy as np
+from qmaxemu import QaoaParams, WeightedGraph, pipeline, run_qaoa
+from qmaxemu.fxp import FxFormat
+rng = np.random.default_rng(79)
+digest, saturated = hashlib.sha256(), 0
+for case in range(16):
+    n = int(rng.integers(6, 13))
+    edges = [(i, j, float(rng.uniform(0.2, 3.0))) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.5]
+    params = QaoaParams.from_lists(rng.uniform(0, 1, 2), rng.uniform(0, 3, 2))
+    fmt = (FxFormat(32, 25), FxFormat(32, 20))[case % 2]
+    state, counts = run_qaoa(WeightedGraph(n, tuple(edges)), params,
+                             pipeline.PipelineConfig(fmt=fmt))
+    digest.update(state.amps.tobytes())
+    digest.update(repr((counts.overflow, counts.adds, counts.cycles_per_op)).encode())
+    saturated += counts.overflow
+words = rng.integers(-(1 << 31), 1 << 31, size=(2, 1 << 16))
+digest.update(pipeline._exact_transform(words).tobytes())
+print(digest.hexdigest(), saturated)
+"""
+
+
+def test_blas_threads_cannot_change_a_word():
+    # _exact_transform is exact whatever the BLAS thread count, so one and
+    # two OpenBLAS threads give the same words, flags and counts
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"OPENBLAS_NUM_THREADS does not set the threads of {blas}")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _THREADS_PROGRAM], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(run.stdout.split())
+    (digest, saturated), other = outputs[0], outputs[1]
+    assert 0 < int(saturated) < 16
+    assert other == [digest, saturated]
 
 
 @pytest.mark.parametrize("shape", [(6,), (12,), (2, 12), (0,)])

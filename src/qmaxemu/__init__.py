@@ -9,13 +9,13 @@ all behind the `qmaxemu` CLI.
 from .diagonals import (CostDiagonal, MixerExponents, build_cost_diagonal,
                         build_mixer_exponents, cost_angles, cost_half_angles,
                         mixer_angles, mixer_level_angles, mixer_table)
-from .engines import ENGINE_NAMES, EngineRun, make_engine, run_engine
+from .engines import ENGINE_NAMES, make_engine, run_engine
 from .fxp import (CFx, Fx, FxContext, FxFormat, QuadrantFlags, apply_flags,
                   cordic_sincos, fx_from_real, fx_mul, fx_sincos,
                   normalize_rad, reduce_mod_2pi)
 from .graph import (WeightedGraph, assignment_from_index, brute_force_max_cut,
                     cut_value, cut_values_all, index_from_assignment, parse_graph)
-from .pipeline import (CLOCK_HZ, PIPELINE_LATENCY, OpCounts, PipelineConfig,
+from .pipeline import (CLOCK_HZ, PIPELINE_LATENCY, EngineRun, OpCounts, PipelineConfig,
                        QaoaParams, StateVector, hadamard_sign, init_uniform_state,
                        run_elemental_ansatz, run_layer, run_qaoa)
 from .reference import (align_global_phase, decomposed_run_qaoa_f64,

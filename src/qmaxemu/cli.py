@@ -177,6 +177,8 @@ def cmd_emulate(args) -> int:
     g = load_graph(args.graph)
     params = _params_from_args(args)
     fmt = parse_fixed_point(args.fixed_point)
+    if args.trace is not None and args.engine != "pipeline":
+        raise InputError(f"--trace needs the pipeline engine: {args.engine} models no clocks")
     with contextlib.ExitStack() as files:
         # both output files are opened before the run, so a bad path fails fast
         trace_fh = _open_output(args.trace, files)

@@ -60,7 +60,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import hadamard
@@ -150,6 +150,13 @@ class OpCounts:
 
     def derived_seconds(self) -> float:
         return self.cycles_total / CLOCK_HZ
+
+
+class EngineRun(NamedTuple):
+    """What every engine returns; it unpacks as state, counts."""
+
+    state: StateVector
+    counts: OpCounts
 
 
 def hadamard_sign(row: int, col: int) -> int:
@@ -563,9 +570,10 @@ def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFo
     the image to words.  Otherwise no transform needs undoing: the full
     (2, N) product is built from words and _n_add runs on it with a local
     context.  If no row saturated, its result is still the plain transform,
-    and the run returns to the sector in words; if one did, the symmetry may
-    be broken, and the full register is returned.  So words is returned,
-    updated in place, unless a row saturated.
+    and the run returns to the sector in words.  If one did, the full
+    register is returned: a saturating cost pass can leave odd-popcount
+    rows non-zero, though a mixer pass's result is still its own mirror,
+    row N-1-i signing every streamed word as row i does.
     """
     half = words.shape[-1]
     cost = order == "cost"
@@ -690,7 +698,7 @@ def run_layer(words: np.ndarray, d_cost_angles: np.ndarray,
 
 
 def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = PipelineConfig(),
-             trace_writer: TraceWriter | None = None) -> tuple[StateVector, OpCounts]:
+             trace_writer: TraceWriter | None = None) -> EngineRun:
     """Full accelerator run: uniform init, then p layers of cost+mixer passes.
 
     The tables are g.cost_table, mixer_table(n) and sector_table(n).  Each
@@ -703,8 +711,9 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
     a cost pass it is the lower half h, and after one the words e at the
     even-popcount states (sector_table; _sector_n_add says why).  After an
     N_ADD that saturates, the run holds the full (2, N) register to the
-    end, since the symmetry may break.  Words, flags, counts and traces are
-    those of the full-N passes.
+    end, as a cost pass may then leave odd-popcount states non-zero (a
+    mixer pass from the sector stays its own mirror).  Words, flags,
+    counts and traces are those of the full-N passes.
     """
     n = g.num_vertices
     n_states = 1 << n
@@ -728,4 +737,4 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
         part[:row.size] = fxp.vec_to_float(row, cfg.fmt)
         if row.size < n_states:  # the sector's h: the state is h, then h reversed
             part[row.size:] = part[row.size - 1::-1]
-    return StateVector(amps=amps, scale_exp=scale_exp, n=n), counts
+    return EngineRun(StateVector(amps=amps, scale_exp=scale_exp, n=n), counts)

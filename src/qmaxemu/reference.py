@@ -14,8 +14,8 @@ Two independent routes to the same ansatz state:
     angles only and expanded to N phases: N/2 for a cost pass, mirrored,
     and n + 1 for a mixer pass, gathered by popcount.
 
-Both return a StateVector with scale_exp 0 and tally their work in an
-optional OpCounts (multiplies and additions only: no clocks are modeled).
+Both return an EngineRun: a StateVector with scale_exp 0, and OpCounts
+of multiplies and additions only (no clocks are modeled).
 
 The dense cost step equals the diagonal-table construction only up to one
 global phase per layer (exp(+i*gamma*sum(w))), so state comparisons go
@@ -32,7 +32,7 @@ import numpy as np
 from .diagonals import cost_half_angles, mixer_level_angles, mixer_table
 from .diagonals import build_cost_diagonal  # noqa: F401  unused; in perfbench's SITES
 from .graph import WeightedGraph, check_qubit_count
-from .pipeline import (OpCounts, QaoaParams, StateVector, _sum_diff, butterfly,
+from .pipeline import (EngineRun, OpCounts, QaoaParams, StateVector, _sum_diff, butterfly,
                        hadamard_sign_column)
 
 
@@ -78,21 +78,19 @@ def _apply_mixer(v: np.ndarray, beta: float) -> np.ndarray:
     return v
 
 
-def dense_run_qaoa(g: WeightedGraph, params: QaoaParams,
-                   counts: OpCounts | None = None) -> StateVector:
+def dense_run_qaoa(g: WeightedGraph, params: QaoaParams) -> EngineRun:
     """Gate-product oracle on the uniform state: per layer, the diagonal cost
-    gate product, then the X-rotation on each qubit in turn.  counts tallies
-    both steps as N x N matrix-vector products, the oracle's defining form."""
+    gate product, then the X-rotation on each qubit in turn.  Its counts
+    are N x N matrix-vector products for both, the oracle's defining form."""
     n = g.num_vertices
     check_qubit_count(n)
     n_states = 1 << n
     v = np.full(n_states, 1.0 / np.sqrt(n_states), dtype=np.complex128)
     for k in range(params.p):
         v = _apply_mixer(dense_cost_unitary(g, params.gamma[k]) * v, params.beta[k])
-    if counts is not None:
-        counts.mults += 2 * params.p * n_states * n_states
-        counts.adds += 2 * params.p * n_states * (n_states - 1)
-    return StateVector(amps=v, scale_exp=Fraction(0), n=n)
+    counts = OpCounts(mults=2 * params.p * n_states * n_states,
+                      adds=2 * params.p * n_states * (n_states - 1))
+    return EngineRun(StateVector(amps=v, scale_exp=Fraction(0), n=n), counts)
 
 
 def fwht_inplace(v: np.ndarray) -> np.ndarray:
@@ -121,8 +119,7 @@ def walsh_streamed(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
-                            counts: OpCounts | None = None) -> StateVector:
+def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams) -> EngineRun:
     """Pipeline dataflow in float64: phase multiply, +/-1 transform, 1/2**n scale.
 
     The tables are g.cost_table and mixer_table(n).  Each pass takes
@@ -153,10 +150,8 @@ def decomposed_run_qaoa_f64(g: WeightedGraph, params: QaoaParams,
             v = phases  # drops the old state before the butterfly's scratch is taken
             fwht_inplace(v)
         v *= scale  # exact: a power-of-two factor
-    if counts is not None:
-        counts.mults += 2 * params.p * n_states
-        counts.adds += 2 * params.p * n_states * n_states
-    return StateVector(amps=v, scale_exp=Fraction(0), n=n)
+    counts = OpCounts(mults=2 * params.p * n_states, adds=2 * params.p * n_states * n_states)
+    return EngineRun(StateVector(amps=v, scale_exp=Fraction(0), n=n), counts)
 
 
 def align_global_phase(state: np.ndarray, reference: np.ndarray) -> np.ndarray:

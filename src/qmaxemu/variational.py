@@ -23,10 +23,10 @@ from scipy.optimize import minimize
 from .diagonals import CostDiagonal
 from .diagonals import build_cost_diagonal  # noqa: F401  unused; in perfbench's SITES
 from .graph import WeightedGraph, assignment_from_index
-from .pipeline import StateVector, QaoaParams
+from .pipeline import EngineRun, QaoaParams, StateVector
 from .reference import decomposed_run_qaoa_f64
 
-EngineFn = Callable[[WeightedGraph, QaoaParams], StateVector]
+EngineFn = Callable[[WeightedGraph, QaoaParams], EngineRun]
 
 DOMAIN = math.pi  # parameter period; restart points are drawn from [0, DOMAIN)
 XATOL = 1e-4  # Nelder-Mead convergence tolerances on parameters and on f_p
@@ -99,7 +99,7 @@ def make_objective(g: WeightedGraph, p: int, engine: EngineFn,
     def objective(x: np.ndarray) -> float:
         folded = np.mod(x, DOMAIN)
         params = QaoaParams(p, tuple(folded[:p]), tuple(folded[p:]))
-        f_p = expectation(engine(g, params), g.cost_table).f_p
+        f_p = expectation(engine(g, params).state, g.cost_table).f_p
         trace.iterations.append((params, f_p))
         trace.evaluations += 1
         if f_p > trace.best_f_p:
@@ -147,8 +147,10 @@ def grid_search_p1(g: WeightedGraph, resolution: int, engine: EngineFn | None = 
     (the mixer gains a flip of every bit, which the cost-phased uniform
     state is symmetric under), so only beta < pi/2 is evaluated: that is
     resolution * ceil(resolution/2) engine calls, recorded in trace when
-    one is given.  Ties resolve to the lexicographically first lattice
-    point.  The default engine is decomposed_run_qaoa_f64."""
+    one is given.  Of points with equal computed f_p, the first in (i, j)
+    order wins; points equal only in exact arithmetic do not tie, as with
+    the float64 engines rounding decides.  The default engine is
+    decomposed_run_qaoa_f64."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     if trace is None:

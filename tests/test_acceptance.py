@@ -22,7 +22,6 @@ from qmaxemu import (QaoaParams, align_global_phase, brute_force_max_cut,
 from qmaxemu import fxp
 from qmaxemu.fxp import FxFormat
 from qmaxemu.pipeline import PIPELINE_LATENCY
-from qmaxemu.reference import OpCounts
 from qmaxemu.variational import OptimizerConfig
 
 from conftest import (complete_graph, path_graph, random_graph,
@@ -48,8 +47,8 @@ def full_instances():
 def test_criterion_1_decomposition_correctness(small_instances):
     started = time.perf_counter()
     for g, params in small_instances:
-        dense = dense_run_qaoa(g, params)
-        dec = decomposed_run_qaoa_f64(g, params)
+        dense = dense_run_qaoa(g, params).state
+        dec = decomposed_run_qaoa_f64(g, params).state
         aligned = align_global_phase(dec.amps, dense.amps)
         assert np.abs(aligned - dense.amps).max() <= 1e-9
     elapsed = time.perf_counter() - started
@@ -63,7 +62,7 @@ def test_criterion_2_fixed_point_fidelity(full_instances):
     for g, params in full_instances:
         state, report = run_qaoa(g, params)
         assert not report.overflow
-        ref = decomposed_run_qaoa_f64(g, params)
+        ref = decomposed_run_qaoa_f64(g, params).state
         tv = 0.5 * np.abs(probabilities(state) - probabilities(ref)).sum()
         assert tv <= 1e-3
         d = build_cost_diagonal(g, g.num_vertices)
@@ -94,8 +93,7 @@ def test_criterion_4_complexity_gap():
         _, report = run_qaoa(g, params)
         n_states = 1 << n
         assert report.mults == 2 * p * n_states
-        counts = OpCounts()
-        dense_run_qaoa(g, params, counts=counts)
+        _, counts = dense_run_qaoa(g, params)
         assert counts.mults == 2 * p * n_states * n_states
         assert counts.mults // report.mults == n_states
         assert counts.mults % report.mults == 0
@@ -167,7 +165,7 @@ def test_criterion_7_cordic_accuracy():
 
 def test_criterion_8_variational_sanity():
     def f64(g, params):
-        return decomposed_run_qaoa_f64(g, params)
+        return decomposed_run_qaoa_f64(g, params).state
 
     # F_p(0,0) = half the total weight: bit-exact for dyadic weights, and at
     # float rounding (1e-12) for arbitrary real weights
@@ -186,7 +184,7 @@ def test_criterion_8_variational_sanity():
     cfg = OptimizerConfig(restarts=6, max_evals=900)
     for g in (complete_graph(2), complete_graph(3)):
         _, _, grid_best = grid_search_p1(g, 64)
-        trace = optimize(g, 1, f64, cfg, seed=ACCEPT_SEED)
+        trace = optimize(g, 1, decomposed_run_qaoa_f64, cfg, seed=ACCEPT_SEED)
         assert abs(trace.best_f_p - grid_best) <= 1e-2
 
     # expectation never exceeds the brute-force maximum

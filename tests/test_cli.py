@@ -168,6 +168,18 @@ def test_emulate_trace_file(capsys, triangle_file, tmp_path):
     assert record["clock"] == 0 and record["order"] == "cost"
 
 
+@pytest.mark.parametrize("engine", ["decomposed-f64", "dense"])
+def test_emulate_trace_needs_the_pipeline(capsys, triangle_file, tmp_path, engine):
+    # only the pipeline models clocks: the float64 engines have none to trace
+    trace = tmp_path / "trace.jsonl"
+    code = main(["emulate", "--graph", triangle_file, "--gamma", "0.4", "--beta", "0.3",
+                 "--engine", engine, "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --trace needs the pipeline engine")
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("flag", ["--trace", "--dump-state"])
 def test_emulate_unwritable_output_exits_2_before_the_run(capsys, monkeypatch,
                                                            triangle_file, tmp_path, flag):

@@ -444,7 +444,7 @@ def _engine_outputs(cases):
         for fmt in formats:
             state, counts = run_qaoa(g, params, PipelineConfig(fmt=fmt))
             out.append((fmt.name, state.amps.tobytes(), counts.overflow))
-        out.append(("f64", decomposed_run_qaoa_f64(g, params).amps.tobytes(), False))
+        out.append(("f64", decomposed_run_qaoa_f64(g, params).state.amps.tobytes(), False))
     return out
 
 
@@ -602,7 +602,7 @@ def test_run_qaoa_fidelity_at_fourteen_qubits():
     params = QaoaParams(1, (0.15,), (0.4,))
     state, report = run_qaoa(g, params, PipelineConfig(fmt=FxFormat(32, 20)))
     assert not report.overflow
-    ref = decomposed_run_qaoa_f64(g, params)
+    ref = decomposed_run_qaoa_f64(g, params).state
     tv = 0.5 * np.abs(probabilities(state) - probabilities(ref)).sum()
     assert tv <= 1e-3
     d = build_cost_diagonal(g, 14)
@@ -618,7 +618,7 @@ def test_run_qaoa_at_beta_half_pi(fmt):
     params = QaoaParams(1, (0.3,), (math.pi / 2,))
     state, report = run_qaoa(g, params, PipelineConfig(fmt=fmt))
     assert not report.overflow
-    ref = decomposed_run_qaoa_f64(g, params)
+    ref = decomposed_run_qaoa_f64(g, params).state
     assert 0.5 * np.abs(probabilities(state) - probabilities(ref)).sum() <= 8 * fmt.ulp
 
 
@@ -637,7 +637,7 @@ def test_layer_matches_dense_oracle():
     g = WeightedGraph(2, ((0, 1, 1.0),))
     params = QaoaParams(1, (math.pi / 4,), (math.pi / 8,))
     state, _ = run_qaoa(g, params)
-    dense = dense_run_qaoa(g, params)
+    dense = dense_run_qaoa(g, params).state
     np.testing.assert_allclose(probabilities(state), probabilities(dense),
                                atol=2 ** -12)
 
@@ -664,7 +664,7 @@ def test_run_qaoa_zero_parameters_gives_uniform(triangle):
 def test_run_qaoa_matches_dense_distribution(triangle):
     params = QaoaParams(1, (0.7,), (0.6,))
     state, report = run_qaoa(triangle, params)
-    dense = dense_run_qaoa(triangle, params)
+    dense = dense_run_qaoa(triangle, params).state
     tv = 0.5 * np.abs(probabilities(state) - probabilities(dense)).sum()
     assert tv <= 1e-3
     assert not report.overflow
@@ -986,6 +986,29 @@ def test_certified_passes_keep_the_parity_sector(fmt, n, seed, gamma, beta):
             assert not out[:, odd].any()
         else:
             assert (out == out[:, ::-1]).all()
+
+
+@given(n=st.integers(3, 10), fmt=st.sampled_from(N_ADD_FORMATS),
+       seed=st.integers(0, 2**32 - 1), beta=st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+@settings(max_examples=60, deadline=None)
+def test_mixer_pass_from_the_sector_returns_its_own_mirror(n, fmt, seed, beta):
+    # the pass streams the sector's words at the even-popcount states and 0
+    # at the others, and sign(N-1-i, c) = sign(i, c) * (-1)**popcount(c), so
+    # rows i and N-1-i accumulate the same stream: the register is its own
+    # mirror even when a row saturates.  At beta = 0 the words, all above
+    # max_raw / 2, are their own products, and row 0 saturates
+    rng = np.random.default_rng(seed)
+    words = rng.integers(fmt.max_raw // 2 + 1, fmt.max_raw + 1, (2, 1 << (n - 1)))
+    if beta:
+        words *= rng.choice((-1, 1), words.shape)
+    m, ctx = mixer_table(n), FxContext()
+    out = run_elemental_ansatz(words, mixer_level_angles(m, beta), PipelineConfig(fmt=fmt),
+                               ctx, order="mixer", expand=m.expand, sector=sector_table(n))
+    assert beta or ctx.overflow
+    if out.shape[-1] < 1 << n:  # back in the sector: h, then its mirror
+        assert not ctx.overflow
+        out = np.concatenate((out, out[:, ::-1]), axis=1)
+    assert (out == out[:, ::-1]).all()
 
 
 def sector_product(words, order):

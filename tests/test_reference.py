@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmaxemu import (OpCounts, QaoaParams, WeightedGraph, align_global_phase,
+from qmaxemu import (ENGINE_NAMES, EngineRun, QaoaParams, WeightedGraph, align_global_phase,
                      build_cost_diagonal, build_mixer_exponents, cost_angles,
                      decomposed_run_qaoa_f64, dense_cost_unitary,
                      dense_mixer_unitary, dense_run_qaoa, fwht_inplace,
-                     mixer_angles, mixer_table, run_qaoa, walsh_streamed)
+                     mixer_angles, mixer_table, run_engine, walsh_streamed)
 from qmaxemu import pipeline
 from qmaxemu.pipeline import hadamard_sign
 from qmaxemu.reference import _apply_mixer
@@ -73,7 +73,7 @@ def test_dense_unitaries_are_unitary():
 
 
 def test_dense_run_qaoa_uniform_at_zero(triangle):
-    state = dense_run_qaoa(triangle, QaoaParams(1, (0.0,), (0.0,)))
+    state, _ = dense_run_qaoa(triangle, QaoaParams(1, (0.0,), (0.0,)))
     np.testing.assert_allclose(state.amps, np.full(8, 1 / math.sqrt(8)), atol=1e-12)
 
 
@@ -81,7 +81,7 @@ def test_dense_run_qaoa_norm_preserved():
     rng = np.random.default_rng(61)
     for _ in range(100):
         g, params = random_instance(rng, 2, 5, 3)
-        state = dense_run_qaoa(g, params)
+        state, _ = dense_run_qaoa(g, params)
         assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -178,7 +178,7 @@ def test_decomposed_matches_all_n_angle_phases_bytewise():
             p = int(rng.integers(1, 4))
             params = QaoaParams.from_lists(rng.uniform(0.0, 2.0, p),
                                            rng.uniform(0.0, math.pi, p))
-            got = decomposed_run_qaoa_f64(g, params).amps
+            got = decomposed_run_qaoa_f64(g, params).state.amps
             assert got.tobytes() == _decomposed_on_all_n_angles(g, params).tobytes()
 
 
@@ -204,8 +204,8 @@ def test_decomposed_matches_dense(six_vertex_graph):
     rng = np.random.default_rng(71)
     for _ in range(20):
         g, params = random_instance(rng, 2, 6, 4)
-        dense = dense_run_qaoa(g, params)
-        dec = decomposed_run_qaoa_f64(g, params)
+        dense = dense_run_qaoa(g, params).state
+        dec = decomposed_run_qaoa_f64(g, params).state
         aligned = align_global_phase(dec.amps, dense.amps)
         assert np.abs(aligned - dense.amps).max() < 1e-9
 
@@ -213,37 +213,44 @@ def test_decomposed_matches_dense(six_vertex_graph):
 def test_dense_matches_decomposed_beyond_twelve_qubits():
     g = random_graph(np.random.default_rng(97), 14, edge_prob=0.3)
     params = QaoaParams.from_lists([0.15, 0.35], [0.4, 0.25])
-    dense = dense_run_qaoa(g, params)
-    dec = decomposed_run_qaoa_f64(g, params)
+    dense = dense_run_qaoa(g, params).state
+    dec = decomposed_run_qaoa_f64(g, params).state
     aligned = align_global_phase(dec.amps, dense.amps)
     assert np.abs(aligned - dense.amps).max() < 1e-12
 
 
 def test_decomposed_identity_at_zero(triangle):
-    state = decomposed_run_qaoa_f64(triangle, QaoaParams(1, (0.0,), (0.0,)))
+    state, _ = decomposed_run_qaoa_f64(triangle, QaoaParams(1, (0.0,), (0.0,)))
     np.testing.assert_allclose(state.amps, np.full(8, 1 / math.sqrt(8)), atol=1e-12)
 
 
-def test_decomposed_op_counts():
-    g = random_graph(np.random.default_rng(73), 4)
-    params = QaoaParams.from_lists([0.1, 0.2], [0.3, 0.4])
-    counts = OpCounts()
-    decomposed_run_qaoa_f64(g, params, counts=counts)
-    assert counts.mults == 2 * 2 * 16
-    assert counts.adds == 2 * 2 * 16 * 16
-    # the butterfly computes the transform, but the counts are the modelled
-    # dataflow's, the same as the pipeline's
-    _, pipeline_counts = run_qaoa(g, params)
-    assert (counts.mults, counts.adds) == (pipeline_counts.mults, pipeline_counts.adds)
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+@pytest.mark.parametrize("n,p", [(3, 1), (4, 2)])
+def test_engine_op_counts(name, n, p):
+    # every engine returns an EngineRun, which unpacks as state, counts.  The
+    # butterfly computes decomposed-f64's transform, but its counts are the
+    # modelled dataflow's, the same as the pipeline's; only the pipeline
+    # models clocks
+    g = random_graph(np.random.default_rng(73), n)
+    params = QaoaParams.from_lists([0.1] * p, [0.3] * p)
+    run = run_engine(name, g, params)
+    assert isinstance(run, EngineRun)
+    state, counts = run
+    assert state is run.state and counts is run.counts
+    assert state.n == n
+    big_n = 1 << n
+    want = {"pipeline": (2 * p * big_n, 2 * p * big_n ** 2, [big_n + 19] * (2 * p)),
+            "decomposed-f64": (2 * p * big_n, 2 * p * big_n ** 2, []),
+            "dense": (2 * p * big_n ** 2, 2 * p * big_n * (big_n - 1), [])}[name]
+    assert (counts.mults, counts.adds, counts.cycles_per_op) == want
 
 
-def test_dense_op_counts():
-    g = random_graph(np.random.default_rng(79), 3)
-    params = QaoaParams.from_lists([0.1], [0.2])
-    counts = OpCounts()
-    dense_run_qaoa(g, params, counts=counts)
-    assert counts.mults == 2 * 64
-    assert counts.adds == 2 * 8 * 7
+@pytest.mark.parametrize("name", ["decomposed-f64", "dense"])
+def test_float_engines_reject_a_trace_writer(triangle, name):
+    records = []
+    with pytest.raises(ValueError, match="models no clocks"):
+        run_engine(name, triangle, QaoaParams(1, (0.4,), (0.3,)), trace_writer=records.append)
+    assert not records
 
 
 def test_decomposed_large_run_is_fast():

@@ -14,10 +14,6 @@ from qmaxemu.variational import OptimizationTrace, OptimizerConfig, ZeroStateErr
 from conftest import complete_graph, random_instance
 
 
-def f64_engine(g, params):
-    return decomposed_run_qaoa_f64(g, params)
-
-
 def test_probabilities_uniform_and_basis(triangle):
     state = init_uniform_state(3)
     np.testing.assert_allclose(probabilities(state), [1 / 8] * 8)
@@ -94,13 +90,14 @@ def test_f_p_at_zero_parameters_is_half_total_weight():
         g, _ = random_instance(rng, 2, 6, 1)
         d = build_cost_diagonal(g, g.num_vertices)
         params = QaoaParams(1, (0.0,), (0.0,))
-        f_p = expectation(f64_engine(g, params), d).f_p
+        f_p = expectation(decomposed_run_qaoa_f64(g, params).state, d).f_p
         assert f_p == pytest.approx(0.5 * g.total_weight, abs=1e-12)
 
 
 def test_f_p_at_zero_parameters_exact_for_unit_weights(triangle):
     d = build_cost_diagonal(triangle, 3)
-    f_p = expectation(f64_engine(triangle, QaoaParams(1, (0.0,), (0.0,))), d).f_p
+    state, _ = decomposed_run_qaoa_f64(triangle, QaoaParams(1, (0.0,), (0.0,)))
+    f_p = expectation(state, d).f_p
     assert f_p == 0.5 * triangle.total_weight  # dyadic weights: bit-exact
 
 
@@ -110,12 +107,12 @@ def test_f_p_bounded_by_brute_force():
         g, params = random_instance(rng, 2, 6, 4)
         d = build_cost_diagonal(g, g.num_vertices)
         best, _ = brute_force_max_cut(g)
-        f_p = expectation(f64_engine(g, params), d).f_p
+        f_p = expectation(decomposed_run_qaoa_f64(g, params).state, d).f_p
         assert 0.0 <= f_p <= best + 1e-9
 
 
 def test_optimize_single_edge_reaches_optimum(single_edge):
-    trace = optimize(single_edge, 1, f64_engine,
+    trace = optimize(single_edge, 1, decomposed_run_qaoa_f64,
                      OptimizerConfig(restarts=4, max_evals=600), seed=5)
     assert trace.best_f_p >= 0.99  # depth-1 solves a single edge exactly
     assert trace.evaluations == len(trace.iterations)
@@ -124,7 +121,7 @@ def test_optimize_single_edge_reaches_optimum(single_edge):
 
 def test_optimize_triangle_matches_grid_oracle(triangle):
     gamma, beta, grid_best = grid_search_p1(triangle, 64)
-    trace = optimize(triangle, 1, f64_engine,
+    trace = optimize(triangle, 1, decomposed_run_qaoa_f64,
                      OptimizerConfig(restarts=4, max_evals=600), seed=7)
     assert abs(trace.best_f_p - grid_best) <= 1e-2
     assert trace.best_f_p >= grid_best - 1e-2
@@ -132,15 +129,15 @@ def test_optimize_triangle_matches_grid_oracle(triangle):
 
 def test_optimize_trace_is_deterministic(triangle):
     cfg = OptimizerConfig(restarts=2, max_evals=120)
-    a = optimize(triangle, 1, f64_engine, cfg, seed=9)
-    b = optimize(triangle, 1, f64_engine, cfg, seed=9)
+    a = optimize(triangle, 1, decomposed_run_qaoa_f64, cfg, seed=9)
+    b = optimize(triangle, 1, decomposed_run_qaoa_f64, cfg, seed=9)
     assert a.best_f_p == b.best_f_p
     assert a.best_params == b.best_params
     assert [f for _, f in a.iterations] == [f for _, f in b.iterations]
 
 
 def test_optimize_best_is_running_maximum(single_edge):
-    trace = optimize(single_edge, 1, f64_engine,
+    trace = optimize(single_edge, 1, decomposed_run_qaoa_f64,
                      OptimizerConfig(restarts=3, max_evals=150), seed=11)
     running = -math.inf
     for _, f in trace.iterations:
@@ -152,7 +149,8 @@ def test_grid_search_values(single_edge):
     gamma, beta, best = grid_search_p1(single_edge, 16)
     # the zero lattice point must evaluate to the mean cut
     d = build_cost_diagonal(single_edge, 2)
-    zero = expectation(f64_engine(single_edge, QaoaParams(1, (0.0,), (0.0,))), d).f_p
+    state, _ = decomposed_run_qaoa_f64(single_edge, QaoaParams(1, (0.0,), (0.0,)))
+    zero = expectation(state, d).f_p
     assert zero == pytest.approx(0.5 * single_edge.total_weight)
     assert best >= zero
     with pytest.raises(ValueError):
@@ -161,7 +159,7 @@ def test_grid_search_values(single_edge):
 
 def test_engine_agreement_on_best_value(triangle):
     cfg = OptimizerConfig(restarts=2, max_evals=200)
-    f64 = optimize(triangle, 1, f64_engine, cfg, seed=13)
+    f64 = optimize(triangle, 1, decomposed_run_qaoa_f64, cfg, seed=13)
     pipe = optimize(triangle, 1, make_engine("pipeline"), cfg, seed=13)
     assert abs(f64.best_f_p - pipe.best_f_p) <= 5e-3
 
@@ -171,7 +169,7 @@ def test_pipeline_expectation_consistency(triangle):
     d = build_cost_diagonal(triangle, 3)
     state, _ = run_qaoa(triangle, params)
     got = expectation(state, d)
-    ref = expectation(f64_engine(triangle, params), d)
+    ref = expectation(decomposed_run_qaoa_f64(triangle, params).state, d)
     assert abs(got.f_p - ref.f_p) <= 5e-3
 
 
@@ -209,9 +207,10 @@ def test_grid_search_folds_beta_below_half_pi(triangle):
                                    trace.best_f_p)
     # the folded half of the lattice holds nothing better
     d = build_cost_diagonal(triangle, 3)
-    upper = max(expectation(f64_engine(triangle, QaoaParams(1, (i * math.pi / 16,),
-                                                            (j * math.pi / 16,))), d).f_p
-                for i in range(16) for j in range(8, 16))
+    lattice = [QaoaParams(1, (i * math.pi / 16,), (j * math.pi / 16,))
+               for i in range(16) for j in range(8, 16)]
+    upper = max(expectation(decomposed_run_qaoa_f64(triangle, params).state, d).f_p
+                for params in lattice)
     assert upper <= best + 1e-12
     odd = OptimizationTrace()
     assert grid_search_p1(triangle, 9, trace=odd)[1] < math.pi / 2

@@ -308,12 +308,25 @@ def vec_from_real(x: np.ndarray, fmt: FxFormat, ctx: FxContext | None = None) ->
     """Vector twin of fx_from_real.  Rounding is monotone, so x's extremes
     decide finiteness and saturation; x is clipped only when one saturates."""
     x = np.asarray(x, dtype=np.float64)
-    x_lo, x_hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    saturates = bool(x.size) and _from_real_saturates(float(x.min()), float(x.max()), fmt)
+    if saturates and ctx is not None:
+        ctx.overflow = True
+    return _quantize(x, fmt, saturates)
+
+
+def _from_real_saturates(x_lo: float, x_hi: float, fmt: FxFormat) -> bool:
+    """Whether converting values whose extremes are x_lo and x_hi saturates;
+    a non-finite extreme is rejected."""
     if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
         raise ValueError("cannot convert non-finite values")
-    if _round_scaled(x_lo, fmt) < fmt.min_raw or _round_scaled(x_hi, fmt) > fmt.max_raw:
-        if ctx is not None:
-            ctx.overflow = True
+    return _round_scaled(x_lo, fmt) < fmt.min_raw or _round_scaled(x_hi, fmt) > fmt.max_raw
+
+
+def _quantize(x: np.ndarray, fmt: FxFormat, saturates: bool) -> np.ndarray:
+    """vec_from_real's words of finite x, clipped first when some value
+    saturates.  Clipping moves a value that does not saturate at most to
+    the word limit it rounds to, so it leaves that value's word as it is."""
+    if saturates:
         x = np.clip(x, fmt.min_raw * fmt.ulp, fmt.max_raw * fmt.ulp)
     return np.rint(x * float(1 << fmt.frac_bits)).astype(np.int64)  # rint ties to even
 
@@ -323,31 +336,50 @@ def vec_to_float(raw: np.ndarray, fmt: FxFormat) -> np.ndarray:
     return raw.astype(np.float64) * fmt.ulp
 
 
+def _rne_product(a_raw: np.ndarray, b_raw: np.ndarray, frac_bits: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The rounded product of fx_mul, unclipped."""
+    prod = np.multiply(a_raw, b_raw, out=out)  # |raw| < 2**31 so the int64 product is exact
+    # _rne_shift on the fresh product, in place: one temporary, not three
+    odd = prod >> frac_bits
+    odd &= 1
+    odd += (1 << (frac_bits - 1)) - 1
+    prod += odd
+    prod >>= frac_bits
+    return prod
+
+
 def vec_mul(a_raw: np.ndarray, b_raw: np.ndarray, fmt: FxFormat,
             ctx: FxContext | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """fx_mul on arrays; out=a_raw rounds and clips the product in place."""
-    prod = np.multiply(a_raw, b_raw, out=out)  # |raw| < 2**31 so the int64 product is exact
-    # _rne_shift on the fresh product, in place: one temporary, not three
-    f = fmt.frac_bits
-    odd = prod >> f
-    odd &= 1
-    odd += (1 << (f - 1)) - 1
-    prod += odd
-    prod >>= f
-    return _vec_saturate(prod, fmt, ctx)
+    return _vec_saturate(_rne_product(a_raw, b_raw, fmt.frac_bits, out), fmt, ctx)
 
 
 def vec_cmul(words: np.ndarray, cos: np.ndarray, sin: np.ndarray, fmt: FxFormat,
-             ctx: FxContext | None = None) -> np.ndarray:
+             ctx: FxContext | None = None, peak: int | None = None) -> np.ndarray:
     """Vector twin of cfx_mul_phase on a (2, N) register of real and
     imaginary rows, in place; returns words.  The products are rounded and
     clipped, the real row subtracts im * sin and the imaginary row adds
-    re * sin, and the sums are clipped: the scalar's saturations."""
-    cross = vec_mul(words[::-1], sin, fmt, ctx)
-    vec_mul(words, cos, fmt, ctx, out=words)
+    re * sin, and the sums are clipped: the scalar's saturations.
+
+    peak, when given, must bound every |cos| and |sin| word.  Rounding is
+    monotone and odd, so no rounded product exceeds rne(max|w| * peak) in
+    magnitude, rne being _rne_shift by frac_bits; when twice that is at
+    most max_raw, no product and no sum can leave the word range, and one
+    extreme scan of the register replaces the three of the clipping path.
+    """
+    f = fmt.frac_bits
+    safe = peak is not None and words.size > 0 and (
+        2 * _rne_shift(max(int(words.max()), -int(words.min())) * peak, f) <= fmt.max_raw)
+    if safe:
+        cross = _rne_product(words[::-1], sin, f)
+        _rne_product(words, cos, f, out=words)
+    else:
+        cross = vec_mul(words[::-1], sin, fmt, ctx)
+        vec_mul(words, cos, fmt, ctx, out=words)
     words[0] -= cross[0]
     words[1] += cross[1]
-    return _vec_saturate(words, fmt, ctx)
+    return words if safe else _vec_saturate(words, fmt, ctx)
 
 
 def vec_add(a_raw: np.ndarray, b_raw: np.ndarray, fmt: FxFormat,
@@ -448,6 +480,14 @@ def _cordic_leaf(rad_q1: np.ndarray, fmt: FxFormat) -> np.ndarray:
     del bucket  # freed before the index is built
     # an intp index gathers directly; an int32 one is converted on each gather
     return np.add(leaf, rad_q1 >= leaf_end, dtype=np.intp)
+
+
+@lru_cache(maxsize=8)
+def cordic_peak(fmt: FxFormat) -> int:
+    """The largest |x| or |y| word of the CORDIC table: a bound on every
+    vec_sincos word, whose sign restore keeps magnitudes."""
+    _, x, y = _cordic_table(fmt)
+    return int(max(np.abs(x).max(), np.abs(y).max()))
 
 
 def vec_cordic_sincos(rad_q1: np.ndarray, fmt: FxFormat) -> tuple[np.ndarray, np.ndarray]:

@@ -20,13 +20,16 @@ over the two halves of its N-stream, read off that transform, certifies
 that no row saturates (_halves_certified); any other pass builds the
 full (2, N) product for _n_add, and the run returns to the sector unless
 a row saturated, after which it holds the full register to the end.
-1_MULT (fxp.vec_cmul) rounds and clips its products in place on the
-register, where a run peaks: at 2.25 times the full register when every
-pass is certified, and at 4.25 times on the full register, at n = 16 and
-20.  A sector N_ADD peaks at 1.75 times, holding the words, the
-transform's float64 image and its last product.  A pass that takes the
-full-N N_ADD holds the N/2 words beside it (up to 4.45 times where a
-q7.25 pass at n = 16 clamps).
+1_MULT (fxp.vec_cmul) rounds its products in place on the register.  It
+is given the CORDIC table's peak |cos|, |sin| word (fxp.cordic_peak), and
+when one extreme scan of the register shows that no product and no sum can
+leave the word range it takes them with no clips; otherwise it clips each
+product and each sum, with the flag.  A run peaks in 1_MULT: at 2.25
+times the full register when every pass is certified, and at 4.25 times
+on the full register, at n = 16 and 20.  A sector N_ADD peaks at 1.75
+times, holding the words, the transform's float64 image and its last
+product.  A pass that takes the full-N N_ADD holds the N/2 words beside
+it (up to 4.45 times where a q7.25 pass at n = 16 clamps).
 
 The host evaluates the datapath in a different order with identical words
 and flags.  The per-element stages are batch-evaluated, which is
@@ -38,7 +41,10 @@ cost pass evaluates the N/2 angles of the states with bit n-1 clear and
 mirrors them (the cost table is symmetric under complementing every bit),
 a mixer pass the n + 1 angles u*beta, u = -n, -n+2, ..., n, gathered by
 popcount.  Their saturation flags depend only on the set of angles, which
-is the same.
+is the same.  run_layer runs these stages once per layer, on its two
+passes' distinct angles together (_angle_stages); each pass keeps the
+CALCULATE_RAD flag of its own angles and raises it with its own 1_MULT,
+so the flag and the trace are those of one pass at a time.
 CORDIC is evaluated by a per-format decision-interval table
 (fxp.vec_cordic_sincos), which gives the 16 stages' words in one O(1)
 lookup through a bucket index over the input range.
@@ -58,6 +64,7 @@ identical.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -468,8 +475,10 @@ def init_uniform_state(n: int, fmt: FxFormat = FxFormat()) -> StateVector:
     return StateVector(amps=amps, scale_exp=scale_exp, n=n)
 
 
+@functools.lru_cache(maxsize=None)
 def _uniform_start(n: int, fmt: FxFormat) -> tuple[float, Fraction]:
-    """init_uniform_state's stored amplitude and scale exponent."""
+    """init_uniform_state's stored amplitude and scale exponent, built once
+    per (n, fmt)."""
     check_qubit_count(n)
     half_up = (n + 1) // 2
     if fmt.frac_bits < half_up:
@@ -608,7 +617,52 @@ def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFo
     return words
 
 
-def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineConfig,
+class Phasors(NamedTuple):
+    """A pass's CORDIC words (cos, sin) for its distinct angles, whether
+    CALCULATE_RAD saturated on those angles, and, for a traced pass,
+    NORMALIZE_RAD's sign bits (neg_cos, neg_sin)."""
+
+    cos: np.ndarray
+    sin: np.ndarray
+    saturated: bool
+    signs: tuple[np.ndarray, np.ndarray] | None
+
+
+def _angle_stages(passes: tuple[np.ndarray, ...], fmt: FxFormat,
+                  traced: bool) -> list[Phasors]:
+    """CALCULATE_RAD -> NORMALIZE_RAD -> CORDIC on the distinct angles of
+    one or more passes, in one call of each stage on their concatenation.
+
+    The stages are pure per element, so the words are those of each pass
+    on its own.  Each pass's saturation flag is taken from its own angles'
+    extremes, as vec_from_real decides it: rounding is monotone.  A pass
+    that does not saturate keeps its words when the batch is clipped for
+    another (fxp._quantize).  Every pass after the first gets copies of its
+    words, so the first pass's words, views of the batch's, free it all.
+    """
+    angles = passes[0] if len(passes) == 1 else np.concatenate(passes)
+    starts = [0, *itertools.accumulate(len(a) for a in passes[:-1])]
+    saturated = [fxp._from_real_saturates(lo, hi, fmt) for lo, hi in
+                 zip(np.minimum.reduceat(angles, starts).tolist(),
+                     np.maximum.reduceat(angles, starts).tolist())]
+    rad = fxp._quantize(angles, fmt, any(saturated))
+    del angles  # free the batch's angles before the CORDIC
+    signs = ()
+    if traced:  # the trace's sign bits, kept only when tracing
+        signs = fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)[1:]
+    cos, sin = fxp.vec_sincos(rad, fmt)
+    del rad  # free the angle words before 1_MULT
+    ends = [*starts[1:], len(cos)]
+    phasors = []
+    for k, flag in enumerate(saturated):
+        cut = [a[starts[k]:ends[k]] for a in (cos, sin, *signs)]
+        if k:
+            cut = [a.copy() for a in cut]
+        phasors.append(Phasors(cut[0], cut[1], flag, tuple(cut[2:]) if traced else None))
+    return phasors
+
+
+def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray | Phasors, cfg: PipelineConfig,
                          ctx: FxContext | None = None,
                          trace_writer: TraceWriter | None = None,
                          layer: int = 0, order: str = "cost",
@@ -625,7 +679,10 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     The elements stream expand(angles), which must give N of them.  With a
     table's expand, angles holds the distinct angles, every one of them
     streamed: the angle stages and CORDIC run once per distinct angle, and
-    their words are expanded before 1_MULT.
+    their words are expanded before 1_MULT.  angles may also be their
+    Phasors, from the angle stages already run (run_layer); a traced pass
+    needs their sign bits.  CALCULATE_RAD's flag is raised with the pass's
+    own 1_MULT either way.
 
     With run_qaoa's sector, a register of N/2 words holds the state in its
     parity sector.  1_MULT then runs on those words, taking the distinct
@@ -643,12 +700,11 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     # CALCULATE_RAD quantizes the angle, NORMALIZE_RAD folds it and CORDIC
     # turns it into a unit phasor.  They are pure functions of the angle and
     # their flags depend only on the set of angles: the distinct ones suffice.
-    rad = fxp.vec_from_real(angles, fmt, ctx)
-    # the trace's sign bits, kept only when tracing
-    if trace_writer is not None:
-        _, neg_cos, neg_sin = fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)
-    cos_raw, sin_raw = fxp.vec_sincos(rad, fmt)
-    del rad  # free the angle words before 1_MULT
+    if not isinstance(angles, Phasors):
+        (angles,) = _angle_stages((angles,), fmt, trace_writer is not None)
+    cos_raw, sin_raw, saturated, signs = angles
+    del angles  # the caller's Phasors may be the last holder of the words
+    ctx.overflow |= saturated
     if in_sector:
         stream = sector.expand if order == "mixer" else _stream_as_is
     else:
@@ -656,7 +712,9 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     cos_raw, sin_raw = stream(cos_raw), stream(sin_raw)
     if cos_raw.shape != (words.shape[-1],):
         raise ValueError(f"expected {words.shape[-1]} angles, streamed {cos_raw.shape}")
-    fxp.vec_cmul(words, cos_raw, sin_raw, fmt, ctx)
+    # the CORDIC's words bound |cos| and |sin|: 1_MULT skips its clips when
+    # the register's largest word cannot saturate against them
+    fxp.vec_cmul(words, cos_raw, sin_raw, fmt, ctx, peak=fxp.cordic_peak(fmt))
     del cos_raw, sin_raw  # free them before N_ADD
 
     # N_ADD: the hardware accumulates the product stream into all N slots in
@@ -669,7 +727,7 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
 
     if trace_writer is not None:
         _emit_op_trace(trace_writer, n_states, layer, order,
-                       expand(neg_cos), expand(neg_sin), ctx.overflow)
+                       expand(signs[0]), expand(signs[1]), ctx.overflow)
     return words
 
 
@@ -684,14 +742,19 @@ def run_layer(words: np.ndarray, d_cost_angles: np.ndarray,
     Updates the (2, N) register words in place and returns it.  The two
     passes grow the state by exactly 2**n in norm, so the n-bit shift
     realizes the layer's 1/2**n factor and leaves the scale exponent
-    unchanged.  Each pass streams its expand of its angles.  With a sector,
-    a pass may return a new register (run_elemental_ansatz), and the layer
-    returns the one it leaves.
+    unchanged.  Each pass streams its expand of its angles.  The angle
+    stages run once for the layer, on both passes' distinct angles
+    (_angle_stages), and each pass raises its own CALCULATE_RAD flag.  With
+    a sector, a pass may return a new register (run_elemental_ansatz), and
+    the layer returns the one it leaves.
     """
     n = sector.n if sector is not None else words.shape[-1].bit_length() - 1
-    words = run_elemental_ansatz(words, d_cost_angles, cfg, ctx, trace_writer, layer=layer,
+    # popped, so that each pass holds the only reference to its words and
+    # the cost pass frees them, and the batch, before its N_ADD
+    phasors = _angle_stages((d_cost_angles, d_mixer_angles), cfg.fmt, trace_writer is not None)
+    words = run_elemental_ansatz(words, phasors.pop(0), cfg, ctx, trace_writer, layer=layer,
                                  order="cost", expand=cost_expand, sector=sector)
-    words = run_elemental_ansatz(words, d_mixer_angles, cfg, ctx, trace_writer, layer=layer,
+    words = run_elemental_ansatz(words, phasors.pop(), cfg, ctx, trace_writer, layer=layer,
                                  order="mixer", expand=mixer_expand, sector=sector)
     words >>= n
     return words
@@ -719,9 +782,9 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
     n_states = 1 << n
     diag = g.cost_table  # rejects n above MAX_QUBITS before allocating
     mixer, sector = mixer_table(n), sector_table(n)
-    value, scale_exp = _uniform_start(n, cfg.fmt)
+    _, scale_exp = _uniform_start(n, cfg.fmt)
     words = np.zeros((2, n_states // 2), dtype=np.int64)
-    words[0] = fxp.vec_from_real(np.full(1, value), cfg.fmt)
+    words[0] = 1 << (cfg.fmt.frac_bits - (n + 1) // 2)  # the start value 2**-ceil(n/2)
     ctx = FxContext()
     for layer in range(params.p):
         words = run_layer(words, cost_half_angles(diag, params.gamma[layer]),

@@ -78,11 +78,7 @@ def expectation(state: StateVector, d: CostDiagonal) -> ExpectationResult:
     the lowest index.  Pairs that are equal only in exact arithmetic, as
     under a symmetry of the graph, are not ties: with the float64 engines,
     rounding chooses between them."""
-    if len(state.amps) != len(d.entries):
-        raise ValueError("state and cost diagonal lengths differ")
-    probs = probabilities(state)
-    cuts = d.entries * 0.5
-    f_p = float(np.sum(probs * cuts))
+    f_p, probs, cuts = _expected_cut(state, d)
     half = len(probs) // 2
     best = int(np.argmax(probs[:half] + probs[::-1][:half]))
     return ExpectationResult(
@@ -93,13 +89,23 @@ def expectation(state: StateVector, d: CostDiagonal) -> ExpectationResult:
     )
 
 
+def _expected_cut(state: StateVector, d: CostDiagonal) -> tuple[float, np.ndarray, np.ndarray]:
+    """f_p, and the probabilities and cut values it sums: expectation's
+    arithmetic, which the optimizer's objective runs alone."""
+    if len(state.amps) != len(d.entries):
+        raise ValueError("state and cost diagonal lengths differ")
+    probs = probabilities(state)
+    cuts = d.entries * 0.5
+    return float(np.sum(probs * cuts)), probs, cuts
+
+
 def make_objective(g: WeightedGraph, p: int, engine: EngineFn,
                    trace: OptimizationTrace):
     """Negated-f_p objective over a flat [gamma..., beta...] vector."""
     def objective(x: np.ndarray) -> float:
         folded = np.mod(x, DOMAIN)
         params = QaoaParams(p, tuple(folded[:p]), tuple(folded[p:]))
-        f_p = expectation(engine(g, params).state, g.cost_table).f_p
+        f_p = _expected_cut(engine(g, params).state, g.cost_table)[0]
         trace.iterations.append((params, f_p))
         trace.evaluations += 1
         if f_p > trace.best_f_p:

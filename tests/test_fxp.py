@@ -580,3 +580,50 @@ def test_rne_shift_matches_divmod_definition():
             fits = np.abs(values) <= fmt.max_raw
             got = fxp.vec_mul(values[fits], np.ones(fits.sum(), dtype=np.int64), fmt)
             assert (got == want[fits]).all()
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(12, 8), FxFormat(16, 10)], ids=lambda f: f.name)
+def test_cordic_peak_bounds_every_vec_sincos_word(fmt):
+    # exhaustively over six turns, as the vec_sincos tests: cordic_peak is
+    # the largest |cos| or |sin| word any angle gets, so 1_MULT may bound
+    # its products with it
+    two_pi = fx_two_pi(fmt).raw
+    cos, sin = fxp.vec_sincos(np.arange(-3 * two_pi, 3 * two_pi, dtype=np.int64), fmt)
+    assert max(np.abs(cos).max(), np.abs(sin).max()) == fxp.cordic_peak(fmt)
+
+
+@pytest.mark.parametrize("fmt", [FxFormat(12, 8), FxFormat(32, 25), FxFormat(32, 20)],
+                         ids=lambda f: f.name)
+def test_vec_cmul_bound_decides_at_its_edge(fmt, monkeypatch):
+    # registers at the largest max|w| that vec_cmul's phasor bound accepts,
+    # 2 rne(max|w| * peak) <= max_raw, and one word above it, against
+    # phasors at +/-peak: the first takes no clip and saturates nowhere,
+    # the second clips and saturates, and both give cfx_mul_phase's words
+    # and flag
+    peak, f = fxp.cordic_peak(fmt), fmt.frac_bits
+    top = ((fmt.max_raw // 2) << f) // peak
+    while 2 * fxp._rne_shift((top + 1) * peak, f) <= fmt.max_raw:
+        top += 1
+    while 2 * fxp._rne_shift(top * peak, f) > fmt.max_raw:
+        top -= 1
+    clips = []
+    saturate = fxp._vec_saturate
+    monkeypatch.setattr(fxp, "_vec_saturate", lambda *args: clips.append(1) or saturate(*args))
+    signs = np.array([(a, b, c, d) for a in (-1, 1) for b in (-1, 1)
+                      for c in (-1, 1) for d in (-1, 1)]).T
+    for m, saturates in ((top, False), (top + 1, True)):
+        words = signs[:2] * m
+        cos, sin = signs[2] * peak, signs[3] * peak
+        ctx = FxContext()
+        clips.clear()
+        fxp.vec_cmul(words, cos, sin, fmt, ctx, peak=peak)
+        assert bool(clips) == ctx.overflow == saturates
+        for k in range(signs.shape[1]):
+            want_ctx = FxContext()
+            want = cfx_mul_phase(CFx(Fx(int(signs[0, k] * m), fmt), Fx(int(signs[1, k] * m), fmt)),
+                                 Fx(int(cos[k]), fmt), Fx(int(sin[k]), fmt), want_ctx)
+            column = np.array([[signs[0, k] * m], [signs[1, k] * m]])
+            col_ctx = FxContext()
+            fxp.vec_cmul(column, cos[k:k + 1], sin[k:k + 1], fmt, col_ctx, peak=peak)
+            assert words[:, k].tolist() == column[:, 0].tolist() == [want.re.raw, want.im.raw]
+            assert col_ctx.overflow == want_ctx.overflow

@@ -1076,3 +1076,50 @@ def test_sector_n_add_matches_the_full_stream(n, fmt, order, seed, bits, offset)
                else np.concatenate((got, got[:, ::-1]), axis=1))
     assert got.dtype == np.int64
     assert (got == want).all()
+
+
+def test_each_pass_raises_its_own_calculate_rad_flag():
+    # layer 1's mixer angles u*beta reach 4 * 20 = 80, past q7.25's 64, and
+    # nothing else saturates.  run_layer runs both passes' angle stages in
+    # one batch, but the flag is raised with that pass's own 1_MULT, so
+    # only its records read overflow: true, as when each pass runs its own
+    # stages on its bare angles
+    g, n, cfg = path_graph(4), 4, PipelineConfig()
+    params = QaoaParams.from_lists([0.3, 0.2], [0.7, 20.0])
+    records = []
+    _, counts = run_qaoa(g, params, cfg, records.append)
+    assert counts.overflow
+    assert sorted({(r["op"], r["overflow"]) for r in records}) == [
+        (0, False), (1, False), (2, False), (3, True)]
+    want = []
+    diag, mixer, sector = g.cost_table, mixer_table(n), sector_table(n)
+    words = np.zeros((2, 1 << (n - 1)), dtype=np.int64)
+    words[0] = fxp.vec_from_real(init_uniform_state(n, cfg.fmt).amps.real[:1], cfg.fmt)
+    ctx = FxContext()
+    for layer in range(params.p):
+        for order, angles, expand in (
+                ("cost", cost_half_angles(diag, params.gamma[layer]), diag.expand),
+                ("mixer", mixer_level_angles(mixer, params.beta[layer]), mixer.expand)):
+            words = run_elemental_ansatz(words, angles, cfg, ctx, want.append, layer=layer,
+                                         order=order, expand=expand, sector=sector)
+        words >>= n
+    assert json.dumps(records) == json.dumps(want)
+
+
+def test_layer_angle_stages_match_each_pass_alone():
+    # one pass's angles saturate CALCULATE_RAD and clip the whole batch; the
+    # other's sit just inside the word range, where clipping moves a value
+    # but not its word, so every pass gets vec_from_real's words and flag
+    # and vec_sincos's phasors as if its stages ran alone
+    fmt = FxFormat()
+    inside = np.array([(fmt.max_raw + 0.49) * fmt.ulp, (fmt.min_raw - 0.5) * fmt.ulp, 1.0, -3.0])
+    outside = np.array([-100.0, 0.0, 100.0])
+    for passes in ((inside, outside), (outside, inside), (inside, inside, outside)):
+        for angles, got in zip(passes, pipeline._angle_stages(passes, fmt, traced=True)):
+            ctx = FxContext()
+            rad = fxp.vec_from_real(angles, fmt, ctx)
+            want = (*fxp.vec_sincos(rad, fmt), ctx.overflow,
+                    fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)[1:])
+            assert got.saturated == want[2] == (angles is outside)
+            for a, b in zip((got.cos, got.sin, *got.signs), (*want[:2], *want[3])):
+                assert a.tolist() == b.tolist()

@@ -620,12 +620,12 @@ def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFo
 class Phasors(NamedTuple):
     """A pass's CORDIC words (cos, sin) for its distinct angles, whether
     CALCULATE_RAD saturated on those angles, and, for a traced pass,
-    NORMALIZE_RAD's sign bits (neg_cos, neg_sin)."""
+    NORMALIZE_RAD's sign bits (neg_cos, neg_sin); else no signs."""
 
     cos: np.ndarray
     sin: np.ndarray
     saturated: bool
-    signs: tuple[np.ndarray, np.ndarray] | None
+    signs: tuple[np.ndarray, ...]
 
 
 def _angle_stages(passes: tuple[np.ndarray, ...], fmt: FxFormat,
@@ -658,7 +658,7 @@ def _angle_stages(passes: tuple[np.ndarray, ...], fmt: FxFormat,
         cut = [a[starts[k]:ends[k]] for a in (cos, sin, *signs)]
         if k:
             cut = [a.copy() for a in cut]
-        phasors.append(Phasors(cut[0], cut[1], flag, tuple(cut[2:]) if traced else None))
+        phasors.append(Phasors(cut[0], cut[1], flag, tuple(cut[2:])))
     return phasors
 
 

@@ -30,11 +30,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -65,7 +60,8 @@ def main(argv=None) -> int:
         parent, change = values["parent"][name], values["change"][name]
         sign = 1.0 if direction == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-        (p1, p2, p3), (c1, c2, c3) = quartiles(parent), quartiles(change)
+        p1, p2, p3 = statistics.quantiles(parent, n=4, method="inclusive")
+        c1, c2, c3 = statistics.quantiles(change, n=4, method="inclusive")
         clear = sign * (c2 - p2) < 0 and abs(c2 - p2) > p3 - p1
         print(f"{name:12s} parent {p2:.4g} [{p1:.4g}, {p3:.4g}]  change {c2:.4g} "
               f"[{c1:.4g}, {c3:.4g}]  {c2 / p2 - 1:+.1%}  change wins {wins}/{args.pairs}"

@@ -15,7 +15,7 @@ drain; run_qaoa builds the float64 StateVector once, at readout (words of
 parity sector (complement symmetry; Shaydulin & Wild, IEEE TQE 2, 2021):
 N/2 words per row, the lower half h before a cost pass and the words e at
 the even-popcount states after one.  Every pass runs an N/2 1_MULT and an
-N/2 transform (_sector_n_add), which is its N_ADD when the block bound
+N/2 transform (_sector_n_add), which is its N_ADD when the pair bound
 over the two halves of its N-stream, read off that transform, certifies
 that no row saturates (_halves_certified); any other pass builds the
 full (2, N) product for _n_add, and the run returns to the sector unless
@@ -52,13 +52,14 @@ N_ADD, defined as accumulation in ascending stream order, is computed in
 O(N log N) by transforms (_n_add).  The +/-1 transforms of the 1_MULT
 words, which the certificates read, are a few float64 BLAS products with
 Kronecker factors of H (_exact_transform): every partial sum is an
-integer bounded by the row's sum of |w|, within 2**53 wherever the
-result is used, so each product is exact in any summation order and the words are those of the int64
-butterfly.  The undo, prefix and clamp passes, and reference.fwht_inplace,
-whose float64 sums depend on their order, run on the cache-blocked,
-constant-geometry driver (butterfly), which applies the same combines in
-the same order as the natural-order butterfly, so words and flags are
-identical.
+integer bounded by the row's sum of |w|, within EXACT_L1 = 2**53 wherever
+the result is used, so each product is exact in any summation order and
+the words are those of the int64 butterfly.  _n_add certifies from that
+one image, by the row's sum of |w| or its leaf bound.  The prefix, undo
+and clamp passes, and reference.fwht_inplace, whose float64 sums depend
+on their order, run on the cache-blocked, constant-geometry driver
+(butterfly), which applies the same combines in the same order as the
+natural-order butterfly, so words and flags are identical.
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ def _sylvester(bits: int) -> np.ndarray:
 def _exact_transform(words: np.ndarray) -> np.ndarray:
     """The +/-1 transform of int64 words along the last axis, as a new
     float64 array, leaving words as they are; exact while every row's sum
-    of |w| is at most 2**53.
+    of |w| is at most EXACT_L1 = 2**53.
 
     A sign splits over the index bits, hadamard_sign(i, j) being the product
     of the signs of any partition of their bits into fields, so H_N is the
@@ -331,10 +332,10 @@ def _exact_transform(words: np.ndarray) -> np.ndarray:
     |w|.  While that is at most 2**53, every operation is therefore exact,
     whatever order, blocking, FMA or thread count BLAS uses, and the
     float64 result holds exactly the butterfly's words.  The callers stay
-    within it: _n_add transforms rows whose sum is at most max_raw, or
-    blocks of at most 2**20 words of magnitude at most 2**31, and a sector pass whose sum
-    passes it, possible only at n = 24, is rejected by _halves_certified's
-    terms in the sums alone, before the image is read.
+    within it: _n_add transforms whole rows only when each has a sum of |w|
+    at most EXACT_L1, and a sector pass whose sum passes it, possible only
+    at n = 24, is rejected by _halves_certified's terms in the sums alone,
+    before the image is read.
     """
     image = words.astype(np.float64)
     right = words.shape[-1]
@@ -351,50 +352,8 @@ def _exact_transform(words: np.ndarray) -> np.ndarray:
     return image.reshape(words.shape)
 
 
-# _n_add bounds 2**min(n, CERTIFIED_DEPTH) stream blocks; 4 is the least depth
-# that certifies test_run_qaoa_holds_one_register's unsaturated q12.20 run
-CERTIFIED_DEPTH = 4
-
-
-def _top_levels_bound(words: np.ndarray, block_l1: np.ndarray) -> np.ndarray:
-    """Finish the transform of words in place, whose blocks hold their own
-    transforms and have sums of |w| block_l1, and return twice a bound on
-    every prefix sum of every row's signed stream.
-
-    In a block with transform Y and sum of |w| T, a prefix P with sum of |w|
-    A has |P| <= A and |P| <= |Y(j)| + T - A: the leaf bound 2B(j) = |Y(j)| +
-    T.  A pair L, R also has the pair bound max(2B_L(j), 2|Y_L(j)| +
-    2B_R(j)), the children's rows taken modulo their width w, and its bound
-    is the lesser of the two.  So a pair's bound never exceeds the leaf bound
-    of the block it forms, and starting from smaller blocks never loosens
-    the result.
-    """
-    # rows of the (2 * blocks, width) grid of words hold one block each
-    width = words.shape[-1] // block_l1.shape[1]
-    l1 = block_l1.reshape(-1, 1)
-    bound = np.abs(words.reshape(-1, width))
-    bound += l1
-    while width < words.shape[-1]:
-        pairs, children = words.reshape(-1, 2, width), bound.reshape(-1, 2, width)
-        left, right = pairs[:, 0], pairs[:, 1]
-        spanning = np.abs(left)
-        spanning *= 2
-        spanning += children[:, 1]
-        np.maximum(spanning, children[:, 0], out=spanning)
-        del bound, children  # free the children's bounds before the pair's
-        # the level itself: the pair becomes the block (L + R, L - R)
-        diff = left - right
-        left += right
-        right[...] = diff
-        del diff
-        width *= 2
-        l1 = l1.reshape(-1, 2).sum(axis=-1, keepdims=True)
-        bound = np.abs(words.reshape(-1, width))
-        bound += l1
-        halves = bound.reshape(-1, 2, width // 2)
-        np.minimum(halves, spanning[:, None], out=halves)
-        del halves, spanning  # a view of bound would keep it through the next level
-    return bound
+# _exact_transform's image is exact while every row's sum of |w| is at most this
+EXACT_L1 = 1 << 53
 
 
 def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
@@ -403,15 +362,17 @@ def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
     Row i of the result is the saturating accumulation, from zero and in
     ascending column order c, of hadamard_sign(i, c) * words[:, c].  A row
     whose prefix sums all stay in [min_raw, max_raw] is the plain +/-1
-    transform.  Two bounds prove that for every row, and then the transform
-    is written to words and the flag is left as it is: sum(|w|) <= max_raw
-    on each row of words, or else _top_levels_bound over 2**min(n,
-    CERTIFIED_DEPTH) blocks.  _exact_transform computes the transform of
-    the rows, or of the blocks for the block bound, as exact float64 matrix
-    products, their sums of |w| bounding its partial sums.  When both bounds
-    fail, the int64 butterfly undoes the transform in place (H H w = N w),
-    and its entries summarise the signed sub-stream of one column block for
-    one row sign pattern:
+    transform Y.  A prefix P of row j's signed stream, with A the prefix's
+    sum of |w| and T the row's, has |P| <= A and |P| <= |Y(j)| + T - A, so
+    2|P| <= |Y(j)| + T.  When this leaf bound, max|Y| + T <= 2 max_raw,
+    holds on every row (as it does whenever T <= max_raw), Y is written to
+    words and the flag is left as it is.  _exact_transform computes Y into
+    a float64 image beside words, exact while every row has T <= EXACT_L1.
+    Past that, possible only at n >= 23, no image is taken: it could never
+    certify such a row, but an inexact one could fake the whole-sum
+    shortcut below.  Otherwise words still hold the 1_MULT words, and the
+    int64 butterfly's entries summarise the signed sub-stream of one column
+    block for one row sign pattern:
 
     (a) its sum s and its largest (t) and smallest (b) unclipped prefix
         sum.  Clipped and unclipped accumulation agree up to the first
@@ -425,39 +386,35 @@ def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
         onto itself since min_raw = -max_raw - 1.  The result is the whole
         stream's map applied to 0.
 
-    Pass (a) is skipped when a row's whole sum leaves the range.  It runs on
-    words, as its sum array, and two copies, freed before the clamp pass
-    runs on words and two bound arrays (each pass 2.2 x words beside them
-    at n = 18); when a row saturates, the transform in words is undone
-    first.
+    Pass (a) is skipped when the image shows a row whose whole sum leaves
+    the range.  It runs on words, as its sum array, and two copies, freed
+    before the clamp pass runs on words, its transform undone (H H = N I),
+    and two bound arrays; either pass holds 2.2 x words beside them at n = 18.
 
     Words are below 2**31 in magnitude and N <= 2**24, so every sum stays
     below 2**56 and the int64 arithmetic is exact.  The undo, prefix and
-    clamp passes stay on the butterfly: the words' sum of |w| does not
-    bound the partial sums of a product with the finished transform, and
-    the prefix and clamp combines are no products.
+    clamp passes stay on the butterfly: the words' sum of |w| does not bound
+    the undo's product with a transform, and the prefix and clamp combines
+    are no products.
     """
-    n = words.shape[-1].bit_length() - 1
-    # splitting the last axis is a view, so the blocks are words themselves
-    blocks = words.reshape(2, 1 << min(n, CERTIFIED_DEPTH), -1)
-    block_l1 = np.abs(blocks).sum(axis=-1)
-    if (block_l1.sum(axis=-1) <= fmt.max_raw).all():
-        np.copyto(words, _exact_transform(words), casting="unsafe")
-        return words
-    np.copyto(blocks, _exact_transform(blocks), casting="unsafe")
-    if _top_levels_bound(words, block_l1).max() <= 2 * fmt.max_raw:
-        return words
-    # a row whose whole sum leaves the range saturates: no prefix pass needed
-    saturates = words.max() > fmt.max_raw or words.min() < fmt.min_raw
-    butterfly((words,), _sum_diff)
-    words >>= n
+    l1 = np.abs(words).sum(axis=-1)
+    saturates = False
+    if (l1 <= EXACT_L1).all():
+        image = _exact_transform(words)
+        top, bottom = image.max(axis=-1), image.min(axis=-1)
+        if (np.maximum(top, -bottom) + l1 <= 2 * fmt.max_raw).all():
+            np.copyto(words, image, casting="unsafe")
+            return words
+        del image  # free it before the passes
+        # a row whose whole sum leaves the range saturates: no prefix pass needed
+        saturates = (top > fmt.max_raw).any() or (bottom < fmt.min_raw).any()
     if not saturates:
         _, t, b = butterfly((words, words.copy(), words.copy()), _prefix_combine)
         if not ((t > fmt.max_raw).any() or (b < fmt.min_raw).any()):
             return words
         del t, b  # only the check needed them; free them before the clamp pass
         butterfly((words,), _sum_diff)
-        words >>= n
+        words >>= words.shape[-1].bit_length() - 1
     ctx.overflow = True
     d, lo, hi = butterfly((words, np.full_like(words, fmt.min_raw),
                            np.full_like(words, fmt.max_raw)), _clamp_combine)
@@ -528,9 +485,12 @@ def _halves_certified(h: np.ndarray, l_lo: np.ndarray, l_up: np.ndarray, cost: b
     halves' |Y| is |h|.  For a mixer pass, since
     sign(i, j) * (-1)**popcount(j) = sign(N/2-1-i, j), the lower half's Y
     is (h + rev h)/2 and the upper half's (h - rev h)/2, rev h = h[::-1].
-    _top_levels_bound's pair bound, max(|Y_lo| + l_lo, 2|Y_lo| + |Y_up| +
-    l_up) <= 2 max_raw, then certifies every prefix of every row; it holds
-    whenever l_lo + l_up <= max_raw, which is tried first.
+    A prefix of the lower half obeys _n_add's leaf bound, and one that
+    reaches into the upper half is the lower half's whole sum Y_lo plus a
+    prefix of the upper half, at most |Y_lo| + (|Y_up| + l_up)/2.  So the
+    pair bound max(|Y_lo| + l_lo, 2|Y_lo| + |Y_up| + l_up) <= 2 max_raw
+    certifies every prefix of every row; it holds whenever l_lo + l_up <=
+    max_raw, which is tried first.
 
     h may be _exact_transform's float64 image.  While the words' sum of
     |w| is at most 2**53 it is exact, and a rounded sum here can only pass

@@ -210,9 +210,9 @@ def test_n_add_certifies_words_past_the_sum_bound(monkeypatch):
 
 def test_n_add_certificate_on_near_limit_words(monkeypatch):
     # words whose sum(|w|) passes max_raw, scaled so that some streams
-    # saturate and most do not: the certificate spares most of those that
-    # do not the prefix pass, and the stream comparison shows it never
-    # spares one that does
+    # saturate and most do not: the stream comparison shows the certificate
+    # never spares a saturating stream the prefix pass, and some unsaturated
+    # streams are certified and some are not
     rng = np.random.default_rng(61)
     outcomes = {}  # (saturates, certified) -> count
     for fmt in N_ADD_FORMATS:
@@ -228,8 +228,7 @@ def test_n_add_certificate_on_near_limit_words(monkeypatch):
                 saturates = ctx.overflow
                 assert not (certified and saturates)
                 outcomes[saturates, certified] = outcomes.get((saturates, certified), 0) + 1
-    assert outcomes.get((True, False), 0) > 0
-    assert outcomes[False, True] > outcomes.get((False, False), 0)
+    assert set(outcomes) == {(True, False), (False, True), (False, False)}
 
 
 def test_n_add_never_certifies_saturating_words(monkeypatch):
@@ -260,59 +259,11 @@ def test_n_add_never_certifies_saturating_words(monkeypatch):
             back[0, half:] = -signs[half:] * np.abs(back[0, :half])[::-1]
             cases.append(back)
         for words in cases:
-            # from every depth: each level's bound is the lesser of the pair
-            # bound and the pair's own leaf bound
-            for depth in range(min(n, pipeline.CERTIFIED_DEPTH) + 1):
-                monkeypatch.setattr(pipeline, "CERTIFIED_DEPTH", depth)
-                assert not n_add_takes_bound_path(words, fmt, monkeypatch), (n, depth, words)
-                monkeypatch.undo()
+            assert not n_add_takes_bound_path(words, fmt, monkeypatch), (n, words)
+            monkeypatch.undo()
             ctx = FxContext()
             _n_add(words.copy(), fmt, ctx)
             assert ctx.overflow
-
-
-def test_block_bound_certifies_more_with_depth(monkeypatch):
-    # a pair's bound is at most the leaf bound of the block it forms, so a
-    # depth that certifies a stream certifies it from every greater depth;
-    # the pair bound alone failed that on 12 of these 300 streams
-    rng = np.random.default_rng(71)
-    fmt = FxFormat(12, 8)
-    gains = 0
-    for _ in range(300):
-        n = int(rng.integers(2, 7))
-        sigma = fmt.max_raw / (rng.uniform(1.5, 6.0) * math.sqrt(1 << n))
-        words = np.clip(np.rint(rng.normal(0.0, sigma, (2, 1 << n))).astype(np.int64),
-                        fmt.min_raw, fmt.max_raw)
-        certified = []
-        for depth in range(n + 1):
-            monkeypatch.setattr(pipeline, "CERTIFIED_DEPTH", depth)
-            certified.append(n_add_takes_bound_path(words, fmt, monkeypatch))
-            monkeypatch.undo()
-        assert certified == sorted(certified), (certified, words)
-        gains += certified[-1] and not certified[0]
-    assert gains > 0
-
-
-def test_prefix_passes_do_not_increase_with_depth(monkeypatch):
-    # the n = 16 q12.20 run of test_run_qaoa_holds_one_register: as the
-    # block bound starts from more blocks, fewer of its N_ADD passes need
-    # the prefix pass, and none at CERTIFIED_DEPTH
-    n = 16
-    g = random_graph(np.random.default_rng(5), n, weight_range=(0.2, 3.0))
-    params = QaoaParams.from_lists([0.3, 0.2], [0.4, 0.7])
-    passes = []
-    for depth in range(pipeline.CERTIFIED_DEPTH + 1):
-        prefix_passes = []
-        monkeypatch.setattr(pipeline, "CERTIFIED_DEPTH", depth)
-        monkeypatch.setattr(pipeline, "butterfly",
-                            lambda arrays, combine, butterfly=pipeline.butterfly:
-                            prefix_passes.append(combine is pipeline._prefix_combine)
-                            or butterfly(arrays, combine))
-        _, counts = run_qaoa(g, params, PipelineConfig(fmt=FxFormat(32, 20)))
-        monkeypatch.undo()
-        assert not counts.overflow
-        passes.append(sum(prefix_passes))
-    assert passes == sorted(passes, reverse=True) and passes[-1] == 0
 
 
 def prefix_saturating_words(n, fmt):
@@ -339,6 +290,29 @@ def test_n_add_skips_the_prefix_pass_when_a_sum_leaves_the_range(monkeypatch):
             assert assert_n_add_matches_stream(words, fmt)
             monkeypatch.undo()
             assert bool(passes) == prefix_pass
+
+
+def test_n_add_takes_no_image_of_rows_past_the_exact_limit(monkeypatch):
+    # with EXACT_L1 below row 0's sum of |w|, _n_add takes no image of the
+    # rows, so neither the leaf bound nor the whole-sum shortcut runs: a
+    # stream the leaf bound certifies and one whose whole sum leaves the
+    # range both go through the prefix pass, with the streamed words and flag
+    fmt = FxFormat(12, 8)
+    certified = np.array([[-800, 100, 600, 300, 300, 0, 0, 0], [0] * 8], dtype=np.int64)
+    past = np.zeros((2, 8), dtype=np.int64)
+    past[0, :2] = fmt.max_raw // 2 + 1  # row 0 sums to max_raw + 1
+    for words, saturates in ((certified, False), (past, True)):
+        l1 = int(np.abs(words[0]).sum())
+        for limit, image in ((pipeline.EXACT_L1, True), (l1 - 1, False)):
+            calls = []
+            monkeypatch.setattr(pipeline, "EXACT_L1", limit)
+            for name in ("_exact_transform", "_prefix_combine"):
+                monkeypatch.setattr(pipeline, name, lambda *args, name=name,
+                                    f=getattr(pipeline, name): calls.append(name) or f(*args))
+            assert assert_n_add_matches_stream(words, fmt) == saturates
+            monkeypatch.undo()
+            assert ("_exact_transform" in calls) == image
+            assert ("_prefix_combine" in calls) == (not image), (saturates, limit)
 
 
 def test_n_add_frees_the_prefix_pass_before_clamping():
@@ -465,7 +439,7 @@ def test_engines_are_byte_identical_under_a_tiny_block(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_exact_transform_matches_butterfly(n, bits, at_min_raw, blocks, seed):
     # the float64 Kronecker products against the int64 butterfly, on the
-    # (2, N) register and on _n_add's (2, 16, N/16) block view, with words
+    # (2, N) register and on a (2, 16, N/16) stack of rows, with words
     # up to 2**31 in magnitude or all at q7.25's min_raw = -2**31
     rng = np.random.default_rng(seed)
     words = rng.integers(-(1 << bits - 1), 1 << bits - 1, size=(2, 1 << n))
@@ -835,29 +809,27 @@ def test_passes_update_the_register_in_place(fmt):
     assert pass_ctx.overflow == layer_ctx.overflow == overflow == (fmt.name == "q7.25")
 
 
-@pytest.mark.parametrize("fmt,gamma,prefix_pass", [
-    (FxFormat(32, 20), [0.3, 0.2], False),
-    (FxFormat(32, 25), [0.3, 0.2], False),
-    (FxFormat(32, 20), [0.2, 0.1], True),
+@pytest.mark.parametrize("fmt,gamma", [
+    (FxFormat(32, 20), [0.3, 0.2]),
+    (FxFormat(32, 25), [0.3, 0.2]),
+    (FxFormat(32, 20), [0.2, 0.1]),
 ], ids=["q12.20", "q7.25", "q12.20-prefix-pass"])
-def test_run_qaoa_holds_one_register(fmt, gamma, prefix_pass, monkeypatch):
+def test_run_qaoa_holds_one_register(fmt, gamma, monkeypatch):
     # every stage updates the register in place, and 1_MULT rounds and
     # clips its products in place.  Here mixer passes fail both of the
     # parity sector's certificates, so their N_ADD runs on the full (2, N)
-    # register, beside the N/2 words.  The q12.20 run peaks at 3.76 x the
-    # full register, in the block bound.  The q7.25 run saturates in its
-    # first mixer pass and stays on the full register, peaking at 4.45 x
-    # where that pass clamps, then at 4.25 x in 1_MULT; its saturating
-    # passes go straight to the clamp pass, since a row's whole sum leaves
-    # the range.  Neither run saturates in a prefix pass.  The smaller
-    # q12.20 gamma never saturates either, but its first mixer pass fails
-    # the block bound too, and its prefix pass peaks at 4.32 x on the
-    # register and two copies; a third copy would reach 5.32 x.  An
-    # out-of-place 1_MULT of both rows at once would reach 5.3 x, and a
-    # second re/im pair, a stacked copy for N_ADD or a start vector held to
-    # readout would each add at least 1 x.  The cost, mixer, sector and
-    # CORDIC tables belong to the graph, n and the format, not to the run,
-    # so they are built before tracing.
+    # register, beside the N/2 words.  Neither q12.20 run saturates, but
+    # its first mixer pass fails the leaf bound too, and its prefix pass
+    # peaks at up to 4.37 x on the register and two copies; a third copy
+    # would reach 5.37 x.  The q7.25 run saturates in its first mixer pass and
+    # stays on the full register, peaking at 4.45 x where that pass clamps,
+    # then at 4.25 x in 1_MULT; its saturating passes go straight to the
+    # clamp pass, since a row's whole sum leaves the range, and it takes no
+    # prefix pass.  An out-of-place 1_MULT of both rows at once would reach
+    # 5.3 x, and a second re/im pair, a stacked copy for N_ADD or a start
+    # vector held to readout would each add at least 1 x.  The cost, mixer,
+    # sector and CORDIC tables belong to the graph, n and the format, not
+    # to the run, so they are built before tracing.
     n = 16
     g = random_graph(np.random.default_rng(5), n, weight_range=(0.2, 3.0))
     params = QaoaParams.from_lists(gamma, [0.4, 0.7])
@@ -874,7 +846,7 @@ def test_run_qaoa_holds_one_register(fmt, gamma, prefix_pass, monkeypatch):
     finally:
         tracemalloc.stop()
     assert counts.overflow == (fmt.name == "q7.25")
-    assert bool(prefix_passes) == prefix_pass
+    assert bool(prefix_passes) == (fmt.name == "q12.20")
     assert peak <= 5 * 2 * 8 * (1 << n)
 
 
@@ -1025,7 +997,7 @@ def sector_product(words, order):
 
 
 def half_stream_bound(product):
-    """Twice the block bound over the two halves of an N-stream, the largest
+    """Twice the pair bound over the two halves of an N-stream, the largest
     on any row: with each half's own transform Y and sum of |w| T,
     max(|Y_lo| + T_lo, 2|Y_lo| + |Y_up| + T_up)."""
     half = product.shape[-1] // 2

@@ -8,9 +8,12 @@ Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
 parent runs first in even pairs and the change in odd ones.  The last
 stdout line of a run is its JSON result.  For every end-to-end metric in
 the parent's BENCHMARK.json this prints each side's median and quartiles,
-how many pairs the change won (ties count for neither), and whether the
-gap between the medians exceeds the parent's interquartile range.  Any run
-with a non-zero `failed` count is printed as it happens.
+how many pairs the change won (ties count for neither), whether the gap
+between the medians exceeds the parent's interquartile range, and whether
+the change's median stays within the metric's `bound` of the parent's (worse
+by at most that fraction of the parent's median).  A run with a non-zero
+`failed` count stops the comparison with exit status 1, so its metrics never
+reach the medians.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ def main(argv=None) -> int:
         parser.error("quartiles need at least 2 pairs")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     values: dict[str, dict[str, list[float]]] = {side: {m: [] for m in better} for side in sides}
     for pair in range(args.pairs):
@@ -51,6 +55,7 @@ def main(argv=None) -> int:
             result = run_once(sides[side], args.workload, args.seed, args.seconds)
             if result["failed"]:
                 print(f"pair {pair} {side}: failed {result['failed']} of {result['attempted']}")
+                return 1
             for name in better:
                 values[side][name].append(result["metrics"][name]["value"])
         print(f"pair {pair}: wall_s parent {values['parent']['wall_s'][-1]:.4g}, "
@@ -63,9 +68,11 @@ def main(argv=None) -> int:
         p1, p2, p3 = statistics.quantiles(parent, n=4, method="inclusive")
         c1, c2, c3 = statistics.quantiles(change, n=4, method="inclusive")
         clear = sign * (c2 - p2) < 0 and abs(c2 - p2) > p3 - p1
+        within = sign * (c2 - p2) <= bounds[name] * abs(p2)
         print(f"{name:12s} parent {p2:.4g} [{p1:.4g}, {p3:.4g}]  change {c2:.4g} "
               f"[{c1:.4g}, {c3:.4g}]  {c2 / p2 - 1:+.1%}  change wins {wins}/{args.pairs}"
-              f"  gap beyond parent IQR: {'yes' if clear else 'no'}")
+              f"  gap beyond parent IQR: {'yes' if clear else 'no'}"
+              f"  within bound {bounds[name]:g}: {'yes' if within else 'no'}")
     return 0
 
 

@@ -308,25 +308,12 @@ def vec_from_real(x: np.ndarray, fmt: FxFormat, ctx: FxContext | None = None) ->
     """Vector twin of fx_from_real.  Rounding is monotone, so x's extremes
     decide finiteness and saturation; x is clipped only when one saturates."""
     x = np.asarray(x, dtype=np.float64)
-    saturates = bool(x.size) and _from_real_saturates(float(x.min()), float(x.max()), fmt)
-    if saturates and ctx is not None:
-        ctx.overflow = True
-    return _quantize(x, fmt, saturates)
-
-
-def _from_real_saturates(x_lo: float, x_hi: float, fmt: FxFormat) -> bool:
-    """Whether converting values whose extremes are x_lo and x_hi saturates;
-    a non-finite extreme is rejected."""
+    x_lo, x_hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
     if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
         raise ValueError("cannot convert non-finite values")
-    return _round_scaled(x_lo, fmt) < fmt.min_raw or _round_scaled(x_hi, fmt) > fmt.max_raw
-
-
-def _quantize(x: np.ndarray, fmt: FxFormat, saturates: bool) -> np.ndarray:
-    """vec_from_real's words of finite x, clipped first when some value
-    saturates.  Clipping moves a value that does not saturate at most to
-    the word limit it rounds to, so it leaves that value's word as it is."""
-    if saturates:
+    if _round_scaled(x_lo, fmt) < fmt.min_raw or _round_scaled(x_hi, fmt) > fmt.max_raw:
+        if ctx is not None:
+            ctx.overflow = True
         x = np.clip(x, fmt.min_raw * fmt.ulp, fmt.max_raw * fmt.ulp)
     return np.rint(x * float(1 << fmt.frac_bits)).astype(np.int64)  # rint ties to even
 

@@ -32,8 +32,8 @@ product.  A pass that takes the full-N N_ADD holds the N/2 words beside
 it (up to 4.45 times where a q7.25 pass at n = 16 clamps).
 
 The host evaluates the datapath in a different order with identical words
-and flags.  The per-element stages are batch-evaluated, which is
-value-identical to streaming because elements only interact in N_ADD.
+and flags.  Each pass evaluates its per-element stages on whole arrays,
+which is value-identical to streaming as elements interact only in N_ADD.
 CALCULATE_RAD, NORMALIZE_RAD, CORDIC and the sign restore (the last three
 in one kernel, fxp.vec_sincos) run only on the distinct angles of a pass,
 and their words are expanded to the N streamed elements before 1_MULT: a
@@ -41,10 +41,9 @@ cost pass evaluates the N/2 angles of the states with bit n-1 clear and
 mirrors them (the cost table is symmetric under complementing every bit),
 a mixer pass the n + 1 angles u*beta, u = -n, -n+2, ..., n, gathered by
 popcount.  Their saturation flags depend only on the set of angles, which
-is the same.  run_layer runs these stages once per layer, on its two
-passes' distinct angles together (_angle_stages); each pass keeps the
-CALCULATE_RAD flag of its own angles and raises it with its own 1_MULT,
-so the flag and the trace are those of one pass at a time.
+is the same.  As in the hardware, the cost and mixer passes share no
+stage: each runs its own CALCULATE_RAD, so its flag is that of its own
+angles, raised before any trace record of the pass reads it.
 CORDIC is evaluated by a per-format decision-interval table
 (fxp.vec_cordic_sincos), which gives the 16 stages' words in one O(1)
 lookup through a bucket index over the input range.
@@ -65,7 +64,6 @@ natural-order butterfly, so words and flags are identical.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -538,8 +536,12 @@ def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFo
     keep the 1_MULT words until the bound has been read.  A certified pass writes
     the image to words.  Otherwise no transform needs undoing: the full
     (2, N) product is built from words and _n_add runs on it with a local
-    context.  If no row saturated, its result is still the plain transform,
-    and the run returns to the sector in words.  If one did, the full
+    context.  _n_add's leaf bound never certifies that product: on a mixer
+    row it reads max|h| + l_lo + l_up, at least either pair term, and on a
+    cost row 2 max|h| + 2 l1, at least 3 max|h| + l1 as max|h| <= l1, so
+    _n_add's image serves only its whole-sum shortcut.  If no row
+    saturated, its result is still the plain transform, and the run
+    returns to the sector in words.  If one did, the full
     register is returned: a saturating cost pass can leave odd-popcount
     rows non-zero, though a mixer pass's result is still its own mirror,
     row N-1-i signing every streamed word as row i does.
@@ -577,52 +579,7 @@ def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFo
     return words
 
 
-class Phasors(NamedTuple):
-    """A pass's CORDIC words (cos, sin) for its distinct angles, whether
-    CALCULATE_RAD saturated on those angles, and, for a traced pass,
-    NORMALIZE_RAD's sign bits (neg_cos, neg_sin); else no signs."""
-
-    cos: np.ndarray
-    sin: np.ndarray
-    saturated: bool
-    signs: tuple[np.ndarray, ...]
-
-
-def _angle_stages(passes: tuple[np.ndarray, ...], fmt: FxFormat,
-                  traced: bool) -> list[Phasors]:
-    """CALCULATE_RAD -> NORMALIZE_RAD -> CORDIC on the distinct angles of
-    one or more passes, in one call of each stage on their concatenation.
-
-    The stages are pure per element, so the words are those of each pass
-    on its own.  Each pass's saturation flag is taken from its own angles'
-    extremes, as vec_from_real decides it: rounding is monotone.  A pass
-    that does not saturate keeps its words when the batch is clipped for
-    another (fxp._quantize).  Every pass after the first gets copies of its
-    words, so the first pass's words, views of the batch's, free it all.
-    """
-    angles = passes[0] if len(passes) == 1 else np.concatenate(passes)
-    starts = [0, *itertools.accumulate(len(a) for a in passes[:-1])]
-    saturated = [fxp._from_real_saturates(lo, hi, fmt) for lo, hi in
-                 zip(np.minimum.reduceat(angles, starts).tolist(),
-                     np.maximum.reduceat(angles, starts).tolist())]
-    rad = fxp._quantize(angles, fmt, any(saturated))
-    del angles  # free the batch's angles before the CORDIC
-    signs = ()
-    if traced:  # the trace's sign bits, kept only when tracing
-        signs = fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)[1:]
-    cos, sin = fxp.vec_sincos(rad, fmt)
-    del rad  # free the angle words before 1_MULT
-    ends = [*starts[1:], len(cos)]
-    phasors = []
-    for k, flag in enumerate(saturated):
-        cut = [a[starts[k]:ends[k]] for a in (cos, sin, *signs)]
-        if k:
-            cut = [a.copy() for a in cut]
-        phasors.append(Phasors(cut[0], cut[1], flag, tuple(cut[2:])))
-    return phasors
-
-
-def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray | Phasors, cfg: PipelineConfig,
+def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineConfig,
                          ctx: FxContext | None = None,
                          trace_writer: TraceWriter | None = None,
                          layer: int = 0, order: str = "cost",
@@ -639,10 +596,8 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray | Phasors, cfg: P
     The elements stream expand(angles), which must give N of them.  With a
     table's expand, angles holds the distinct angles, every one of them
     streamed: the angle stages and CORDIC run once per distinct angle, and
-    their words are expanded before 1_MULT.  angles may also be their
-    Phasors, from the angle stages already run (run_layer); a traced pass
-    needs their sign bits.  CALCULATE_RAD's flag is raised with the pass's
-    own 1_MULT either way.
+    their words are expanded before 1_MULT.  CALCULATE_RAD raises the flag
+    when one of the pass's own angles saturates.
 
     With run_qaoa's sector, a register of N/2 words holds the state in its
     parity sector.  1_MULT then runs on those words, taking the distinct
@@ -656,15 +611,16 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray | Phasors, cfg: P
         ctx = FxContext()
     fmt = cfg.fmt
 
-    # Per-element stages, batch-evaluated (elements interact only in N_ADD):
+    # Per-element stages, on whole arrays (elements interact only in N_ADD):
     # CALCULATE_RAD quantizes the angle, NORMALIZE_RAD folds it and CORDIC
     # turns it into a unit phasor.  They are pure functions of the angle and
     # their flags depend only on the set of angles: the distinct ones suffice.
-    if not isinstance(angles, Phasors):
-        (angles,) = _angle_stages((angles,), fmt, trace_writer is not None)
-    cos_raw, sin_raw, saturated, signs = angles
-    del angles  # the caller's Phasors may be the last holder of the words
-    ctx.overflow |= saturated
+    rad = fxp.vec_from_real(angles, fmt, ctx)
+    # the trace's sign bits, kept only when tracing
+    if trace_writer is not None:
+        _, neg_cos, neg_sin = fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)
+    cos_raw, sin_raw = fxp.vec_sincos(rad, fmt)
+    del rad  # free the angle words before 1_MULT
     if in_sector:
         stream = sector.expand if order == "mixer" else _stream_as_is
     else:
@@ -687,7 +643,7 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray | Phasors, cfg: P
 
     if trace_writer is not None:
         _emit_op_trace(trace_writer, n_states, layer, order,
-                       expand(signs[0]), expand(signs[1]), ctx.overflow)
+                       expand(neg_cos), expand(neg_sin), ctx.overflow)
     return words
 
 
@@ -702,19 +658,15 @@ def run_layer(words: np.ndarray, d_cost_angles: np.ndarray,
     Updates the (2, N) register words in place and returns it.  The two
     passes grow the state by exactly 2**n in norm, so the n-bit shift
     realizes the layer's 1/2**n factor and leaves the scale exponent
-    unchanged.  Each pass streams its expand of its angles.  The angle
-    stages run once for the layer, on both passes' distinct angles
-    (_angle_stages), and each pass raises its own CALCULATE_RAD flag.  With
-    a sector, a pass may return a new register (run_elemental_ansatz), and
-    the layer returns the one it leaves.
+    unchanged.  Each pass runs its own angle stages on its distinct angles
+    and streams its expand of them.  With a sector, a pass may return a new
+    register (run_elemental_ansatz), and the layer returns the one it
+    leaves.
     """
     n = sector.n if sector is not None else words.shape[-1].bit_length() - 1
-    # popped, so that each pass holds the only reference to its words and
-    # the cost pass frees them, and the batch, before its N_ADD
-    phasors = _angle_stages((d_cost_angles, d_mixer_angles), cfg.fmt, trace_writer is not None)
-    words = run_elemental_ansatz(words, phasors.pop(0), cfg, ctx, trace_writer, layer=layer,
+    words = run_elemental_ansatz(words, d_cost_angles, cfg, ctx, trace_writer, layer=layer,
                                  order="cost", expand=cost_expand, sector=sector)
-    words = run_elemental_ansatz(words, phasors.pop(), cfg, ctx, trace_writer, layer=layer,
+    words = run_elemental_ansatz(words, d_mixer_angles, cfg, ctx, trace_writer, layer=layer,
                                  order="mixer", expand=mixer_expand, sector=sector)
     words >>= n
     return words

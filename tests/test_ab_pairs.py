@@ -57,6 +57,21 @@ def test_reports_each_median_against_its_bound(ab_pairs, monkeypatch, capsys):
     assert rows["evals_per_s"].endswith("within bound 0.25: no")
 
 
+def test_a_spread_wider_than_the_bound_is_unresolved(ab_pairs, monkeypatch, capsys):
+    # the parent's wall_s quartiles are 1.0 and 1.5 about a median of 1.25,
+    # an interquartile range of 40% of it, past the 0.25 bound: the same
+    # change median is unresolved, and so is one that looks 60% worse.
+    # evals_per_s beats every parent run with every change run, so the same
+    # spread is resolved: within the bound
+    parent = [(1.0, 100.0), (1.0, 100.0), (1.5, 150.0), (1.5, 150.0)]
+    for wall in (1.25, 2.0):
+        stub_runs(ab_pairs, monkeypatch, {"parent": parent, "change": [(wall, 151.0)] * 4})
+        status, rows = run_main(ab_pairs, capsys)
+        assert status == 0
+        assert rows["wall_s"].endswith("within bound 0.25: unresolved")
+        assert rows["evals_per_s"].endswith("within bound 0.25: yes")
+
+
 def test_a_failed_run_stops_the_comparison(ab_pairs, monkeypatch, capsys):
     runs = stub_runs(ab_pairs, monkeypatch, {"parent": [(1.0, 100.0)] * 4,
                                              "change": [(1.0, 100.0)] * 4}, failed=3)

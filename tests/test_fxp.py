@@ -60,9 +60,12 @@ def test_from_real_scalar_and_vector_agree_at_the_extremes(fmt):
     top, bottom, half = fmt.max_raw * fmt.ulp, fmt.min_raw * fmt.ulp, fmt.ulp / 2
     # (value, saturates): the limits, and the ties half an ulp beyond them,
     # which round to even: out past max_raw (odd), back to min_raw (even);
-    # then values whose scaled image overflows float64
+    # then values whose scaled image overflows float64; last a value 0.49
+    # ulp past the range, which rounds to max_raw and keeps that word when
+    # its saturating neighbours below make the array clip
     cases = [(top, False), (top + half, True), (bottom, False), (bottom - half, False),
-             (bottom - 2 * half, True), (1e308, True), (-1e308, True), (0.0, False)]
+             (bottom - 2 * half, True), (1e308, True), (-1e308, True), (0.0, False),
+             (top + 0.98 * half, False)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning either
         for x, saturates in cases:

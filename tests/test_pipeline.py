@@ -1050,12 +1050,42 @@ def test_sector_n_add_matches_the_full_stream(n, fmt, order, seed, bits, offset)
     assert (got == want).all()
 
 
+@given(n=st.integers(2, 10), fmt=st.sampled_from(N_ADD_FORMATS),
+       order=st.sampled_from(["cost", "mixer"]), seed=st.integers(0, 2**32 - 1),
+       bits=st.integers(1, 32), stretch=st.floats(0.5, 1.05))
+@settings(max_examples=100, deadline=None)
+def test_sector_fallback_never_certifies_by_the_leaf_bound(n, fmt, order, seed, bits, stretch):
+    # _n_add's leaf bound on a sector pass's full product, max|Y| + sum|w|
+    # on the worst row, is never below the half-stream pair bound, so a pass
+    # that _halves_certified rejects fails the leaf bound too.  The words
+    # are scaled to put the pair bound at 0.5 to 1.05 times its limit, the
+    # band where a leaf bound below it would certify rejected passes
+    half = 1 << (n - 1)
+    rng = np.random.default_rng(seed)
+    bits = min(bits, fmt.word_bits)
+    words = rng.integers(-(1 << bits - 1), 1 << bits - 1, size=(2, half), dtype=np.int64)
+    if words.any():
+        scale = stretch * 2 * fmt.max_raw / half_stream_bound(sector_product(words, order))
+        words = np.clip(np.rint(words * scale).astype(np.int64), fmt.min_raw, fmt.max_raw)
+    product = sector_product(words, order)
+    leaf = int((np.abs(product @ sign_matrix(n)).max(axis=-1)
+                + np.abs(product).sum(axis=-1)).max())
+    assert leaf >= half_stream_bound(product)
+    full_products = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_n_add", lambda words, *args, n_add=pipeline._n_add:
+                      full_products.append(words.copy()) or n_add(words, *args))
+        pipeline._sector_n_add(words.copy(), order, sector_table(n), fmt, FxContext())
+    for full in full_products:
+        assert (full == product).all()
+        assert leaf > 2 * fmt.max_raw
+
+
 def test_each_pass_raises_its_own_calculate_rad_flag():
     # layer 1's mixer angles u*beta reach 4 * 20 = 80, past q7.25's 64, and
-    # nothing else saturates.  run_layer runs both passes' angle stages in
-    # one batch, but the flag is raised with that pass's own 1_MULT, so
-    # only its records read overflow: true, as when each pass runs its own
-    # stages on its bare angles
+    # nothing else saturates.  Each pass runs CALCULATE_RAD on its own
+    # angles, so only that pass's records read overflow: true, as when the
+    # passes are run one at a time below
     g, n, cfg = path_graph(4), 4, PipelineConfig()
     params = QaoaParams.from_lists([0.3, 0.2], [0.7, 20.0])
     records = []
@@ -1076,22 +1106,3 @@ def test_each_pass_raises_its_own_calculate_rad_flag():
                                          order=order, expand=expand, sector=sector)
         words >>= n
     assert json.dumps(records) == json.dumps(want)
-
-
-def test_layer_angle_stages_match_each_pass_alone():
-    # one pass's angles saturate CALCULATE_RAD and clip the whole batch; the
-    # other's sit just inside the word range, where clipping moves a value
-    # but not its word, so every pass gets vec_from_real's words and flag
-    # and vec_sincos's phasors as if its stages ran alone
-    fmt = FxFormat()
-    inside = np.array([(fmt.max_raw + 0.49) * fmt.ulp, (fmt.min_raw - 0.5) * fmt.ulp, 1.0, -3.0])
-    outside = np.array([-100.0, 0.0, 100.0])
-    for passes in ((inside, outside), (outside, inside), (inside, inside, outside)):
-        for angles, got in zip(passes, pipeline._angle_stages(passes, fmt, traced=True)):
-            ctx = FxContext()
-            rad = fxp.vec_from_real(angles, fmt, ctx)
-            want = (*fxp.vec_sincos(rad, fmt), ctx.overflow,
-                    fxp.vec_normalize_rad(fxp.vec_reduce_mod_2pi(rad, fmt), fmt)[1:])
-            assert got.saturated == want[2] == (angles is outside)
-            for a, b in zip((got.cos, got.sin, *got.signs), (*want[:2], *want[3])):
-                assert a.tolist() == b.tolist()

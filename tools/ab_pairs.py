@@ -11,7 +11,10 @@ the parent's BENCHMARK.json this prints each side's median and quartiles,
 how many pairs the change won (ties count for neither), whether the gap
 between the medians exceeds the parent's interquartile range, and whether
 the change's median stays within the metric's `bound` of the parent's (worse
-by at most that fraction of the parent's median).  A run with a non-zero
+by at most that fraction of the parent's median).  That verdict reads
+"unresolved" when the parent's interquartile range is wider than `bound`
+times its median, so the runs spread too widely to tell, unless every run
+of the change is better than every run of the parent.  A run with a non-zero
 `failed` count stops the comparison with exit status 1, so its metrics never
 reach the medians.
 """
@@ -69,10 +72,13 @@ def main(argv=None) -> int:
         c1, c2, c3 = statistics.quantiles(change, n=4, method="inclusive")
         clear = sign * (c2 - p2) < 0 and abs(c2 - p2) > p3 - p1
         within = sign * (c2 - p2) <= bounds[name] * abs(p2)
+        unresolved = (p3 - p1 > bounds[name] * abs(p2)
+                      and max(sign * c for c in change) >= min(sign * p for p in parent))
+        verdict = "unresolved" if unresolved else "yes" if within else "no"
         print(f"{name:12s} parent {p2:.4g} [{p1:.4g}, {p3:.4g}]  change {c2:.4g} "
               f"[{c1:.4g}, {c3:.4g}]  {c2 / p2 - 1:+.1%}  change wins {wins}/{args.pairs}"
               f"  gap beyond parent IQR: {'yes' if clear else 'no'}"
-              f"  within bound {bounds[name]:g}: {'yes' if within else 'no'}")
+              f"  within bound {bounds[name]:g}: {verdict}")
     return 0
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qmaxemu import QaoaParams, WeightedGraph, run_qaoa
+from qmaxemu import QaoaParams, WeightedGraph, fxp, run_qaoa
+from qmaxemu.pipeline import hadamard_sign_column
 
 # CI runs `pytest --hypothesis-profile=ci`: the same examples on every run,
 # and a failure prints the blob that reproduces it
@@ -97,3 +98,14 @@ def seeded_instances(seed: int, count: int, n_lo: int, n_hi: int,
             raise AssertionError("no representable instance found")
         instances.append((g, params))
     return instances
+
+
+def streamed_n_add(words, fmt, ctx):
+    """N_ADD as the hardware streams it: column c of the stacked (2, N)
+    words lands on every row with its +/-1 signs, in ascending c, with a
+    saturating addition each time."""
+    n = words.shape[1].bit_length() - 1
+    res = np.zeros_like(words)
+    for c in range(words.shape[1]):
+        res = fxp.vec_add(res, hadamard_sign_column(c, n) * words[:, c:c + 1], fmt, ctx)
+    return res

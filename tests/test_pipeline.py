@@ -22,7 +22,7 @@ from qmaxemu.fxp import FxContext, FxFormat
 from qmaxemu.pipeline import (PIPELINE_LATENCY, PipelineConfig, _n_add,
                               hadamard_sign_column)
 
-from conftest import complete_graph, path_graph, random_graph
+from conftest import complete_graph, path_graph, random_graph, streamed_n_add
 
 CFG = PipelineConfig()
 
@@ -57,17 +57,6 @@ def test_hadamard_sign_matches_kronecker_square():
     assert (got == expected).all()
     for c in range(4):
         assert (hadamard_sign_column(c, 2) == expected[:, c]).all()
-
-
-def streamed_n_add(words, fmt, ctx):
-    """N_ADD as the hardware streams it: column c of the stacked (2, N)
-    words lands on every row with its +/-1 signs, in ascending c, with a
-    saturating addition each time."""
-    n = words.shape[1].bit_length() - 1
-    res = np.zeros_like(words)
-    for c in range(words.shape[1]):
-        res = fxp.vec_add(res, hadamard_sign_column(c, n) * words[:, c:c + 1], fmt, ctx)
-    return res
 
 
 def sign_matrix(n):

@@ -18,8 +18,8 @@ exact product; the float64 engines reject such a parameter, which they
 find from the table's peak.
 
 The same symmetry holds for the pipeline's state, which run_qaoa keeps in
-its parity sector, N/2 words indexed by the low n - 1 bits j; sector_table
-gives the mixer's exponents there.
+its parity sector, N/2 words indexed by the low n - 1 bits j; the mixer
+table also gives the sector's states and exponents (odd, sector_level).
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ class MixerExponents:
 
     popcount[l] indexes the n + 1 distinct exponents, so a per-exponent
     value array (see mixer_level_angles) gathers into a per-state one.
+
+    The pipeline's parity sector holds, for each j < N/2, the even-popcount
+    state of the pair {j, j + N/2}: odd[j] is 1 where that is j + N/2, and
+    sector_level[j] is its popcount.  Both are read-only, built on first use.
     """
 
     popcount: np.ndarray  # uint8, length 2**n
@@ -82,6 +86,22 @@ class MixerExponents:
     def expand(self, levels: np.ndarray) -> np.ndarray:
         """Per-state values from the n + 1 per-exponent ones, by popcount."""
         return levels[self.popcount]
+
+    @cached_property
+    def odd(self) -> np.ndarray:  # uint8, length 2**(n-1)
+        odd = self.popcount[:len(self.popcount) // 2] & 1
+        odd.flags.writeable = False
+        return odd
+
+    @cached_property
+    def sector_level(self) -> np.ndarray:  # uint8, length 2**(n-1)
+        level = self.popcount[:len(self.popcount) // 2] + self.odd
+        level.flags.writeable = False
+        return level
+
+    def sector_expand(self, levels: np.ndarray) -> np.ndarray:
+        """Per-state values of the parity sector from the n + 1 per-exponent ones."""
+        return levels[self.sector_level]
 
 
 def build_cost_diagonal(g: WeightedGraph, n: int) -> CostDiagonal:
@@ -109,37 +129,6 @@ def mixer_table(n: int) -> MixerExponents:
     m = build_mixer_exponents(n)
     m.popcount.flags.writeable = False
     return m
-
-
-@dataclass(frozen=True)
-class ParitySector:
-    """The even-popcount states of N = 2**n, one in each pair {j, j + N/2},
-    indexed by j < N/2: state j where popcount(j) is even, else j + N/2.
-
-    odd[j] is 1 where the state is j + N/2, and level[j] is the state's
-    popcount, popcount(j) + odd[j], which indexes the mixer's n + 1
-    per-exponent values.
-    """
-
-    level: np.ndarray  # uint8, length 2**(n-1)
-    odd: np.ndarray  # uint8, length 2**(n-1)
-    n: int
-
-    def expand(self, levels: np.ndarray) -> np.ndarray:
-        """Per-state values of the sector from the n + 1 per-exponent ones."""
-        return levels[self.level]
-
-
-@lru_cache(maxsize=None)
-def sector_table(n: int) -> ParitySector:
-    """The pipeline's parity-sector table, built once per n from
-    mixer_table(n) and shared, so read-only."""
-    popcount = mixer_table(n).popcount[:1 << (n - 1)]
-    odd = popcount & 1
-    level = popcount + odd
-    for a in (level, odd):
-        a.flags.writeable = False
-    return ParitySector(level=level, odd=odd, n=n)
 
 
 def _scaled(factor: float, values: np.ndarray, peak: float) -> np.ndarray:

@@ -17,9 +17,9 @@ N/2 words per row, the lower half h before a cost pass and the words e at
 the even-popcount states after one.  Every pass runs an N/2 1_MULT and an
 N/2 transform (_sector_n_add), which is its N_ADD when the pair bound
 over the two halves of its N-stream, read off that transform, certifies
-that no row saturates (_halves_certified); any other pass builds the
-full (2, N) product for _n_add, and the run returns to the sector unless
-a row saturated, after which it holds the full register to the end.
+that no row saturates (_pair_bound_holds); any other pass runs
+_stream_passes on the full (2, N) product, and the run returns to the
+sector unless a row saturated; after that it stays on the full register.
 1_MULT (fxp.vec_cmul) rounds its products in place on the register.  It
 is given the CORDIC table's peak |cos|, |sin| word (fxp.cordic_peak), and
 when one extreme scan of the register shows that no product and no sum can
@@ -28,8 +28,10 @@ product and each sum, with the flag.  A run peaks in 1_MULT: at 2.25
 times the full register when every pass is certified, and at 4.25 times
 on the full register, at n = 16 and 20.  A sector N_ADD peaks at 1.75
 times, holding the words, the transform's float64 image and its last
-product.  A pass that takes the full-N N_ADD holds the N/2 words beside
-it (up to 4.45 times where a q7.25 pass at n = 16 clamps).
+product, or at 2.25 times in a cost pass's pair bound, which holds two
+N/2 arrays beside the image.  A pass that takes the full-N passes holds
+the N/2 words beside them (up to 4.45 times where a q7.25 pass at n = 16
+clamps).
 
 The host evaluates the datapath in a different order with identical words
 and flags.  Each pass evaluates its per-element stages on whole arrays,
@@ -54,7 +56,7 @@ Kronecker factors of H (_exact_transform): every partial sum is an
 integer bounded by the row's sum of |w|, within EXACT_L1 = 2**53 wherever
 the result is used, so each product is exact in any summation order and
 the words are those of the int64 butterfly.  _n_add certifies from that
-one image, by the row's sum of |w| or its leaf bound.  The prefix, undo
+one image, by the row's sum of |w| or the pair bound.  The prefix, undo
 and clamp passes, and reference.fwht_inplace, whose float64 sums depend
 on their order, run on the cache-blocked, constant-geometry driver
 (butterfly), which applies the same combines in the same order as the
@@ -72,8 +74,7 @@ import numpy as np
 from scipy.linalg import hadamard
 
 from . import fxp
-from .diagonals import (ParitySector, cost_half_angles, mixer_level_angles, mixer_table,
-                        sector_table)
+from .diagonals import MixerExponents, cost_half_angles, mixer_level_angles, mixer_table
 from .diagonals import build_cost_diagonal  # noqa: F401  unused; in perfbench's SITES
 from .fxp import FxContext, FxFormat
 from .graph import WeightedGraph, check_qubit_count
@@ -331,9 +332,9 @@ def _exact_transform(words: np.ndarray) -> np.ndarray:
     whatever order, blocking, FMA or thread count BLAS uses, and the
     float64 result holds exactly the butterfly's words.  The callers stay
     within it: _n_add transforms whole rows only when each has a sum of |w|
-    at most EXACT_L1, and a sector pass whose sum passes it, possible only
-    at n = 24, is rejected by _halves_certified's terms in the sums alone,
-    before the image is read.
+    at most EXACT_L1, and a sector pass whose words pass it, possible only
+    at n = 24, is rejected by _pair_bound_holds's sum terms alone and reads
+    no whole sum off its image.
     """
     image = words.astype(np.float64)
     right = words.shape[-1]
@@ -354,29 +355,83 @@ def _exact_transform(words: np.ndarray) -> np.ndarray:
 EXACT_L1 = 1 << 53
 
 
+def _pair_bound_holds(y_lo: np.ndarray, y_up: np.ndarray, l_lo: np.ndarray,
+                      l_up: np.ndarray, fmt: FxFormat) -> bool:
+    """Whether N_ADD provably saturates no row of an N-stream, from its plain
+    +/-1 transform Y: y_lo and y_up are rows i and i + N/2 of Y, in either
+    order within a pair, and l_lo and l_up each stream half's sum of |w|
+    per row.
+
+    Rows i and i + N/2, i < N/2, sign the lower half alike and the upper
+    half oppositely, so with A and B the N/2 transforms of the two halves,
+    Y is A + B on the lower rows and A - B on the upper ones: 2|A| =
+    |y_lo + y_up| and 2|B| = |y_lo - y_up| on both rows of a pair.  A
+    prefix P of a half with transform X and sum of |w| T, with S its own
+    sum of |w|, has |P| <= S and |P| <= |X| + T - S, so 2|P| <= |X| + T.
+    A prefix of a row's stream is such a prefix of the lower half, or A
+    plus one of the upper half, so the pair bound
+    max(|A| + l_lo, 2|A| + |B| + l_up) <= 2 max_raw certifies every prefix
+    of both rows.  It holds whenever l_lo + l_up <= max_raw, tried first.
+
+    The y may be float64 images: exact while l_lo + l_up <= EXACT_L1, and
+    past that one of l_lo and l_up exceeds 2**52, far above the limits
+    compared with, so an inexact image certifies nothing.
+    """
+    if (l_lo + l_up <= fmt.max_raw).all():
+        return True
+    lower = np.add(y_lo, y_up)  # 2|A|
+    np.abs(lower, out=lower)
+    upper = np.subtract(y_lo, y_up)  # then 4|A| + 2|B|
+    np.abs(upper, out=upper)
+    upper += lower
+    upper += lower
+    limit = 4 * fmt.max_raw
+    return bool((lower.max(axis=-1) + 2 * l_lo <= limit).all()
+                and (upper.max(axis=-1) + 2 * l_up <= limit).all())
+
+
 def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
     """N_ADD of the (2, N) register of 1_MULT words, in place; returns words.
 
     Row i of the result is the saturating accumulation, from zero and in
     ascending column order c, of hadamard_sign(i, c) * words[:, c].  A row
     whose prefix sums all stay in [min_raw, max_raw] is the plain +/-1
-    transform Y.  A prefix P of row j's signed stream, with A the prefix's
-    sum of |w| and T the row's, has |P| <= A and |P| <= |Y(j)| + T - A, so
-    2|P| <= |Y(j)| + T.  When this leaf bound, max|Y| + T <= 2 max_raw,
-    holds on every row (as it does whenever T <= max_raw), Y is written to
-    words and the flag is left as it is.  _exact_transform computes Y into
-    a float64 image beside words, exact while every row has T <= EXACT_L1.
-    Past that, possible only at n >= 23, no image is taken: it could never
-    certify such a row, but an inexact one could fake the whole-sum
-    shortcut below.  Otherwise words still hold the 1_MULT words, and the
-    int64 butterfly's entries summarise the signed sub-stream of one column
-    block for one row sign pattern:
+    transform Y.  _exact_transform computes Y into a float64 image beside
+    words, exact while every row's sum of |w| is at most EXACT_L1, and
+    when the pair bound over its two halves holds (_pair_bound_holds), Y
+    is written to words and the flag is left as it is.  Otherwise a row
+    whose whole sum, read off the image, leaves the range saturates, and
+    _stream_passes finds the result from the 1_MULT words.  Past EXACT_L1,
+    possible only at n >= 23, no image is taken: it could never certify
+    such a row, but an inexact one could fake the whole-sum shortcut.
+    """
+    half = words.shape[-1] // 2
+    l_lo, l_up = np.abs(words).reshape(2, 2, half).sum(axis=-1).T
+    saturates = False
+    if (l_lo + l_up <= EXACT_L1).all():
+        image = _exact_transform(words)
+        if _pair_bound_holds(image[:, :half], image[:, half:], l_lo, l_up, fmt):
+            np.copyto(words, image, casting="unsafe")
+            return words
+        saturates = image.max() > fmt.max_raw or image.min() < fmt.min_raw
+        del image  # free it before the passes
+    if _stream_passes(words, fmt, saturates):
+        ctx.overflow = True
+    return words
+
+
+def _stream_passes(words: np.ndarray, fmt: FxFormat, saturates: bool) -> bool:
+    """N_ADD of the (2, N) register of 1_MULT words, in place, by butterfly
+    passes; returns whether a row saturated.  saturates says that a row's
+    whole sum is known to leave the range.
+
+    The int64 butterfly's entries summarise the signed sub-stream of one
+    column block for one row sign pattern:
 
     (a) its sum s and its largest (t) and smallest (b) unclipped prefix
         sum.  Clipped and unclipped accumulation agree up to the first
         addition that leaves [min_raw, max_raw], so a row saturates exactly
-        when its t or b lies outside; the other rows' result is s, and the
-        sticky flag is raised exactly when some row saturates.
+        when its t or b lies outside; the other rows' result is s.
     (b) only then, the clamp map a -> clip(a + d, lo, hi) the sub-stream
         applies to the accumulator.  Each saturating addition is such a map,
         and the family is closed under composition.  Negating a stream
@@ -384,10 +439,10 @@ def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
         onto itself since min_raw = -max_raw - 1.  The result is the whole
         stream's map applied to 0.
 
-    Pass (a) is skipped when the image shows a row whose whole sum leaves
-    the range.  It runs on words, as its sum array, and two copies, freed
-    before the clamp pass runs on words, its transform undone (H H = N I),
-    and two bound arrays; either pass holds 2.2 x words beside them at n = 18.
+    Pass (a) is skipped when saturates is given.  It runs on words, as its
+    sum array, and two copies, freed before the clamp pass runs on words,
+    its transform undone (H H = N I), and two bound arrays; either pass
+    holds 2.2 x words beside them at n = 18.
 
     Words are below 2**31 in magnitude and N <= 2**24, so every sum stays
     below 2**56 and the int64 arithmetic is exact.  The undo, prefix and
@@ -395,28 +450,17 @@ def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
     the undo's product with a transform, and the prefix and clamp combines
     are no products.
     """
-    l1 = np.abs(words).sum(axis=-1)
-    saturates = False
-    if (l1 <= EXACT_L1).all():
-        image = _exact_transform(words)
-        top, bottom = image.max(axis=-1), image.min(axis=-1)
-        if (np.maximum(top, -bottom) + l1 <= 2 * fmt.max_raw).all():
-            np.copyto(words, image, casting="unsafe")
-            return words
-        del image  # free it before the passes
-        # a row whose whole sum leaves the range saturates: no prefix pass needed
-        saturates = (top > fmt.max_raw).any() or (bottom < fmt.min_raw).any()
     if not saturates:
         _, t, b = butterfly((words, words.copy(), words.copy()), _prefix_combine)
         if not ((t > fmt.max_raw).any() or (b < fmt.min_raw).any()):
-            return words
+            return False
         del t, b  # only the check needed them; free them before the clamp pass
         butterfly((words,), _sum_diff)
         words >>= words.shape[-1].bit_length() - 1
-    ctx.overflow = True
     d, lo, hi = butterfly((words, np.full_like(words, fmt.min_raw),
                            np.full_like(words, fmt.max_raw)), _clamp_combine)
-    return np.clip(d, lo, hi, out=words)
+    np.clip(d, lo, hi, out=words)
+    return True
 
 
 def init_uniform_state(n: int, fmt: FxFormat = FxFormat()) -> StateVector:
@@ -471,51 +515,7 @@ def _emit_op_trace(write: TraceWriter, n_states: int, layer: int, order: str,
         })
 
 
-def _halves_certified(h: np.ndarray, l_lo: np.ndarray, l_up: np.ndarray, cost: bool,
-                      fmt: FxFormat) -> bool:
-    """Whether a sector pass's N_ADD provably saturates no row, from its
-    N-stream's two halves: h is the N/2 transform of the pass's words, and
-    l_lo and l_up each half's sum of |w| per row.
-
-    Row i signs element c of either half by sign(i mod N/2, c), times
-    (-1)**(bit n-1 of i) in the upper half, so each half's |Y|, its
-    transform's magnitude, has period N/2 in i.  For a cost pass both
-    halves' |Y| is |h|.  For a mixer pass, since
-    sign(i, j) * (-1)**popcount(j) = sign(N/2-1-i, j), the lower half's Y
-    is (h + rev h)/2 and the upper half's (h - rev h)/2, rev h = h[::-1].
-    A prefix of the lower half obeys _n_add's leaf bound, and one that
-    reaches into the upper half is the lower half's whole sum Y_lo plus a
-    prefix of the upper half, at most |Y_lo| + (|Y_up| + l_up)/2.  So the
-    pair bound max(|Y_lo| + l_lo, 2|Y_lo| + |Y_up| + l_up) <= 2 max_raw
-    certifies every prefix of every row; it holds whenever l_lo + l_up <=
-    max_raw, which is tried first.
-
-    h may be _exact_transform's float64 image.  While the words' sum of
-    |w| is at most 2**53 it is exact, and a rounded sum here can only pass
-    2**53, far above the limits compared with, so every comparison is
-    decided as in int64.  Past that, l_up (cost) or l_lo + l_up (mixer)
-    passes 2**53, and the terms in the sums alone exceed the limits
-    whatever |h| is, so an inexact image certifies nothing.
-    """
-    if (l_lo + l_up <= fmt.max_raw).all():
-        return True
-    if cost:
-        return bool((3 * np.abs(h).max(axis=-1) + l_up <= 2 * fmt.max_raw).all())
-    # 2|Y_lo| and 2|Y_up| are their own mirror: half of the rows suffice
-    rows = (h.shape[-1] + 1) // 2
-    h, rev = h[:, :rows], h[:, ::-1][:, :rows]
-    lower = np.add(h, rev)
-    np.abs(lower, out=lower)
-    upper = np.subtract(h, rev)
-    np.abs(upper, out=upper)
-    upper += lower
-    upper += lower
-    limit = 4 * fmt.max_raw
-    return bool((lower.max(axis=-1) + 2 * l_lo <= limit).all()
-                and (upper.max(axis=-1) + 2 * l_up <= limit).all())
-
-
-def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFormat,
+def _sector_n_add(words: np.ndarray, order: str, sector: MixerExponents, fmt: FxFormat,
                   ctx: FxContext) -> np.ndarray:
     """N_ADD of a pass run in the parity sector (see run_qaoa) on its N/2
     1_MULT words; returns the register the pass leaves.
@@ -523,28 +523,26 @@ def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFo
     The pass's N product words stream as two halves: words, then words
     reversed, for a cost pass; for a mixer pass, words at the sector's
     states, 0 elsewhere, that is the words off sector.odd, then those on
-    it.  When _halves_certified proves that no row saturates, N_ADD is the
-    plain transform, and since sign(i, N-1-c) = sign(i, c) *
-    (-1)**popcount(i), and sign(i, c) for c < N/2 depends only on i mod N/2:
-    - after a cost pass the odd-popcount rows are exactly 0, and an even
-      one is twice row i mod N/2 of the N/2 transform of words, which is
-      therefore the register e;
-    - after a mixer pass the result is its own mirror, and its lower half is
-      the N/2 transform of words, the register h.
+    it.  Its plain transform Y follows from the N/2 transform h of words,
+    since sign(i, N-1-c) = sign(i, c) * (-1)**popcount(i), and sign(i, c)
+    for c < N/2 depends only on i mod N/2:
+    - after a cost pass the odd-popcount rows, one of each pair {j, j +
+      N/2}, are exactly 0, and an even one is row i mod N/2 of 2h, the
+      register e: Y's pairs are (2h, 0) in some order;
+    - after a mixer pass the result is its own mirror, and its lower half
+      is h, the register: Y's pairs are (h, rev h), rev h = h[::-1].
 
-    _exact_transform computes that transform as a float64 image, and words
-    keep the 1_MULT words until the bound has been read.  A certified pass writes
-    the image to words.  Otherwise no transform needs undoing: the full
-    (2, N) product is built from words and _n_add runs on it with a local
-    context.  _n_add's leaf bound never certifies that product: on a mixer
-    row it reads max|h| + l_lo + l_up, at least either pair term, and on a
-    cost row 2 max|h| + 2 l1, at least 3 max|h| + l1 as max|h| <= l1, so
-    _n_add's image serves only its whole-sum shortcut.  If no row
-    saturated, its result is still the plain transform, and the run
-    returns to the sector in words.  If one did, the full
-    register is returned: a saturating cost pass can leave odd-popcount
-    rows non-zero, though a mixer pass's result is still its own mirror,
-    row N-1-i signing every streamed word as row i does.
+    _exact_transform computes h as a float64 image, doubled in place after
+    a cost pass, while words keep the 1_MULT words.  When _pair_bound_holds
+    certifies Y, the image is written to words.  Otherwise no transform
+    needs undoing: Y's whole sums are the image's and 0, so a row saturates
+    where the image leaves the range, and _stream_passes runs on the full
+    (2, N) product built from words.  If no row saturated, its result
+    is still the plain transform, and the run returns to the sector in
+    words.  If one did, the flag is raised and the full register is
+    returned: a saturating cost pass can leave odd-popcount rows non-zero,
+    though a mixer pass's result is still its own mirror, row N-1-i
+    signing every streamed word as row i does.
     """
     half = words.shape[-1]
     cost = order == "cost"
@@ -554,12 +552,16 @@ def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFo
     l_lo = l1 if cost else l1 - l_up
     del magnitudes
     h = _exact_transform(words)
-    if _halves_certified(h, l_lo, l_up, cost, fmt):
-        if cost:
-            h *= 2
+    if cost:
+        h *= 2
+    rows = (half + 1) // 2  # a mixer pass's |h +- rev h| is its own mirror
+    y_lo, y_up = (h, 0) if cost else (h[:, :rows], h[:, ::-1][:, :rows])
+    if _pair_bound_holds(y_lo, y_up, l_lo, l_up, fmt):
         np.copyto(words, h, casting="unsafe")
         return words
-    del h  # words still hold the 1_MULT words: free the image before the product
+    saturates = ((l_lo + l_up <= EXACT_L1).all()
+                 and (h.max() > fmt.max_raw or h.min() < fmt.min_raw))
+    del h, y_lo, y_up  # words still hold the 1_MULT words: free the image first
     full = np.empty((2, 2 * half), dtype=np.int64)
     lower, upper = full[:, :half], full[:, half:]
     if cost:
@@ -568,9 +570,7 @@ def _sector_n_add(words: np.ndarray, order: str, sector: ParitySector, fmt: FxFo
     else:  # no scatter: word j goes to state j + N/2 where odd[j], else to j
         np.multiply(words, sector.odd, out=upper)
         np.subtract(words, upper, out=lower)
-    local = FxContext()
-    _n_add(full, fmt, local)
-    if local.overflow:
+    if _stream_passes(full, fmt, saturates):
         ctx.overflow = True
         return full
     if cost:  # one word of each pair {j, j + N/2} is 0
@@ -584,7 +584,7 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
                          trace_writer: TraceWriter | None = None,
                          layer: int = 0, order: str = "cost",
                          expand: Expand = _stream_as_is,
-                         sector: ParitySector | None = None) -> np.ndarray:
+                         sector: MixerExponents | None = None) -> np.ndarray:
     """One streamed phase-and-transform pass: out = H1 . (diag(e^{i angles}) . in).
 
     words is the (2, N) int64 register of the N input amplitudes; the pass
@@ -599,11 +599,11 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     their words are expanded before 1_MULT.  CALCULATE_RAD raises the flag
     when one of the pass's own angles saturates.
 
-    With run_qaoa's sector, a register of N/2 words holds the state in its
-    parity sector.  1_MULT then runs on those words, taking the distinct
-    angles' words as they are in a cost pass and by sector.expand in a
-    mixer pass, and N_ADD is _sector_n_add, whose register is returned;
-    the trace still streams expand(angles).
+    With run_qaoa's sector, the mixer table, a register of N/2 words holds
+    the state in its parity sector.  1_MULT then runs on those words,
+    taking the distinct angles' words as they are in a cost pass and by
+    sector.sector_expand in a mixer pass, and N_ADD is _sector_n_add, whose
+    register is returned; the trace still streams expand(angles).
     """
     n_states = 1 << sector.n if sector is not None else words.shape[-1]
     in_sector = words.shape[-1] < n_states
@@ -622,7 +622,7 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     cos_raw, sin_raw = fxp.vec_sincos(rad, fmt)
     del rad  # free the angle words before 1_MULT
     if in_sector:
-        stream = sector.expand if order == "mixer" else _stream_as_is
+        stream = sector.sector_expand if order == "mixer" else _stream_as_is
     else:
         stream = expand
     cos_raw, sin_raw = stream(cos_raw), stream(sin_raw)
@@ -652,7 +652,7 @@ def run_layer(words: np.ndarray, d_cost_angles: np.ndarray,
               ctx: FxContext | None = None, trace_writer: TraceWriter | None = None,
               layer: int = 0, cost_expand: Expand = _stream_as_is,
               mixer_expand: Expand = _stream_as_is,
-              sector: ParitySector | None = None) -> np.ndarray:
+              sector: MixerExponents | None = None) -> np.ndarray:
     """Cost pass, mixer pass, then the end-of-layer arithmetic right shift.
 
     Updates the (2, N) register words in place and returns it.  The two
@@ -676,15 +676,15 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
              trace_writer: TraceWriter | None = None) -> EngineRun:
     """Full accelerator run: uniform init, then p layers of cost+mixer passes.
 
-    The tables are g.cost_table, mixer_table(n) and sector_table(n).  Each
-    pass evaluates its distinct angles only: the cost passes the N/2 of the
-    lower half, mirrored, the mixer passes the n + 1 levels, gathered by
-    popcount.
+    The tables are g.cost_table and mixer_table(n).  Each pass evaluates
+    its distinct angles only: the cost passes the N/2 of the lower half,
+    mirrored, the mixer passes the n + 1 levels, gathered by popcount.
 
     The register holds the state's parity sector, N/2 words per row: the
     start state and each cost-pass product are their own mirror, so before
     a cost pass it is the lower half h, and after one the words e at the
-    even-popcount states (sector_table; _sector_n_add says why).  After an
+    even-popcount states (the mixer table's odd; _sector_n_add says why).
+    Every pass certifies with _pair_bound_holds, as _n_add does.  After an
     N_ADD that saturates, the run holds the full (2, N) register to the
     end, as a cost pass may then leave odd-popcount states non-zero (a
     mixer pass from the sector stays its own mirror).  Words, flags,
@@ -693,7 +693,7 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
     n = g.num_vertices
     n_states = 1 << n
     diag = g.cost_table  # rejects n above MAX_QUBITS before allocating
-    mixer, sector = mixer_table(n), sector_table(n)
+    mixer = mixer_table(n)
     _, scale_exp = _uniform_start(n, cfg.fmt)
     words = np.zeros((2, n_states // 2), dtype=np.int64)
     words[0] = 1 << (cfg.fmt.frac_bits - (n + 1) // 2)  # the start value 2**-ceil(n/2)
@@ -702,7 +702,7 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
         words = run_layer(words, cost_half_angles(diag, params.gamma[layer]),
                           mixer_level_angles(mixer, params.beta[layer]),
                           cfg, ctx, trace_writer, layer=layer, cost_expand=diag.expand,
-                          mixer_expand=mixer.expand, sector=sector)
+                          mixer_expand=mixer.expand, sector=mixer)
     ops = 2 * params.p
     counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
                       cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,

@@ -9,7 +9,6 @@ from qmaxemu import (QaoaParams, WeightedGraph, assignment_from_index, build_cos
                      build_mixer_exponents, cost_angles, cost_half_angles, cut_value,
                      cut_values_all, decomposed_run_qaoa_f64, diagonals, mixer_angles,
                      mixer_level_angles, mixer_table, run_qaoa)
-from qmaxemu.diagonals import sector_table
 from qmaxemu.graph import MAX_QUBITS
 
 from conftest import random_graph
@@ -239,15 +238,15 @@ def test_cost_half_angles_mirror_to_cost_angles_bitwise(n):
 
 def test_sector_table_holds_the_even_popcount_state_of_each_pair():
     for n in (1, 2, 5, 10):
-        sector, m = sector_table(n), mixer_table(n)
-        assert sector_table(n) is sector and sector.n == n
-        assert not sector.level.flags.writeable and not sector.odd.flags.writeable
+        m = mixer_table(n)
+        assert mixer_table(n).odd is m.odd and m.sector_level is m.sector_level
+        assert not m.sector_level.flags.writeable and not m.odd.flags.writeable
         half = 1 << (n - 1)
-        state = np.arange(half) + half * sector.odd.astype(np.int64)
+        state = np.arange(half) + half * m.odd.astype(np.int64)
         assert (m.popcount[state] % 2 == 0).all()
-        assert (sector.level == m.popcount[state]).all()
+        assert (m.sector_level == m.popcount[state]).all()
         levels = np.arange(n + 1) * 10
-        assert (sector.expand(levels) == m.expand(levels)[state]).all()
+        assert (m.sector_expand(levels) == m.expand(levels)[state]).all()
 
 
 def test_angles_past_float64_saturate_without_a_warning():

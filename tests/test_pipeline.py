@@ -17,7 +17,6 @@ from qmaxemu import (QaoaParams, StateVector, WeightedGraph, build_cost_diagonal
                      hadamard_sign, init_uniform_state, mixer_angles,
                      mixer_level_angles, mixer_table, probabilities, pipeline,
                      run_elemental_ansatz, run_layer, run_qaoa)
-from qmaxemu.diagonals import sector_table
 from qmaxemu.fxp import FxContext, FxFormat
 from qmaxemu.pipeline import (PIPELINE_LATENCY, PipelineConfig, _n_add,
                               hadamard_sign_column)
@@ -283,8 +282,8 @@ def test_n_add_skips_the_prefix_pass_when_a_sum_leaves_the_range(monkeypatch):
 
 def test_n_add_takes_no_image_of_rows_past_the_exact_limit(monkeypatch):
     # with EXACT_L1 below row 0's sum of |w|, _n_add takes no image of the
-    # rows, so neither the leaf bound nor the whole-sum shortcut runs: a
-    # stream the leaf bound certifies and one whose whole sum leaves the
+    # rows, so neither the pair bound nor the whole-sum shortcut runs: a
+    # stream the pair bound certifies and one whose whole sum leaves the
     # range both go through the prefix pass, with the streamed words and flag
     fmt = FxFormat(12, 8)
     certified = np.array([[-800, 100, 600, 300, 300, 0, 0, 0], [0] * 8], dtype=np.int64)
@@ -447,15 +446,17 @@ def test_exact_transform_matches_butterfly(n, bits, at_min_raw, blocks, seed):
 def test_sector_sums_past_the_exact_limit_certify_nothing():
     # _exact_transform is exact while a row's sum of |w| is at most 2**53;
     # a sector pass past it (possible only at n = 24) is rejected by the
-    # sums alone, whatever its image holds, so an inexact image is never used
+    # sums alone, whatever its image holds, so an inexact image is never
+    # used: a cost pass's (2h, 0), whose halves' sums are the words', and a
+    # mixer pass's (h, rev h), whose halves split them
     fmt = FxFormat(32, 25)
     past = (1 << 53) + 1
     h = np.zeros((2, 8))
     sums = np.full(2, past)
-    assert not pipeline._halves_certified(h, sums, sums, True, fmt)
+    assert not pipeline._pair_bound_holds(2 * h, 0, sums, sums, fmt)
     for l_up in (0, 1 << 52, past):
         l_lo, l_up = np.full(2, past - l_up), np.full(2, l_up)
-        assert not pipeline._halves_certified(h, l_lo, l_up, False, fmt), l_up
+        assert not pipeline._pair_bound_holds(h, h[:, ::-1], l_lo, l_up, fmt), l_up
 
 
 # Hashes run_qaoa's words, flags and counts over random instances at n <= 12,
@@ -805,11 +806,11 @@ def test_passes_update_the_register_in_place(fmt):
 ], ids=["q12.20", "q7.25", "q12.20-prefix-pass"])
 def test_run_qaoa_holds_one_register(fmt, gamma, monkeypatch):
     # every stage updates the register in place, and 1_MULT rounds and
-    # clips its products in place.  Here mixer passes fail both of the
-    # parity sector's certificates, so their N_ADD runs on the full (2, N)
-    # register, beside the N/2 words.  Neither q12.20 run saturates, but
-    # its first mixer pass fails the leaf bound too, and its prefix pass
-    # peaks at up to 4.37 x on the register and two copies; a third copy
+    # clips its products in place.  Here mixer passes fail the parity
+    # sector's certificate, so their N_ADD runs on the full (2, N)
+    # product, beside the N/2 words.  Neither q12.20 run saturates, and
+    # the prefix pass of its first mixer pass peaks at up to 4.37 x on
+    # the register and two copies; a third copy
     # would reach 5.37 x.  The q7.25 run saturates in its first mixer pass and
     # stays on the full register, peaking at 4.45 x where that pass clamps,
     # then at 4.25 x in 1_MULT; its saturating passes go straight to the
@@ -822,7 +823,7 @@ def test_run_qaoa_holds_one_register(fmt, gamma, monkeypatch):
     n = 16
     g = random_graph(np.random.default_rng(5), n, weight_range=(0.2, 3.0))
     params = QaoaParams.from_lists(gamma, [0.4, 0.7])
-    g.cost_table, mixer_table(n), sector_table(n)
+    g.cost_table, mixer_table(n).odd, mixer_table(n).sector_level
     run_qaoa(path_graph(2), params, PipelineConfig(fmt=fmt))  # builds the CORDIC table
     prefix_passes = []
     prefix_combine = pipeline._prefix_combine
@@ -848,12 +849,12 @@ def test_certified_run_holds_the_parity_sector(monkeypatch):
     g = random_graph(np.random.default_rng(5), n, weight_range=(0.2, 3.0))
     params = QaoaParams.from_lists([0.02, 0.01], [0.4, 0.7])
     cfg = PipelineConfig(fmt=FxFormat(32, 20))
-    g.cost_table, mixer_table(n), sector_table(n)
+    g.cost_table, mixer_table(n).odd, mixer_table(n).sector_level
     run_qaoa(path_graph(2), params, cfg)  # builds the CORDIC table
     full_passes = []
-    n_add = pipeline._n_add
-    monkeypatch.setattr(pipeline, "_n_add",
-                        lambda *args: full_passes.append(1) or n_add(*args))
+    stream_passes = pipeline._stream_passes
+    monkeypatch.setattr(pipeline, "_stream_passes",
+                        lambda *args: full_passes.append(1) or stream_passes(*args))
     tracemalloc.start()
     try:
         _, counts = run_qaoa(g, params, cfg)
@@ -893,7 +894,7 @@ def test_run_leaves_the_parity_sector_after_a_saturating_n_add(fmt, n, seed, gam
     passes = []
     run_pass = pipeline.run_elemental_ansatz
     full_passes = []
-    n_add = pipeline._n_add
+    stream_passes = pipeline._stream_passes
 
     def recording(*args, **kwargs):  # run_layer looks the pass up in the module
         words = run_pass(*args, **kwargs)
@@ -901,11 +902,11 @@ def test_run_leaves_the_parity_sector_after_a_saturating_n_add(fmt, n, seed, gam
         return words
 
     monkeypatch.setattr(pipeline, "run_elemental_ansatz", recording)
-    monkeypatch.setattr(pipeline, "_n_add",
-                        lambda *args: full_passes.append(1) or n_add(*args))
+    monkeypatch.setattr(pipeline, "_stream_passes",
+                        lambda *args: full_passes.append(1) or stream_passes(*args))
     state, counts = run_qaoa(g, params, cfg)
     got = [words.shape[-1] for _, words in passes]
-    assert bool(full_passes) == full  # whether a pass ran the full-N N_ADD
+    assert bool(full_passes) == full  # whether a pass ran the full-N passes
     passes.clear()
     want, overflow = _run_streaming_every_angle(g, params, cfg)
     assert got == registers
@@ -964,7 +965,7 @@ def test_mixer_pass_from_the_sector_returns_its_own_mirror(n, fmt, seed, beta):
         words *= rng.choice((-1, 1), words.shape)
     m, ctx = mixer_table(n), FxContext()
     out = run_elemental_ansatz(words, mixer_level_angles(m, beta), PipelineConfig(fmt=fmt),
-                               ctx, order="mixer", expand=m.expand, sector=sector_table(n))
+                               ctx, order="mixer", expand=m.expand, sector=m)
     assert beta or ctx.overflow
     if out.shape[-1] < 1 << n:  # back in the sector: h, then its mirror
         assert not ctx.overflow
@@ -979,7 +980,7 @@ def sector_product(words, order):
     half = words.shape[-1]
     if order == "cost":
         return np.concatenate((words, words[:, ::-1]), axis=1)
-    states = np.arange(half) + np.where(sector_table(half.bit_length()).odd, half, 0)
+    states = np.arange(half) + np.where(mixer_table(half.bit_length()).odd, half, 0)
     full = np.zeros((2, 2 * half), dtype=np.int64)
     full[:, states] = words
     return full
@@ -1005,7 +1006,7 @@ def test_sector_n_add_matches_the_full_stream(n, fmt, order, seed, bits, offset)
     # _sector_n_add against _n_add on the full product and the streamed
     # oracle, on random words, or, with an offset, on words scaled so that
     # the half-stream bound lands within a few units of its limit: the same
-    # words and flag, and the full-N N_ADD runs exactly when that bound fails
+    # words and flag, and the full-N passes run exactly when that bound fails
     half = 1 << (n - 1)
     rng = np.random.default_rng(seed)
     bits = min(bits, fmt.word_bits)
@@ -1023,9 +1024,9 @@ def test_sector_n_add_matches_the_full_stream(n, fmt, order, seed, bits, offset)
     assert (_n_add(product.copy(), fmt, FxContext()) == want).all()
     full_passes = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline, "_n_add",
-                      lambda *args, n_add=pipeline._n_add: full_passes.append(1) or n_add(*args))
-        got = pipeline._sector_n_add(words.copy(), order, sector_table(n), fmt, got_ctx)
+        patch.setattr(pipeline, "_stream_passes", lambda *args, f=pipeline._stream_passes:
+                      full_passes.append(1) or f(*args))
+        got = pipeline._sector_n_add(words.copy(), order, mixer_table(n), fmt, got_ctx)
     assert got_ctx.overflow == want_ctx.overflow
     assert bool(full_passes) == (not bound)
     assert not (bound and want_ctx.overflow)
@@ -1039,35 +1040,59 @@ def test_sector_n_add_matches_the_full_stream(n, fmt, order, seed, bits, offset)
     assert (got == want).all()
 
 
-@given(n=st.integers(2, 10), fmt=st.sampled_from(N_ADD_FORMATS),
-       order=st.sampled_from(["cost", "mixer"]), seed=st.integers(0, 2**32 - 1),
-       bits=st.integers(1, 32), stretch=st.floats(0.5, 1.05))
+@given(n=st.integers(1, 10), fmt=st.sampled_from(N_ADD_FORMATS),
+       seed=st.integers(0, 2**32 - 1), bits=st.integers(1, 32), stretch=st.floats(0.5, 1.05))
 @settings(max_examples=100, deadline=None)
-def test_sector_fallback_never_certifies_by_the_leaf_bound(n, fmt, order, seed, bits, stretch):
-    # _n_add's leaf bound on a sector pass's full product, max|Y| + sum|w|
-    # on the worst row, is never below the half-stream pair bound, so a pass
-    # that _halves_certified rejects fails the leaf bound too.  The words
-    # are scaled to put the pair bound at 0.5 to 1.05 times its limit, the
-    # band where a leaf bound below it would certify rejected passes
+def test_pair_bound_agrees_with_the_integer_bound_on_any_words(n, fmt, seed, bits, stretch):
+    # any (2, N) words, not only sector products, scaled to put the pair
+    # bound at 0.5 to 1.05 times its limit: on _exact_transform's halves,
+    # _pair_bound_holds decides as the integer half_stream_bound does, and
+    # it never certifies a stream whose streamed N_ADD saturates
     half = 1 << (n - 1)
     rng = np.random.default_rng(seed)
     bits = min(bits, fmt.word_bits)
-    words = rng.integers(-(1 << bits - 1), 1 << bits - 1, size=(2, half), dtype=np.int64)
+    words = rng.integers(-(1 << bits - 1), 1 << bits - 1, size=(2, 2 * half), dtype=np.int64)
     if words.any():
-        scale = stretch * 2 * fmt.max_raw / half_stream_bound(sector_product(words, order))
+        scale = stretch * 2 * fmt.max_raw / half_stream_bound(words)
         words = np.clip(np.rint(words * scale).astype(np.int64), fmt.min_raw, fmt.max_raw)
+    image = pipeline._exact_transform(words)
+    l_lo, l_up = np.abs(words[:, :half]).sum(axis=-1), np.abs(words[:, half:]).sum(axis=-1)
+    certified = pipeline._pair_bound_holds(image[:, :half], image[:, half:], l_lo, l_up, fmt)
+    assert certified == (half_stream_bound(words) <= 2 * fmt.max_raw)
+    ctx = FxContext()
+    streamed_n_add(words, fmt, ctx)
+    assert not (certified and ctx.overflow)
+
+
+@pytest.mark.parametrize("order", ["cost", "mixer"])
+@pytest.mark.parametrize("peak,whole_sum", [(0.95, False), (1.2, True)],
+                         ids=["prefix-only", "whole-sum"])
+def test_rejected_sector_pass_takes_one_transform(order, peak, whole_sum):
+    # a sector pass that the pair bound rejects reads its whole sums off its
+    # own N/2 image: it takes one _exact_transform and no _n_add, and runs
+    # the prefix pass only when no whole sum leaves the range.  The words
+    # are scaled so that the full stream's largest whole sum is peak times
+    # max_raw; in both cases a row saturates
+    n, fmt = 8, FxFormat(16, 10)
+    drawn = np.random.default_rng(3).integers(-1000, 1001, (2, 1 << (n - 1)))
+    signs = sign_matrix(n)
+    scale = peak * fmt.max_raw / np.abs(sector_product(drawn, order) @ signs).max()
+    words = np.rint(drawn * scale).astype(np.int64)
     product = sector_product(words, order)
-    leaf = int((np.abs(product @ sign_matrix(n)).max(axis=-1)
-                + np.abs(product).sum(axis=-1)).max())
-    assert leaf >= half_stream_bound(product)
-    full_products = []
+    assert (np.abs(product @ signs).max() > fmt.max_raw) == whole_sum
+    want_ctx, got_ctx = FxContext(), FxContext()
+    want = streamed_n_add(product, fmt, want_ctx)
+    assert want_ctx.overflow
+    calls = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline, "_n_add", lambda words, *args, n_add=pipeline._n_add:
-                      full_products.append(words.copy()) or n_add(words, *args))
-        pipeline._sector_n_add(words.copy(), order, sector_table(n), fmt, FxContext())
-    for full in full_products:
-        assert (full == product).all()
-        assert leaf > 2 * fmt.max_raw
+        for name in ("_exact_transform", "_n_add", "_stream_passes", "_prefix_combine"):
+            patch.setattr(pipeline, name, lambda *args, name=name, f=getattr(pipeline, name):
+                          calls.append(name) or f(*args))
+        got = pipeline._sector_n_add(words, order, mixer_table(n), fmt, got_ctx)
+    assert calls.count("_exact_transform") == 1 and "_n_add" not in calls
+    assert calls.count("_stream_passes") == 1
+    assert ("_prefix_combine" in calls) == (not whole_sum)
+    assert got_ctx.overflow and got.tobytes() == want.tobytes()
 
 
 def test_each_pass_raises_its_own_calculate_rad_flag():
@@ -1083,7 +1108,7 @@ def test_each_pass_raises_its_own_calculate_rad_flag():
     assert sorted({(r["op"], r["overflow"]) for r in records}) == [
         (0, False), (1, False), (2, False), (3, True)]
     want = []
-    diag, mixer, sector = g.cost_table, mixer_table(n), sector_table(n)
+    diag, mixer = g.cost_table, mixer_table(n)
     words = np.zeros((2, 1 << (n - 1)), dtype=np.int64)
     words[0] = fxp.vec_from_real(init_uniform_state(n, cfg.fmt).amps.real[:1], cfg.fmt)
     ctx = FxContext()
@@ -1092,6 +1117,6 @@ def test_each_pass_raises_its_own_calculate_rad_flag():
                 ("cost", cost_half_angles(diag, params.gamma[layer]), diag.expand),
                 ("mixer", mixer_level_angles(mixer, params.beta[layer]), mixer.expand)):
             words = run_elemental_ansatz(words, angles, cfg, ctx, want.append, layer=layer,
-                                         order=order, expand=expand, sector=sector)
+                                         order=order, expand=expand, sector=mixer)
         words >>= n
     assert json.dumps(records) == json.dumps(want)

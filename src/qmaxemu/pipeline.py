@@ -27,11 +27,10 @@ leave the word range it takes them with no clips; otherwise it clips each
 product and each sum, with the flag.  A run peaks in 1_MULT: at 2.25
 times the full register when every pass is certified, and at 4.25 times
 on the full register, at n = 16 and 20.  A sector N_ADD peaks at 1.75
-times, holding the words, the transform's float64 image and its last
-product, or at 2.25 times in a cost pass's pair bound, which holds two
-N/2 arrays beside the image.  A pass that takes the full-N passes holds
-the N/2 words beside them (up to 4.45 times where a q7.25 pass at n = 16
-clamps).
+times (the words, the transform's float64 image and its last product),
+or at 2.25 times in a cost pass's pair bound (two N/2 arrays beside the
+image).  A pass that takes the full-N passes holds the N/2 words beside
+them (up to 4.45 times where a q7.25 pass at n = 16 clamps).
 
 The host evaluates the datapath in a different order with identical words
 and flags.  Each pass evaluates its per-element stages on whole arrays,
@@ -355,7 +354,7 @@ def _exact_transform(words: np.ndarray) -> np.ndarray:
 EXACT_L1 = 1 << 53
 
 
-def _pair_bound_holds(y_lo: np.ndarray, y_up: np.ndarray, l_lo: np.ndarray,
+def _pair_bound_holds(y_lo: np.ndarray, y_up: np.ndarray | float, l_lo: np.ndarray,
                       l_up: np.ndarray, fmt: FxFormat) -> bool:
     """Whether N_ADD provably saturates no row of an N-stream, from its plain
     +/-1 transform Y: y_lo and y_up are rows i and i + N/2 of Y, in either
@@ -373,9 +372,10 @@ def _pair_bound_holds(y_lo: np.ndarray, y_up: np.ndarray, l_lo: np.ndarray,
     max(|A| + l_lo, 2|A| + |B| + l_up) <= 2 max_raw certifies every prefix
     of both rows.  It holds whenever l_lo + l_up <= max_raw, tried first.
 
-    The y may be float64 images: exact while l_lo + l_up <= EXACT_L1, and
-    past that one of l_lo and l_up exceeds 2**52, far above the limits
-    compared with, so an inexact image certifies nothing.
+    The y may be float64 images, exact while l_lo + l_up <= EXACT_L1: a
+    rounded sum here then only passes 2**53, far above the limits, so every
+    comparison is decided as in int64; past it, l_lo or l_up alone exceeds
+    the limits, so an inexact image certifies nothing.
     """
     if (l_lo + l_up <= fmt.max_raw).all():
         return True
@@ -439,7 +439,7 @@ def _stream_passes(words: np.ndarray, fmt: FxFormat, saturates: bool) -> bool:
         onto itself since min_raw = -max_raw - 1.  The result is the whole
         stream's map applied to 0.
 
-    Pass (a) is skipped when saturates is given.  It runs on words, as its
+    Pass (a) is skipped when saturates is true.  It runs on words, as its
     sum array, and two copies, freed before the clamp pass runs on words,
     its transform undone (H H = N I), and two bound arrays; either pass
     holds 2.2 x words beside them at n = 18.

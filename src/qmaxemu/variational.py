@@ -48,7 +48,7 @@ class ExpectationResult:
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 8
-    max_evals: int = 2000  # total budget, split across restarts
+    max_evals: int = 2000  # each restart gets max(2p + 2, max_evals // restarts)
 
 
 @dataclass

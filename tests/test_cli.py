@@ -324,6 +324,21 @@ def test_solve_grid_optimizer(capsys, edge_file):
     assert 0.0 <= report["params"]["beta"][0] < math.pi / 2
 
 
+@pytest.mark.parametrize("argv,evaluations", [
+    (["--layers", "2"], 48),
+    (["--layers", "3"], 64),
+    (["--layers", "1", "--optimizer", "grid"], 64 * 32),
+], ids=["p2", "p3", "grid"])
+def test_solve_max_evals_is_not_a_hard_budget(capsys, edge_file, argv, evaluations):
+    # each Nelder-Mead restart gets max(2p + 2, max_evals // restarts)
+    # evaluations, so 8 restarts of a 10-evaluation budget run 8 (2p + 2),
+    # and the grid evaluates its whole lattice whatever the budget
+    code, out = run_cli(capsys, "solve", "--graph", edge_file, "--engine", "decomposed-f64",
+                        "--seed", "1", "--restarts", "8", "--max-evals", "10", *argv)
+    assert code == 0
+    assert json.loads(out)["evaluations"] == evaluations
+
+
 def test_oracle(capsys, triangle_file):
     code, out = run_cli(capsys, "oracle", "--graph", triangle_file)
     assert code == 0

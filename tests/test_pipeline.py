@@ -808,18 +808,18 @@ def test_run_qaoa_holds_one_register(fmt, gamma, monkeypatch):
     # every stage updates the register in place, and 1_MULT rounds and
     # clips its products in place.  Here mixer passes fail the parity
     # sector's certificate, so their N_ADD runs on the full (2, N)
-    # product, beside the N/2 words.  Neither q12.20 run saturates, and
-    # the prefix pass of its first mixer pass peaks at up to 4.37 x on
-    # the register and two copies; a third copy
-    # would reach 5.37 x.  The q7.25 run saturates in its first mixer pass and
-    # stays on the full register, peaking at 4.45 x where that pass clamps,
-    # then at 4.25 x in 1_MULT; its saturating passes go straight to the
-    # clamp pass, since a row's whole sum leaves the range, and it takes no
-    # prefix pass.  An out-of-place 1_MULT of both rows at once would reach
-    # 5.3 x, and a second re/im pair, a stacked copy for N_ADD or a start
-    # vector held to readout would each add at least 1 x.  The cost, mixer,
-    # sector and CORDIC tables belong to the graph, n and the format, not
-    # to the run, so they are built before tracing.
+    # product, beside the N/2 words.  Neither q12.20 run saturates, and the
+    # prefix pass of its first mixer pass peaks at up to 4.33 x on the
+    # register and two copies; a third copy would reach 5.33 x.  The q7.25
+    # run saturates in its first mixer pass and stays on the full register,
+    # peaking at 4.45 x where that pass clamps, then at 4.25 x in 1_MULT;
+    # its saturating passes go straight to the clamp pass, since a row's
+    # whole sum leaves the range, and it takes no prefix pass.  An
+    # out-of-place 1_MULT of both rows at once would reach 5.3 x, and a
+    # second re/im pair, a stacked copy for N_ADD or a start vector held to
+    # readout would each add at least 1 x.  The cost table, the mixer table
+    # with its sector arrays and the CORDIC table belong to the graph, n and
+    # the format, not to the run, so they are built before tracing.
     n = 16
     g = random_graph(np.random.default_rng(5), n, weight_range=(0.2, 3.0))
     params = QaoaParams.from_lists(gamma, [0.4, 0.7])

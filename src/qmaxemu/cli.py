@@ -30,8 +30,7 @@ from .fxp import FxFormat
 from .graph import (MAX_QUBITS, GraphFormatError, WeightedGraph, brute_force_max_cut,
                     parse_graph)
 from .pipeline import CLOCK_HZ, QaoaParams
-from .variational import (OptimizationTrace, OptimizerConfig, expectation, grid_search_p1,
-                          optimize)
+from .variational import OptimizerConfig, expectation, grid_search_p1, optimize
 
 SCHEMA_VERSION = "1"
 BRUTE_FORCE_REPORT_MAX = 20
@@ -226,8 +225,7 @@ def cmd_solve(args) -> int:
     if args.optimizer == "grid":
         if args.layers != 1:
             raise InputError("--optimizer grid supports only --layers 1")
-        trace = OptimizationTrace(converged=True)
-        grid_search_p1(g, resolution=64, engine=engine, trace=trace)
+        trace = grid_search_p1(g, resolution=64, engine=engine)
     else:  # nelder-mead
         trace = optimize(g, args.layers, engine, cfg=cfg, seed=seed)
     best_params, f_p = trace.best_params, trace.best_f_p
@@ -279,7 +277,7 @@ def cmd_bench(args) -> int:
             try:
                 run = run_engine(name, g, params, fmt=fmt)
             except ValueError as exc:
-                log.warning("skipping %s at n=%d: %s", name, n, exc)
+                log.error("skipping %s at n=%d: %s", name, n, exc)
                 continue
             elapsed = time.perf_counter() - started
             f_p = expectation(run.state, g.cost_table).f_p

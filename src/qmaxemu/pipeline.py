@@ -37,12 +37,12 @@ and flags.  Each pass evaluates its per-element stages on whole arrays,
 which is value-identical to streaming as elements interact only in N_ADD.
 CALCULATE_RAD, NORMALIZE_RAD, CORDIC and the sign restore (the last three
 in one kernel, fxp.vec_sincos) run only on the distinct angles of a pass,
-and their words are expanded to the N streamed elements before 1_MULT: a
-cost pass evaluates the N/2 angles of the states with bit n-1 clear and
-mirrors them (the cost table is symmetric under complementing every bit),
-a mixer pass the n + 1 angles u*beta, u = -n, -n+2, ..., n, gathered by
-popcount.  Their saturation flags depend only on the set of angles, which
-is the same.  As in the hardware, the cost and mixer passes share no
+and their words are expanded to the N streamed elements before 1_MULT by
+the pass's table, read off the run's cost table: a cost pass evaluates the
+N/2 angles of the states with bit n-1 clear and mirrors them (the cost
+table is symmetric under complementing every bit), a mixer pass the n + 1
+angles u*beta, u = -n, -n+2, ..., n, gathered by popcount (mixer_table(n)).
+Their saturation flags depend only on the set of angles, which is the same.  As in the hardware, the cost and mixer passes share no
 stage: each runs its own CALCULATE_RAD, so its flag is that of its own
 angles, raised before any trace record of the pass reads it.
 CORDIC is evaluated by a per-format decision-interval table
@@ -70,10 +70,10 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from . import fxp
-from .diagonals import MixerExponents, cost_half_angles, mixer_level_angles, mixer_table
+from .diagonals import (CostDiagonal, MixerExponents, cost_half_angles, mixer_level_angles,
+                        mixer_table)
 from .diagonals import build_cost_diagonal  # noqa: F401  unused; in perfbench's SITES
 from .fxp import FxContext, FxFormat
 from .graph import WeightedGraph, check_qubit_count
@@ -83,9 +83,6 @@ PIPELINE_LATENCY = 1 + 1 + fxp.CORDIC_STAGES + 1
 CLOCK_HZ = 100_000_000  # reported times are cycles / CLOCK_HZ, labeled derived
 
 TraceWriter = Callable[[dict], None]
-# Widens per-angle values (words, flags) from a pass's distinct angles to its
-# N streamed elements: a table's expand, or _stream_as_is for N angles.
-Expand = Callable[[np.ndarray], np.ndarray]
 
 
 def _stream_as_is(values: np.ndarray) -> np.ndarray:
@@ -310,7 +307,8 @@ FACTOR_BITS = 6
 def _sylvester(bits: int) -> np.ndarray:
     """The read-only float64 Sylvester Hadamard matrix of 2**bits rows,
     whose entry (i, j) is hadamard_sign(i, j)."""
-    h = hadamard(1 << bits, dtype=np.float64)
+    i = np.arange(1 << bits)
+    h = (1 - 2 * _parity(i[:, None] & i)).astype(np.float64)
     h.flags.writeable = False
     return h
 
@@ -515,14 +513,14 @@ def _emit_op_trace(write: TraceWriter, n_states: int, layer: int, order: str,
         })
 
 
-def _sector_n_add(words: np.ndarray, order: str, sector: MixerExponents, fmt: FxFormat,
+def _sector_n_add(words: np.ndarray, order: str, mixer: MixerExponents, fmt: FxFormat,
                   ctx: FxContext) -> np.ndarray:
     """N_ADD of a pass run in the parity sector (see run_qaoa) on its N/2
     1_MULT words; returns the register the pass leaves.
 
     The pass's N product words stream as two halves: words, then words
     reversed, for a cost pass; for a mixer pass, words at the sector's
-    states, 0 elsewhere, that is the words off sector.odd, then those on
+    states, 0 elsewhere, that is the words off mixer.odd, then those on
     it.  Its plain transform Y follows from the N/2 transform h of words,
     since sign(i, N-1-c) = sign(i, c) * (-1)**popcount(i), and sign(i, c)
     for c < N/2 depends only on i mod N/2:
@@ -548,7 +546,7 @@ def _sector_n_add(words: np.ndarray, order: str, sector: MixerExponents, fmt: Fx
     cost = order == "cost"
     magnitudes = np.abs(words)
     l1 = magnitudes.sum(axis=-1)
-    l_up = l1 if cost else magnitudes @ sector.odd
+    l_up = l1 if cost else magnitudes @ mixer.odd
     l_lo = l1 if cost else l1 - l_up
     del magnitudes
     h = _exact_transform(words)
@@ -568,7 +566,7 @@ def _sector_n_add(words: np.ndarray, order: str, sector: MixerExponents, fmt: Fx
         lower[...] = words
         upper[...] = words[:, ::-1]
     else:  # no scatter: word j goes to state j + N/2 where odd[j], else to j
-        np.multiply(words, sector.odd, out=upper)
+        np.multiply(words, mixer.odd, out=upper)
         np.subtract(words, upper, out=lower)
     if _stream_passes(full, fmt, saturates):
         ctx.overflow = True
@@ -583,8 +581,7 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
                          ctx: FxContext | None = None,
                          trace_writer: TraceWriter | None = None,
                          layer: int = 0, order: str = "cost",
-                         expand: Expand = _stream_as_is,
-                         sector: MixerExponents | None = None) -> np.ndarray:
+                         diag: CostDiagonal | None = None) -> np.ndarray:
     """One streamed phase-and-transform pass: out = H1 . (diag(e^{i angles}) . in).
 
     words is the (2, N) int64 register of the N input amplitudes; the pass
@@ -593,20 +590,24 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     it only the phasors and 1_MULT's rounding temporaries.  Saturation
     anywhere sets the sticky flag on ctx but the run continues.
 
-    The elements stream expand(angles), which must give N of them.  With a
-    table's expand, angles holds the distinct angles, every one of them
-    streamed: the angle stages and CORDIC run once per distinct angle, and
+    With diag=None the elements stream the N angles as given.  Given the
+    run's cost table diag, angles are the distinct angles of the pass's
+    table, diag or mixer_table(diag.n), and the elements stream its expand
+    of them: the angle stages and CORDIC run once per distinct angle, and
     their words are expanded before 1_MULT.  CALCULATE_RAD raises the flag
     when one of the pass's own angles saturates.
 
-    With run_qaoa's sector, the mixer table, a register of N/2 words holds
-    the state in its parity sector.  1_MULT then runs on those words,
-    taking the distinct angles' words as they are in a cost pass and by
-    sector.sector_expand in a mixer pass, and N_ADD is _sector_n_add, whose
-    register is returned; the trace still streams expand(angles).
+    A register of N/2 words then holds the state in its parity sector (see
+    run_qaoa): 1_MULT takes the distinct angles' words as they are in a
+    cost pass and by the mixer's sector_expand in a mixer pass, N_ADD is
+    _sector_n_add, whose register is returned, and the trace still streams
+    the table's expand.
     """
-    n_states = 1 << sector.n if sector is not None else words.shape[-1]
+    n_states = words.shape[-1] if diag is None else len(diag.entries)
     in_sector = words.shape[-1] < n_states
+    mixer = None if diag is None else mixer_table(diag.n)
+    table = diag if order == "cost" else mixer
+    stream = expand = _stream_as_is if table is None else table.expand
     if ctx is None:
         ctx = FxContext()
     fmt = cfg.fmt
@@ -622,9 +623,7 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     cos_raw, sin_raw = fxp.vec_sincos(rad, fmt)
     del rad  # free the angle words before 1_MULT
     if in_sector:
-        stream = sector.sector_expand if order == "mixer" else _stream_as_is
-    else:
-        stream = expand
+        stream = mixer.sector_expand if order == "mixer" else _stream_as_is
     cos_raw, sin_raw = stream(cos_raw), stream(sin_raw)
     if cos_raw.shape != (words.shape[-1],):
         raise ValueError(f"expected {words.shape[-1]} angles, streamed {cos_raw.shape}")
@@ -636,10 +635,8 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     # N_ADD: the hardware accumulates the product stream into all N slots in
     # ascending stream order, saturating after each addition; _n_add gives
     # the same words and flag by butterflies over the register, in place.
-    if in_sector:
-        words = _sector_n_add(words, order, sector, fmt, ctx)
-    else:
-        _n_add(words, fmt, ctx)
+    words = (_sector_n_add(words, order, mixer, fmt, ctx) if in_sector
+             else _n_add(words, fmt, ctx))
 
     if trace_writer is not None:
         _emit_op_trace(trace_writer, n_states, layer, order,
@@ -650,24 +647,22 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
 def run_layer(words: np.ndarray, d_cost_angles: np.ndarray,
               d_mixer_angles: np.ndarray, cfg: PipelineConfig,
               ctx: FxContext | None = None, trace_writer: TraceWriter | None = None,
-              layer: int = 0, cost_expand: Expand = _stream_as_is,
-              mixer_expand: Expand = _stream_as_is,
-              sector: MixerExponents | None = None) -> np.ndarray:
+              layer: int = 0, diag: CostDiagonal | None = None) -> np.ndarray:
     """Cost pass, mixer pass, then the end-of-layer arithmetic right shift.
 
     Updates the (2, N) register words in place and returns it.  The two
     passes grow the state by exactly 2**n in norm, so the n-bit shift
     realizes the layer's 1/2**n factor and leaves the scale exponent
-    unchanged.  Each pass runs its own angle stages on its distinct angles
-    and streams its expand of them.  With a sector, a pass may return a new
-    register (run_elemental_ansatz), and the layer returns the one it
-    leaves.
+    unchanged.  Each pass runs its own angle stages, on N angles or, given
+    the cost table diag, on its table's distinct ones; a pass from the
+    parity sector may return a new register, and the layer returns the one
+    it leaves (run_elemental_ansatz).
     """
-    n = sector.n if sector is not None else words.shape[-1].bit_length() - 1
+    n = diag.n if diag is not None else words.shape[-1].bit_length() - 1
     words = run_elemental_ansatz(words, d_cost_angles, cfg, ctx, trace_writer, layer=layer,
-                                 order="cost", expand=cost_expand, sector=sector)
+                                 order="cost", diag=diag)
     words = run_elemental_ansatz(words, d_mixer_angles, cfg, ctx, trace_writer, layer=layer,
-                                 order="mixer", expand=mixer_expand, sector=sector)
+                                 order="mixer", diag=diag)
     words >>= n
     return words
 
@@ -676,9 +671,8 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
              trace_writer: TraceWriter | None = None) -> EngineRun:
     """Full accelerator run: uniform init, then p layers of cost+mixer passes.
 
-    The tables are g.cost_table and mixer_table(n).  Each pass evaluates
-    its distinct angles only: the cost passes the N/2 of the lower half,
-    mirrored, the mixer passes the n + 1 levels, gathered by popcount.
+    Each pass is given the cost table g.cost_table and evaluates its
+    table's distinct angles only (run_elemental_ansatz).
 
     The register holds the state's parity sector, N/2 words per row: the
     start state and each cost-pass product are their own mirror, so before
@@ -693,16 +687,14 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
     n = g.num_vertices
     n_states = 1 << n
     diag = g.cost_table  # rejects n above MAX_QUBITS before allocating
-    mixer = mixer_table(n)
     _, scale_exp = _uniform_start(n, cfg.fmt)
     words = np.zeros((2, n_states // 2), dtype=np.int64)
     words[0] = 1 << (cfg.fmt.frac_bits - (n + 1) // 2)  # the start value 2**-ceil(n/2)
     ctx = FxContext()
     for layer in range(params.p):
         words = run_layer(words, cost_half_angles(diag, params.gamma[layer]),
-                          mixer_level_angles(mixer, params.beta[layer]),
-                          cfg, ctx, trace_writer, layer=layer, cost_expand=diag.expand,
-                          mixer_expand=mixer.expand, sector=mixer)
+                          mixer_level_angles(mixer_table(n), params.beta[layer]),
+                          cfg, ctx, trace_writer, layer=layer, diag=diag)
     ops = 2 * params.p
     counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
                       cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,

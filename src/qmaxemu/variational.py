@@ -53,11 +53,26 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizationTrace:
+    """An optimization's log of (params, f_p) evaluations, in order, and
+    whether it converged; the best point is the log's first largest f_p."""
+
     iterations: list[tuple[QaoaParams, float]] = field(default_factory=list)
-    best_params: QaoaParams | None = None
-    best_f_p: float = -math.inf
-    evaluations: int = 0
     converged: bool = False
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.iterations)
+
+    @property
+    def best_params(self) -> QaoaParams | None:  # None before any evaluation
+        return self._best()[0]
+
+    @property
+    def best_f_p(self) -> float:  # -inf before any evaluation
+        return self._best()[1]
+
+    def _best(self) -> tuple[QaoaParams | None, float]:
+        return max(self.iterations, key=lambda point: point[1], default=(None, -math.inf))
 
 
 def probabilities(state: StateVector) -> np.ndarray:
@@ -101,16 +116,13 @@ def _expected_cut(state: StateVector, d: CostDiagonal) -> tuple[float, np.ndarra
 
 def make_objective(g: WeightedGraph, p: int, engine: EngineFn,
                    trace: OptimizationTrace):
-    """Negated-f_p objective over a flat [gamma..., beta...] vector."""
+    """Negated-f_p objective over a flat [gamma..., beta...] vector, which
+    appends each evaluation to trace's log."""
     def objective(x: np.ndarray) -> float:
         folded = np.mod(x, DOMAIN)
         params = QaoaParams(p, tuple(folded[:p]), tuple(folded[p:]))
         f_p = _expected_cut(engine(g, params).state, g.cost_table)[0]
         trace.iterations.append((params, f_p))
-        trace.evaluations += 1
-        if f_p > trace.best_f_p:
-            trace.best_f_p = f_p
-            trace.best_params = params
         return -f_p
 
     return objective
@@ -144,27 +156,25 @@ def optimize(g: WeightedGraph, p: int, engine: EngineFn,
     return trace
 
 
-def grid_search_p1(g: WeightedGraph, resolution: int, engine: EngineFn | None = None,
-                   trace: OptimizationTrace | None = None) -> tuple[float, float, float]:
+def grid_search_p1(g: WeightedGraph, resolution: int,
+                   engine: EngineFn | None = None) -> OptimizationTrace:
     """Exhaustive p=1 maximum of f_p over the lattice points gamma = i*step
     in [0, pi) and beta = j*step in [0, pi/2), step = pi/resolution.
 
     At p = 1, beta and beta + pi/2 give the same state up to a global phase
     (the mixer gains a flip of every bit, which the cost-phased uniform
     state is symmetric under), so only beta < pi/2 is evaluated: that is
-    resolution * ceil(resolution/2) engine calls, recorded in trace when
-    one is given.  Of points with equal computed f_p, the first in (i, j)
-    order wins; points equal only in exact arithmetic do not tie, as with
-    the float64 engines rounding decides.  The default engine is
-    decomposed_run_qaoa_f64."""
+    resolution * ceil(resolution/2) engine calls, in (i, j) order, whose
+    log is the returned trace, converged as the lattice is exhausted.  Of
+    points with equal computed f_p, the first in (i, j) order wins; points
+    equal only in exact arithmetic do not tie, as with the float64 engines
+    rounding decides.  The default engine is decomposed_run_qaoa_f64."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
-    if trace is None:
-        trace = OptimizationTrace()
+    trace = OptimizationTrace(converged=True)
     objective = make_objective(g, 1, engine or decomposed_run_qaoa_f64, trace)
     step = math.pi / resolution
     for i in range(resolution):
         for j in range((resolution + 1) // 2):
             objective(np.array([i * step, j * step]))  # inside [0, DOMAIN): unfolded
-    best = trace.best_params
-    return float(best.gamma[0]), float(best.beta[0]), trace.best_f_p
+    return trace

@@ -3,6 +3,7 @@ are stubbed, so no benchmark starts."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,26 @@ def test_a_failed_run_stops_the_comparison(ab_pairs, monkeypatch, capsys):
                                              "change": [(1.0, 100.0)] * 4}, failed=3)
     status, rows = run_main(ab_pairs, capsys)
     assert status == 1 and len(runs) == 4 and not rows
+
+
+
+@pytest.mark.parametrize("returncode,stdout", [(1, ""), (0, "# host {}\nno result\n"), (0, "")],
+                         ids=["run_failed", "output_malformed", "no_output"])
+def test_an_unreadable_run_is_reported(ab_pairs, monkeypatch, capsys, returncode, stdout):
+    # the parent's first run exits non-zero or prints no JSON result: the
+    # tool names the pair, the side and the exit code, prints the end of
+    # the run's stderr, and exits 1 without running the change
+    calls = []
+    stderr = "".join(f"line {k}\n" for k in range(30)) + "Traceback: boom\n"
+
+    def run(cmd, **kwargs):
+        calls.append(kwargs["cwd"].name)
+        return subprocess.CompletedProcess(cmd, returncode, stdout, stderr)
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", run)
+    status = ab_pairs.main(["parent", "change", "--workload", "w", "--seed", "1",
+                            "--seconds", "1", "--pairs", "4"])
+    out = capsys.readouterr().out
+    assert status == 1 and calls == ["parent"]
+    assert out.startswith(f"pair 0 parent: exit code {returncode}, no result read")
+    assert out.endswith("line 29\nTraceback: boom\n") and "line 20\n" not in out

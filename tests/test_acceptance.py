@@ -183,7 +183,7 @@ def test_criterion_8_variational_sanity():
     # optimized p=1 against the 64x64 grid oracle
     cfg = OptimizerConfig(restarts=6, max_evals=900)
     for g in (complete_graph(2), complete_graph(3)):
-        _, _, grid_best = grid_search_p1(g, 64)
+        grid_best = grid_search_p1(g, 64).best_f_p
         trace = optimize(g, 1, decomposed_run_qaoa_f64, cfg, seed=ACCEPT_SEED)
         assert abs(trace.best_f_p - grid_best) <= 1e-2
 

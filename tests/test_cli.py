@@ -389,6 +389,20 @@ def test_bench_skips_dense_beyond_guard(capsys):
     assert out.strip() == ""
 
 
+def test_bench_reports_a_skipped_engine_at_the_default_log_level():
+    # q4.8 cannot store the 17-qubit start amplitude 2**-9: the pipeline row
+    # is skipped, and with QMAX_LOG unset the reason still reaches stderr
+    env = {k: v for k, v in os.environ.items() if k != "QMAX_LOG"}
+    result = subprocess.run(
+        [sys.executable, "-m", "qmaxemu", "bench", "--qubits", "17..17", "--layers", "1",
+         "--fixed-point", "q4.8", "--engine", "pipeline,decomposed-f64", "--seed", "1",
+         "--format", "csv"], capture_output=True, text=True, env=env)
+    assert result.returncode == 0
+    assert "skipping pipeline at n=17" in result.stderr and "2**-9" in result.stderr
+    rows = result.stdout.splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["17", "decomposed-f64"]]
+
+
 def test_bench_row_at_beta_half_pi_fold(capsys):
     # at q4.4 some of this row's angles fold one ulp past half_pi, which the
     # CORDIC accepts, so the row is printed

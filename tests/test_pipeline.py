@@ -58,6 +58,16 @@ def test_hadamard_sign_matches_kronecker_square():
         assert (hadamard_sign_column(c, 2) == expected[:, c]).all()
 
 
+@pytest.mark.parametrize("bits", range(pipeline.FACTOR_BITS + 1))
+def test_sylvester_factor_is_the_read_only_sign_matrix(bits):
+    h = pipeline._sylvester(bits)
+    assert h.dtype == np.float64 and h.shape == (1 << bits, 1 << bits)
+    assert all(h[i, j] == hadamard_sign(i, j) for i in range(1 << bits) for j in range(1 << bits))
+    assert not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0, 0] = -1.0
+
+
 def sign_matrix(n):
     """The symmetric +/-1 Walsh-Hadamard matrix, one column per stream element."""
     return np.array([hadamard_sign_column(c, n) for c in range(1 << n)])
@@ -551,12 +561,9 @@ def test_elemental_op_matches_dense_matvec():
 
 
 def test_elemental_op_rejects_wrong_angle_count():
-    # one check after the expand, not numpy's broadcast error, rejects both
+    # one check after the expand, not numpy's broadcast error, rejects it
     with pytest.raises(ValueError, match="expected 2 angles"):
         run_elemental_ansatz(to_words([1.0, 0.0]), np.zeros(3), CFG)
-    with pytest.raises(ValueError, match="expected 2 angles"):  # 1 angle expanded to 3
-        run_elemental_ansatz(to_words([1.0, 0.0]), np.zeros(1), CFG,
-                             expand=lambda x: np.repeat(x, 3))
 
 
 def test_run_qaoa_fidelity_at_fourteen_qubits():
@@ -786,13 +793,11 @@ def test_passes_update_the_register_in_place(fmt):
     for layer in range(params.p):
         cost = cost_half_angles(diag, params.gamma[layer])
         levels = mixer_level_angles(mixer, params.beta[layer])
-        assert run_elemental_ansatz(by_pass, cost, cfg, pass_ctx,
-                                    expand=diag.expand) is by_pass
-        assert run_elemental_ansatz(by_pass, levels, cfg, pass_ctx,
-                                    expand=mixer.expand) is by_pass
+        assert run_elemental_ansatz(by_pass, cost, cfg, pass_ctx, diag=diag) is by_pass
+        assert run_elemental_ansatz(by_pass, levels, cfg, pass_ctx, order="mixer",
+                                    diag=diag) is by_pass
         by_pass >>= 10
-        assert run_layer(by_layer, cost, levels, cfg, layer_ctx, cost_expand=diag.expand,
-                         mixer_expand=mixer.expand) is by_layer
+        assert run_layer(by_layer, cost, levels, cfg, layer_ctx, diag=diag) is by_layer
     want, overflow = _run_streaming_every_angle(g, params, cfg)
     assert by_pass.dtype == by_layer.dtype == np.int64
     assert by_pass.tobytes() == want.tobytes() and by_layer.tobytes() == want.tobytes()
@@ -943,7 +948,7 @@ def test_certified_passes_keep_the_parity_sector(fmt, n, seed, gamma, beta):
         cos, sin = fxp.vec_sincos(fxp.vec_from_real(angles, fmt), fmt)
         product = fxp.vec_cmul(words.copy(), table.expand(cos), table.expand(sin), fmt)
         assert (np.abs(product).sum(axis=-1) <= fmt.max_raw).all()  # certified
-        out = run_elemental_ansatz(words, angles, cfg, order=order, expand=table.expand)
+        out = run_elemental_ansatz(words, angles, cfg, order=order, diag=d)
         if order == "cost":
             assert not out[:, odd].any()
         else:
@@ -965,7 +970,7 @@ def test_mixer_pass_from_the_sector_returns_its_own_mirror(n, fmt, seed, beta):
         words *= rng.choice((-1, 1), words.shape)
     m, ctx = mixer_table(n), FxContext()
     out = run_elemental_ansatz(words, mixer_level_angles(m, beta), PipelineConfig(fmt=fmt),
-                               ctx, order="mixer", expand=m.expand, sector=m)
+                               ctx, order="mixer", diag=WeightedGraph(n, ()).cost_table)
     assert beta or ctx.overflow
     if out.shape[-1] < 1 << n:  # back in the sector: h, then its mirror
         assert not ctx.overflow
@@ -1113,10 +1118,9 @@ def test_each_pass_raises_its_own_calculate_rad_flag():
     words[0] = fxp.vec_from_real(init_uniform_state(n, cfg.fmt).amps.real[:1], cfg.fmt)
     ctx = FxContext()
     for layer in range(params.p):
-        for order, angles, expand in (
-                ("cost", cost_half_angles(diag, params.gamma[layer]), diag.expand),
-                ("mixer", mixer_level_angles(mixer, params.beta[layer]), mixer.expand)):
+        for order, angles in (("cost", cost_half_angles(diag, params.gamma[layer])),
+                              ("mixer", mixer_level_angles(mixer, params.beta[layer]))):
             words = run_elemental_ansatz(words, angles, cfg, ctx, want.append, layer=layer,
-                                         order=order, expand=expand, sector=mixer)
+                                         order=order, diag=diag)
         words >>= n
     assert json.dumps(records) == json.dumps(want)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmaxemu import (QaoaParams, StateVector, brute_force_max_cut,
+from qmaxemu import (EngineRun, OpCounts, QaoaParams, StateVector, WeightedGraph,
+                     brute_force_max_cut,
                      build_cost_diagonal, decomposed_run_qaoa_f64, expectation,
                      grid_search_p1, init_uniform_state, make_engine, optimize,
                      probabilities, run_qaoa)
@@ -120,7 +121,7 @@ def test_optimize_single_edge_reaches_optimum(single_edge):
 
 
 def test_optimize_triangle_matches_grid_oracle(triangle):
-    gamma, beta, grid_best = grid_search_p1(triangle, 64)
+    grid_best = grid_search_p1(triangle, 64).best_f_p
     trace = optimize(triangle, 1, decomposed_run_qaoa_f64,
                      OptimizerConfig(restarts=4, max_evals=600), seed=7)
     assert abs(trace.best_f_p - grid_best) <= 1e-2
@@ -146,7 +147,7 @@ def test_optimize_best_is_running_maximum(single_edge):
 
 
 def test_grid_search_values(single_edge):
-    gamma, beta, best = grid_search_p1(single_edge, 16)
+    best = grid_search_p1(single_edge, 16).best_f_p
     # the zero lattice point must evaluate to the mean cut
     d = build_cost_diagonal(single_edge, 2)
     state, _ = decomposed_run_qaoa_f64(single_edge, QaoaParams(1, (0.0,), (0.0,)))
@@ -199,12 +200,10 @@ def test_optimize_rejects_an_empty_budget(single_edge, cfg):
 def test_grid_search_folds_beta_below_half_pi(triangle):
     # beta and beta + pi/2 tie at p = 1; the triangle's optimum has both
     # on the 16-point lattice, and only the lower one is evaluated
-    trace = OptimizationTrace()
-    gamma, beta, best = grid_search_p1(triangle, 16, trace=trace)
-    assert 0.0 <= beta < math.pi / 2
+    trace = grid_search_p1(triangle, 16)
+    best = trace.best_f_p
+    assert 0.0 <= trace.best_params.beta[0] < math.pi / 2
     assert trace.evaluations == 16 * 8
-    assert (gamma, beta, best) == (trace.best_params.gamma[0], trace.best_params.beta[0],
-                                   trace.best_f_p)
     # the folded half of the lattice holds nothing better
     d = build_cost_diagonal(triangle, 3)
     lattice = [QaoaParams(1, (i * math.pi / 16,), (j * math.pi / 16,))
@@ -212,6 +211,39 @@ def test_grid_search_folds_beta_below_half_pi(triangle):
     upper = max(expectation(decomposed_run_qaoa_f64(triangle, params).state, d).f_p
                 for params in lattice)
     assert upper <= best + 1e-12
-    odd = OptimizationTrace()
-    assert grid_search_p1(triangle, 9, trace=odd)[1] < math.pi / 2
+    odd = grid_search_p1(triangle, 9)
+    assert odd.best_params.beta[0] < math.pi / 2
     assert odd.evaluations == 9 * 5
+
+
+@pytest.mark.parametrize("resolution", [8, 9])
+def test_grid_over_an_edgeless_graph_reports_the_first_lattice_point(resolution):
+    # every f_p is 0, so the first point in (i, j) order is the best; the
+    # trace is the whole lattice's log, and the grid always converges
+    trace = grid_search_p1(WeightedGraph(3, ()), resolution)
+    assert trace.best_params == QaoaParams(1, (0.0,), (0.0,)) and trace.best_f_p == 0.0
+    assert trace.evaluations == len(trace.iterations) == resolution * -(-resolution // 2)
+    assert {f for _, f in trace.iterations} == {0.0} and trace.converged
+
+
+def test_nelder_mead_trace_reports_the_first_maximum(single_edge):
+    # a stub engine whose f_p is a step function of gamma, a quarter per
+    # quarter of its range, so evaluations repeat the maximum and the
+    # earliest of them is reported
+    def engine(g, params):
+        q = math.floor(4 * params.gamma[0] / math.pi) / 4
+        amps = np.array([math.sqrt(1 - q), math.sqrt(q), 0.0, 0.0], dtype=np.complex128)
+        return EngineRun(StateVector(amps=amps, scale_exp=Fraction(0), n=2), OpCounts())
+
+    trace = optimize(single_edge, 1, engine, OptimizerConfig(restarts=4, max_evals=80), seed=3)
+    f_ps = [f for _, f in trace.iterations]
+    assert f_ps.count(max(f_ps)) > 1
+    first = f_ps.index(max(f_ps))
+    assert first > 0
+    assert trace.best_params is trace.iterations[first][0]
+    assert trace.best_f_p == f_ps[first] and trace.evaluations == len(f_ps)
+
+
+def test_an_empty_trace_has_no_best_point():
+    trace = OptimizationTrace()
+    assert (trace.evaluations, trace.best_params, trace.best_f_p) == (0, None, -math.inf)

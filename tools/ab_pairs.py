@@ -16,7 +16,8 @@ by at most that fraction of the parent's median).  That verdict reads
 times its median, so the runs spread too widely to tell, unless every run
 of the change is better than every run of the parent.  A run with a non-zero
 `failed` count stops the comparison with exit status 1, so its metrics never
-reach the medians.
+reach the medians, and so does a run that exits non-zero or prints no JSON
+result: the tool then prints its exit code and the last lines of its stderr.
 """
 
 from __future__ import annotations
@@ -29,11 +30,25 @@ import sys
 from pathlib import Path
 
 
+STDERR_LINES = 10  # of an unreadable run's stderr, printed
+
+
+class UnreadableRun(Exception):
+    """A run that exited non-zero or printed no JSON result."""
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if proc.returncode == 0 and isinstance(result, dict):
+        return result
+    tail = "\n".join(proc.stderr.splitlines()[-STDERR_LINES:])
+    raise UnreadableRun(f"exit code {proc.returncode}, no result read; its stderr ends:\n{tail}")
 
 
 def main(argv=None) -> int:
@@ -55,7 +70,11 @@ def main(argv=None) -> int:
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, args.seed, args.seconds)
+            try:
+                result = run_once(sides[side], args.workload, args.seed, args.seconds)
+            except UnreadableRun as exc:
+                print(f"pair {pair} {side}: {exc}")
+                return 1
             if result["failed"]:
                 print(f"pair {pair} {side}: failed {result['failed']} of {result['attempted']}")
                 return 1

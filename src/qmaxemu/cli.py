@@ -58,7 +58,9 @@ def _round_floats(obj):
 
 
 def emit_json(report: dict, stream=None):
-    print(json.dumps(_round_floats(report)), file=stream or sys.stdout)
+    """Print report as one line of JSON (RFC 8259): a NaN or infinity in it
+    is a ValueError, exit 2, never a non-JSON token."""
+    print(json.dumps(_round_floats(report), allow_nan=False), file=stream or sys.stdout)
 
 
 def parse_fixed_point(text: str) -> FxFormat:
@@ -189,7 +191,7 @@ def cmd_emulate(args) -> int:
                 "n": run.state.n,
                 "scale_exp": float(run.state.scale_exp),
                 "amps": [[float(a.real), float(a.imag)] for a in run.state.amps],
-            }), dump_fh)
+            }), dump_fh, allow_nan=False)
     result = expectation(run.state, g.cost_table)
 
     report = base_report("emulate", args, g)

@@ -31,7 +31,8 @@ class WeightedGraph:
     """A Weighted-MaxCut instance: vertex count plus undirected weighted edges.
 
     Edges are (i, j, weight) with 0-indexed endpoints, i != j, no duplicate
-    undirected pair, and finite non-negative weights.
+    undirected pair, and finite non-negative weights whose total, doubled,
+    is finite (see _add_weight).
     """
 
     num_vertices: int
@@ -41,8 +42,10 @@ class WeightedGraph:
         if self.num_vertices < 1:
             raise ValueError("graph needs at least one vertex")
         seen = set()
+        total = 0.0
         for i, j, w in self.edges:
             _check_edge(i, j, w, self.num_vertices, seen)
+            total = _add_weight(total, w)
 
     @property
     def num_edges(self) -> int:
@@ -83,6 +86,18 @@ def _check_edge(i: int, j: int, w: float, num_vertices: int,
     seen.add(key)
 
 
+def _add_weight(total: float, w: float) -> float:
+    """total + w, the running weight total in edge order, or ValueError when
+    twice it overflows float64.  The cost table adds each entry's crossed
+    weights in edge order and doubles them, and rounding is monotone, so a
+    finite doubled total bounds every entry, f_p and the reports' figures."""
+    total += w
+    if not math.isfinite(2.0 * total):
+        raise ValueError(f"total weight {total:g} overflows: twice it, the cost "
+                         f"table's largest entry, is past float64")
+    return total
+
+
 def check_qubit_count(n: int) -> None:
     """Raise ValueError unless 1 <= n <= MAX_QUBITS; call before allocating 2**n."""
     if not 1 <= n <= MAX_QUBITS:
@@ -108,6 +123,7 @@ def parse_graph(source) -> WeightedGraph:
     num_vertices = None
     edges: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
+    total = 0.0
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -135,6 +151,7 @@ def parse_graph(source) -> WeightedGraph:
             raise GraphFormatError(line_no, f"bad weight in {line!r}")
         try:
             _check_edge(i - 1, j - 1, w, num_vertices, seen, base=1)
+            total = _add_weight(total, w)
         except ValueError as exc:
             raise GraphFormatError(line_no, str(exc))
         edges.append((i - 1, j - 1, w))

@@ -592,7 +592,8 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
 
     With diag=None the elements stream the N angles as given.  Given the
     run's cost table diag, angles are the distinct angles of the pass's
-    table, diag or mixer_table(diag.n), and the elements stream its expand
+    table, diag or mixer_table(diag.n): N/2 in a cost pass, n + 1 in a
+    mixer pass, or a ValueError.  The elements stream the table's expand
     of them: the angle stages and CORDIC run once per distinct angle, and
     their words are expanded before 1_MULT.  CALCULATE_RAD raises the flag
     when one of the pass's own angles saturates.
@@ -608,6 +609,10 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     mixer = None if diag is None else mixer_table(diag.n)
     table = diag if order == "cost" else mixer
     stream = expand = _stream_as_is if table is None else table.expand
+    if diag is not None:
+        distinct = n_states // 2 if order == "cost" else diag.n + 1
+        if len(angles) != distinct:
+            raise ValueError(f"expected {distinct} distinct {order} angles, got {len(angles)}")
     if ctx is None:
         ctx = FxContext()
     fmt = cfg.fmt

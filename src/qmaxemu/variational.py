@@ -5,7 +5,10 @@ the state's power-of-two scale exponent cancels.  The expected cut weight
 divides the cost table by two to undo the hardware's 2*cut convention.
 
 The optimizer is a restarted Nelder-Mead simplex (derivative-free: the
-fixed-point engine's objective is piecewise constant at ulp scale).
+fixed-point engine's objective is piecewise constant at ulp scale).  The
+simplex is in-repo and takes scipy.optimize's non-adaptive Nelder-Mead
+steps exactly, so the package imports no scipy; scipy is a test-only
+dependency, which the comparison test runs against.
 Parameters are folded into [0, DOMAIN) before evaluation; with DOMAIN = pi
 this is exact for integer weights, where the objective is pi-periodic in
 every coordinate.
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .diagonals import CostDiagonal
 from .diagonals import build_cost_diagonal  # noqa: F401  unused; in perfbench's SITES
@@ -149,11 +151,83 @@ def optimize(g: WeightedGraph, p: int, engine: EngineFn,
     starts = rng.uniform(0.0, DOMAIN, size=(cfg.restarts, 2 * p))
     per_restart = max(2 * p + 2, cfg.max_evals // cfg.restarts)
     for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxfev": per_restart, "xatol": XATOL,
-                                "fatol": FATOL, "disp": False})
-        trace.converged = trace.converged or bool(res.success)
+        converged = _nelder_mead(objective, x0, per_restart, XATOL, FATOL)
+        trace.converged = trace.converged or converged
     return trace
+
+
+class _BudgetSpent(Exception):
+    """_nelder_mead's evaluation budget ran out inside a step."""
+
+
+def _nelder_mead(fun: Callable[[np.ndarray], float], x0: np.ndarray, maxfev: int,
+                 xatol: float, fatol: float) -> bool:
+    """Minimize fun from x0 with the non-adaptive Nelder-Mead simplex (Nelder
+    and Mead, Comput. J. 7, 1965; Lagarias et al., SIAM J. Optim. 9, 1998)
+    in at most maxfev evaluations; True if it converged.
+
+    It evaluates the points that scipy 1.17's minimize(method="Nelder-Mead")
+    evaluates with these options, bit for bit and in the same order, and
+    returns its success: the same initial simplex, coefficients (reflect 1,
+    expand 2, contract 1/2, shrink 1/2) and arithmetic, the same unstable
+    argsort after every step (twice after the first n + 1 evaluations), and
+    the convergence test only at the top of a step.  fun gets a copy of
+    each point.  No evaluation is made past maxfev, even inside a shrink.
+    """
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls == maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return fun(x.copy())
+
+    def by_value(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+        sim, fsim = by_value(*by_value(sim, fsim))
+        while calls < maxfev:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                return True
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            sim, fsim = by_value(sim, fsim)
+    except _BudgetSpent:
+        pass
+    return False
 
 
 def grid_search_p1(g: WeightedGraph, resolution: int,

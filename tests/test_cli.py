@@ -95,6 +95,54 @@ def test_emulate_non_finite_parameter_exits_2(capsys, triangle_file, engine, val
         assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["emulate", "--engine", "pipeline", "--gamma", "0.1", "--beta", "0.2"],
+    ["emulate", "--engine", "decomposed-f64", "--gamma", "0.1", "--beta", "0.2"],
+    ["emulate", "--engine", "dense", "--gamma", "0.1", "--beta", "0.2"],
+    ["solve", "--layers", "1", "--restarts", "1", "--max-evals", "8"],
+    ["oracle"],
+])
+def test_cut_values_past_float64_exit_2(capsys, tmp_path, argv):
+    # twice the total weight is the cost table's largest entry; past float64
+    # it would print Infinity or NaN, which are not JSON.  bench takes no
+    # graph: its complete graphs have unit weights
+    path = tmp_path / "huge.graph"
+    path.write_text("3\n1 2 1e308\n2 3 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([argv[0], "--graph", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "overflows" in captured.err
+
+
+def test_report_json_refuses_a_non_finite_figure(capsys):
+    # a NaN or infinity that reached a report would be an input error, exit
+    # 2, rather than a NaN or Infinity token
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cli.emit_json({"f_p": value})
+    assert capsys.readouterr().out == ""
+
+
+def test_the_cli_never_imports_scipy(tmp_path):
+    # the Nelder-Mead simplex is in-repo: neither emulate nor solve, nor
+    # importing the CLI, loads scipy
+    path = tmp_path / "tri.graph"
+    path.write_text(TRIANGLE)
+    script = (
+        "import sys\n"
+        "from qmaxemu.cli import main\n"
+        f"assert main(['emulate', '--graph', {str(path)!r}, '--gamma', '0.3',"
+        " '--beta', '0.2', '--seed', '1']) == 0\n"
+        f"assert main(['solve', '--graph', {str(path)!r}, '--layers', '1',"
+        " '--restarts', '2', '--max-evals', '40', '--seed', '1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_emulate_saturating_angle_prints_no_warning(capsys, triangle_file):
     # gamma * cost reaches 6e305, whose scaled image overflows float64:
     # CALCULATE_RAD saturates it with the flag, and numpy says nothing

@@ -52,6 +52,18 @@ def test_parse_error_names_line_number():
     assert err.value.line_no == 4
 
 
+def test_a_weight_total_past_half_of_float64_is_rejected():
+    # the cost table doubles each cut value: the doubled total bounds every
+    # entry, and the check names the edge that takes it past float64
+    quarter = float(np.finfo(np.float64).max) / 4
+    assert parse_graph(f"3\n1 2 {quarter!r}\n2 3 {quarter!r}").total_weight == 2 * quarter
+    with pytest.raises(GraphFormatError, match="overflows") as err:
+        parse_graph("3\n1 2 1e307\n2 3 5e307\n1 3 5e307")
+    assert err.value.line_no == 4
+    with pytest.raises(ValueError, match="overflows"):
+        WeightedGraph(2, ((0, 1, 1e308),))
+
+
 def test_cut_value_triangle(triangle):
     assert cut_value(triangle, "000") == 0.0
     assert cut_value(triangle, "100") == 2.0

@@ -566,6 +566,18 @@ def test_elemental_op_rejects_wrong_angle_count():
         run_elemental_ansatz(to_words([1.0, 0.0]), np.zeros(3), CFG)
 
 
+@pytest.mark.parametrize("order,count", [("mixer", 9), ("mixer", 3), ("mixer", 16),
+                                         ("cost", 7), ("cost", 9), ("cost", 16)])
+def test_elemental_op_rejects_a_wrong_distinct_angle_count(order, count):
+    # given the run's cost table, a pass takes its table's distinct angles:
+    # n + 1 = 5 mixer levels or N/2 = 8 cost angles at n = 4, and no other
+    # count is gathered, ignored in part or broadcast
+    diag = path_graph(4).cost_table
+    words = to_words(np.full(16, 0.25))
+    with pytest.raises(ValueError, match=f"expected {5 if order == 'mixer' else 8} distinct"):
+        run_elemental_ansatz(words, np.zeros(count), CFG, order=order, diag=diag)
+
+
 def test_run_qaoa_fidelity_at_fourteen_qubits():
     # q12.20 keeps this instance clear of saturation at n = 14; bounds are
     # acceptance criterion 2's

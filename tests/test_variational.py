@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmaxemu import (EngineRun, OpCounts, QaoaParams, StateVector, WeightedGraph,
                      brute_force_max_cut,
@@ -10,7 +12,8 @@ from qmaxemu import (EngineRun, OpCounts, QaoaParams, StateVector, WeightedGraph
                      grid_search_p1, init_uniform_state, make_engine, optimize,
                      probabilities, run_qaoa)
 from qmaxemu import diagonals
-from qmaxemu.variational import OptimizationTrace, OptimizerConfig, ZeroStateError
+from qmaxemu.variational import (FATOL, XATOL, OptimizationTrace, OptimizerConfig,
+                                 ZeroStateError, _nelder_mead)
 
 from conftest import complete_graph, random_instance
 
@@ -247,3 +250,70 @@ def test_nelder_mead_trace_reports_the_first_maximum(single_edge):
 def test_an_empty_trace_has_no_best_point():
     trace = OptimizationTrace()
     assert (trace.evaluations, trace.best_params, trace.best_f_p) == (0, None, -math.inf)
+
+
+def _test_objective(kind: str, centre: np.ndarray):
+    """A smooth objective, the same rounded to 2 decimals, or a step
+    function whose level sets are unit cells: the last two give the simplex
+    equal values, which the argsort orders."""
+    def smooth(x):
+        return float(np.sum((x - centre) ** 2) + 0.1 * np.sum(np.sin(3 * x)))
+
+    if kind == "smooth":
+        return smooth
+    if kind == "rounded":
+        return lambda x: round(smooth(x), 2)
+    return lambda x: float(np.sum(np.floor(np.abs(x - centre))))
+
+
+@given(n=st.integers(1, 18),
+       maxfev=st.one_of(st.integers(1, 19), st.integers(20, 399)),
+       kind=st.sampled_from(["smooth", "rounded", "step"]),
+       tolerances=st.sampled_from([(XATOL, FATOL), (1e-2, 1e-3)]),
+       seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0))
+@settings(max_examples=150, deadline=None)
+def test_nelder_mead_takes_scipys_steps(n, maxfev, kind, tolerances, seed, zeros):
+    # the whole evaluation log, bit for bit, and the convergence verdict
+    # equal scipy's non-adaptive Nelder-Mead: at 17 and 18 parameters the
+    # simplex's 18 and 19 values take numpy's unstable argsort, and a
+    # budget below n + 1 ends inside the initial simplex
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-3.0, 3.0, n)
+    x0[rng.random(n) < zeros] = 0.0
+    centre = rng.uniform(-2.0, 2.0, n)
+    objective = _test_objective(kind, centre)
+    xatol, fatol = tolerances
+
+    def logged(log):
+        def fun(x):
+            log.append(x.tobytes())
+            return objective(x)
+        return fun
+
+    ours, theirs = [], []
+    converged = _nelder_mead(logged(ours), x0, maxfev, xatol, fatol)
+    res = minimize(logged(theirs), x0, method="Nelder-Mead",
+                   options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+    assert ours == theirs
+    assert converged == bool(res.success)
+    assert len(ours) <= maxfev
+
+
+def test_nelder_mead_hands_each_call_a_copy():
+    # an objective that writes to its argument leaves the simplex as it was
+    def log_of(clobber):
+        log = []
+
+        def fun(x):
+            log.append(x.tobytes())
+            value = float(np.sum(x ** 2))
+            if clobber:
+                x[:] = 99.0
+            return value
+
+        _nelder_mead(fun, np.array([0.5, 0.0, -1.0]), 60, XATOL, FATOL)
+        return log
+
+    assert len(log_of(False)) == 60 and log_of(True) == log_of(False)

@@ -100,8 +100,9 @@ class MixerExponents:
         return level
 
     def sector_expand(self, levels: np.ndarray) -> np.ndarray:
-        """Per-state values of the parity sector from the n + 1 per-exponent ones."""
-        return levels[self.sector_level]
+        """Per-state values of the parity sector from the n + 1 per-exponent
+        ones, along the last axis (take, several times faster here)."""
+        return levels.take(self.sector_level, axis=-1)
 
 
 def build_cost_diagonal(g: WeightedGraph, n: int) -> CostDiagonal:

@@ -6,7 +6,8 @@ import functools
 
 from .fxp import FxFormat
 from .graph import WeightedGraph
-from .pipeline import EngineRun, PipelineConfig, QaoaParams, TraceWriter, run_qaoa
+from .pipeline import (EngineRun, PipelineConfig, QaoaParams, TraceWriter, run_qaoa,
+                       run_qaoa_batch)
 from .reference import decomposed_run_qaoa_f64, dense_run_qaoa
 from .variational import EngineFn
 
@@ -31,5 +32,10 @@ def run_engine(name: str, g: WeightedGraph, params: QaoaParams,
 
 
 def make_engine(name: str, fmt: FxFormat | None = None) -> EngineFn:
-    """The optimizer's engine: run_engine(name, g, params, fmt=fmt)."""
-    return functools.partial(run_engine, name, fmt=fmt)
+    """The optimizer's engine: run_engine(name, g, params, fmt=fmt).  The
+    pipeline's also has batch(g, points), which runs a list of points as
+    batches (run_qaoa_batch)."""
+    engine = functools.partial(run_engine, name, fmt=fmt)
+    if name == "pipeline":
+        engine.batch = functools.partial(run_qaoa_batch, cfg=PipelineConfig(fmt=fmt or FxFormat()))
+    return engine

@@ -67,9 +67,12 @@ class FxFormat:
 
 @dataclass
 class FxContext:
-    """Sticky overflow carrier: once set it stays set for the whole run."""
+    """Sticky overflow carrier: once set it stays set for the whole run.  A
+    batch's holds one flag per item, a bool array, which the vector kernels
+    raise from the item's own words: a row of vec_from_real's angles, or an
+    item [:, b] of a (2, B, M) register."""
 
-    overflow: bool = False
+    overflow: bool | np.ndarray = False
 
 
 @dataclass(frozen=True)
@@ -297,7 +300,9 @@ def _vec_saturate(raw: np.ndarray, fmt: FxFormat, ctx: FxContext | None) -> np.n
     into raw never touches another input.
     """
     if raw.size and (raw.max() > fmt.max_raw or raw.min() < fmt.min_raw):
-        if ctx is not None:
+        if ctx is not None and isinstance(ctx.overflow, np.ndarray):  # (2, B, M) words
+            ctx.overflow |= ((raw > fmt.max_raw) | (raw < fmt.min_raw)).any(axis=(0, 2))
+        elif ctx is not None:
             ctx.overflow = True
         # np.clip costs several times this at the small N of overhead-bound runs
         np.minimum(np.maximum(raw, fmt.min_raw, out=raw), fmt.max_raw, out=raw)
@@ -306,13 +311,19 @@ def _vec_saturate(raw: np.ndarray, fmt: FxFormat, ctx: FxContext | None) -> np.n
 
 def vec_from_real(x: np.ndarray, fmt: FxFormat, ctx: FxContext | None = None) -> np.ndarray:
     """Vector twin of fx_from_real.  Rounding is monotone, so x's extremes
-    decide finiteness and saturation; x is clipped only when one saturates."""
+    decide finiteness and saturation; x is clipped only when one saturates,
+    which changes no word in range.  A batch's context raises each row's
+    flag, along the last axis, by its own extremes."""
     x = np.asarray(x, dtype=np.float64)
     x_lo, x_hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
     if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
         raise ValueError("cannot convert non-finite values")
     if _round_scaled(x_lo, fmt) < fmt.min_raw or _round_scaled(x_hi, fmt) > fmt.max_raw:
-        if ctx is not None:
+        if ctx is not None and isinstance(ctx.overflow, np.ndarray):
+            ctx.overflow |= [_round_scaled(lo, fmt) < fmt.min_raw
+                             or _round_scaled(hi, fmt) > fmt.max_raw
+                             for lo, hi in zip(x.min(axis=-1), x.max(axis=-1))]
+        elif ctx is not None:
             ctx.overflow = True
         x = np.clip(x, fmt.min_raw * fmt.ulp, fmt.max_raw * fmt.ulp)
     return np.rint(x * float(1 << fmt.frac_bits)).astype(np.int64)  # rint ties to even

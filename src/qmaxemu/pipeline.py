@@ -27,10 +27,21 @@ leave the word range it takes them with no clips; otherwise it clips each
 product and each sum, with the flag.  A run peaks in 1_MULT: at 2.25
 times the full register when every pass is certified, and at 4.25 times
 on the full register, at n = 16 and 20.  A sector N_ADD peaks at 1.75
-times (the words, the transform's float64 image and its last product),
-or at 2.25 times in a cost pass's pair bound (two N/2 arrays beside the
-image).  A pass that takes the full-N passes holds the N/2 words beside
-them (up to 4.45 times where a q7.25 pass at n = 16 clamps).
+times (the words, the transform's float64 image and its last product):
+a cost pass's pair bound takes its terms from two reductions of the
+image, with no N/2 temporary.  A pass that takes the full-N passes holds
+the N/2 words beside them (up to 4.45 times where a q7.25 pass at n = 16
+clamps).
+
+run_qaoa_batch runs B points on one (2, B, N/2) sector register, item b
+at [:, b], with (B, K) angles: every stage acts elementwise or along the
+last axis, so it runs once per batch.  Each decision is the item's own,
+its flag one of a batch's FxContext: CALCULATE_RAD's by its row's
+extremes, 1_MULT's by its words (if the batch-wide scan is not safe, all
+items take the clips, which change no word that would not clip), and
+the certificates by reductions along the last axis.  An item whose pass
+the bound rejects leaves the batch: it reruns that N_ADD, then its run,
+on its own.  A batch holds at most BATCH_WORDS = 2**16 words per row.
 
 The host evaluates the datapath in a different order with identical words
 and flags.  Each pass evaluates its per-element stages on whole arrays,
@@ -42,8 +53,9 @@ the pass's table, read off the run's cost table: a cost pass evaluates the
 N/2 angles of the states with bit n-1 clear and mirrors them (the cost
 table is symmetric under complementing every bit), a mixer pass the n + 1
 angles u*beta, u = -n, -n+2, ..., n, gathered by popcount (mixer_table(n)).
-Their saturation flags depend only on the set of angles, which is the same.  As in the hardware, the cost and mixer passes share no
-stage: each runs its own CALCULATE_RAD, so its flag is that of its own
+Their saturation flags depend only on the set of angles, which is the
+same.  As in the hardware, the cost and mixer passes share no stage:
+each runs its own CALCULATE_RAD, so its flag is that of its own
 angles, raised before any trace record of the pass reads it.
 CORDIC is evaluated by a per-format decision-interval table
 (fxp.vec_cordic_sincos), which gives the 16 stages' words in one O(1)
@@ -352,12 +364,12 @@ def _exact_transform(words: np.ndarray) -> np.ndarray:
 EXACT_L1 = 1 << 53
 
 
-def _pair_bound_holds(y_lo: np.ndarray, y_up: np.ndarray | float, l_lo: np.ndarray,
-                      l_up: np.ndarray, fmt: FxFormat) -> bool:
+def _pair_bound_holds(y_lo: np.ndarray, y_up: np.ndarray | int, l_lo: np.ndarray,
+                      l_up: np.ndarray, fmt: FxFormat) -> np.ndarray:
     """Whether N_ADD provably saturates no row of an N-stream, from its plain
     +/-1 transform Y: y_lo and y_up are rows i and i + N/2 of Y, in either
     order within a pair, and l_lo and l_up each stream half's sum of |w|
-    per row.
+    per row: a bool for (2, N/2) halves, one per item for a (2, B, N/2) batch.
 
     Rows i and i + N/2, i < N/2, sign the lower half alike and the upper
     half oppositely, so with A and B the N/2 transforms of the two halves,
@@ -369,23 +381,30 @@ def _pair_bound_holds(y_lo: np.ndarray, y_up: np.ndarray | float, l_lo: np.ndarr
     plus one of the upper half, so the pair bound
     max(|A| + l_lo, 2|A| + |B| + l_up) <= 2 max_raw certifies every prefix
     of both rows.  It holds whenever l_lo + l_up <= max_raw, tried first.
+    A cost pass's y_up is 0, so 2|A| = 2|B| = |y_lo|: with M = max|y_lo|,
+    two reductions, the terms are M + 2 l_lo and 3M + 2 l_up <= 4 max_raw.
 
     The y may be float64 images, exact while l_lo + l_up <= EXACT_L1: a
     rounded sum here then only passes 2**53, far above the limits, so every
     comparison is decided as in int64; past it, l_lo or l_up alone exceeds
     the limits, so an inexact image certifies nothing.
     """
-    if (l_lo + l_up <= fmt.max_raw).all():
-        return True
-    lower = np.add(y_lo, y_up)  # 2|A|
-    np.abs(lower, out=lower)
-    upper = np.subtract(y_lo, y_up)  # then 4|A| + 2|B|
-    np.abs(upper, out=upper)
-    upper += lower
-    upper += lower
+    by_sums = l_lo + l_up <= fmt.max_raw
+    if by_sums.all():
+        return by_sums[0]  # true for every item
+    if np.ndim(y_up) == 0:  # the 0 of a cost pass
+        lower = np.maximum(y_lo.max(axis=-1), -y_lo.min(axis=-1))
+        upper = 3 * lower
+    else:
+        lower = np.add(y_lo, y_up)  # 2|A|
+        np.abs(lower, out=lower)
+        upper = np.subtract(y_lo, y_up)  # then 4|A| + 2|B|
+        np.abs(upper, out=upper)
+        upper += lower
+        upper += lower
+        lower, upper = lower.max(axis=-1), upper.max(axis=-1)
     limit = 4 * fmt.max_raw
-    return bool((lower.max(axis=-1) + 2 * l_lo <= limit).all()
-                and (upper.max(axis=-1) + 2 * l_up <= limit).all())
+    return ((lower + 2 * l_lo <= limit) & (upper + 2 * l_up <= limit)).all(axis=0)
 
 
 def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
@@ -514,7 +533,7 @@ def _emit_op_trace(write: TraceWriter, n_states: int, layer: int, order: str,
 
 
 def _sector_n_add(words: np.ndarray, order: str, mixer: MixerExponents, fmt: FxFormat,
-                  ctx: FxContext) -> np.ndarray:
+                  ctx: FxContext):
     """N_ADD of a pass run in the parity sector (see run_qaoa) on its N/2
     1_MULT words; returns the register the pass leaves.
 
@@ -541,6 +560,10 @@ def _sector_n_add(words: np.ndarray, order: str, mixer: MixerExponents, fmt: FxF
     returned: a saturating cost pass can leave odd-popcount rows non-zero,
     though a mixer pass's result is still its own mirror, row N-1-i
     signing every streamed word as row i does.
+
+    A batch's (2, B, N/2) words return (register, left): the certified
+    items' images, and for each other item, by its row, its own N_ADD's
+    (register, context), which leave the batch.
     """
     half = words.shape[-1]
     cost = order == "cost"
@@ -553,13 +576,23 @@ def _sector_n_add(words: np.ndarray, order: str, mixer: MixerExponents, fmt: FxF
     if cost:
         h *= 2
     rows = (half + 1) // 2  # a mixer pass's |h +- rev h| is its own mirror
-    y_lo, y_up = (h, 0) if cost else (h[:, :rows], h[:, ::-1][:, :rows])
-    if _pair_bound_holds(y_lo, y_up, l_lo, l_up, fmt):
+    y_lo, y_up = (h, 0) if cost else (h[..., :rows], h[..., ::-1][..., :rows])
+    holds = _pair_bound_holds(y_lo, y_up, l_lo, l_up, fmt)
+    del y_lo, y_up
+    if words.ndim == 3:  # a batch
+        kept = h[:, holds].astype(np.int64)
+        left = {}
+        for row in np.flatnonzero(~holds).tolist():
+            item_ctx = FxContext(bool(ctx.overflow[row]))
+            left[row] = (_sector_n_add(words[:, row], order, mixer, fmt, item_ctx), item_ctx)
+        ctx.overflow = ctx.overflow[holds]
+        return kept, left
+    if holds:
         np.copyto(words, h, casting="unsafe")
         return words
     saturates = ((l_lo + l_up <= EXACT_L1).all()
                  and (h.max() > fmt.max_raw or h.min() < fmt.min_raw))
-    del h, y_lo, y_up  # words still hold the 1_MULT words: free the image first
+    del h  # words still hold the 1_MULT words: free the image first
     full = np.empty((2, 2 * half), dtype=np.int64)
     lower, upper = full[:, :half], full[:, half:]
     if cost:
@@ -603,6 +636,9 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     cost pass and by the mixer's sector_expand in a mixer pass, N_ADD is
     _sector_n_add, whose register is returned, and the trace still streams
     the table's expand.
+
+    A batch, a (2, B, N/2) register with (B, K) angles and a batch's
+    context, returns _sector_n_add's (register, left), and takes no trace.
     """
     n_states = words.shape[-1] if diag is None else len(diag.entries)
     in_sector = words.shape[-1] < n_states
@@ -611,8 +647,9 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     stream = expand = _stream_as_is if table is None else table.expand
     if diag is not None:
         distinct = n_states // 2 if order == "cost" else diag.n + 1
-        if len(angles) != distinct:
-            raise ValueError(f"expected {distinct} distinct {order} angles, got {len(angles)}")
+        if angles.shape[-1] != distinct:
+            raise ValueError(f"expected {distinct} distinct {order} angles, "
+                             f"got {angles.shape[-1]}")
     if ctx is None:
         ctx = FxContext()
     fmt = cfg.fmt
@@ -630,7 +667,7 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     if in_sector:
         stream = mixer.sector_expand if order == "mixer" else _stream_as_is
     cos_raw, sin_raw = stream(cos_raw), stream(sin_raw)
-    if cos_raw.shape != (words.shape[-1],):
+    if cos_raw.shape != words.shape[1:]:
         raise ValueError(f"expected {words.shape[-1]} angles, streamed {cos_raw.shape}")
     # the CORDIC's words bound |cos| and |sin|: 1_MULT skips its clips when
     # the register's largest word cannot saturate against them
@@ -662,10 +699,25 @@ def run_layer(words: np.ndarray, d_cost_angles: np.ndarray,
     the cost table diag, on its table's distinct ones; a pass from the
     parity sector may return a new register, and the layer returns the one
     it leaves (run_elemental_ansatz).
+
+    A batch (see run_elemental_ansatz) returns (register, left) as a pass
+    does, each item in left having finished the layer on its own.
     """
     n = diag.n if diag is not None else words.shape[-1].bit_length() - 1
     words = run_elemental_ansatz(words, d_cost_angles, cfg, ctx, trace_writer, layer=layer,
                                  order="cost", diag=diag)
+    if isinstance(words, tuple):  # a batch
+        words, left = words
+        rows = [row for row in range(len(d_cost_angles)) if row not in left]
+        left = {row: (run_elemental_ansatz(register, d_mixer_angles[row], cfg, item_ctx,
+                                           layer=layer, order="mixer", diag=diag), item_ctx)
+                for row, (register, item_ctx) in left.items()}
+        words, later = run_elemental_ansatz(words, d_mixer_angles[rows], cfg, ctx, layer=layer,
+                                            order="mixer", diag=diag)
+        left.update((rows[row], item) for row, item in later.items())
+        for register in [words] + [register for register, _ in left.values()]:
+            register >>= n
+        return words, left
     words = run_elemental_ansatz(words, d_mixer_angles, cfg, ctx, trace_writer, layer=layer,
                                  order="mixer", diag=diag)
     words >>= n
@@ -687,26 +739,69 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
     N_ADD that saturates, the run holds the full (2, N) register to the
     end, as a cost pass may then leave odd-popcount states non-zero (a
     mixer pass from the sector stays its own mirror).  Words, flags,
-    counts and traces are those of the full-N passes.
+    counts and traces are those of the full-N passes (run_qaoa_batch).
     """
+    return run_qaoa_batch(g, [params], cfg, trace_writer)[0]
+
+
+# A batch holds at most this many words per row, B * N/2: from n = 17 on, B = 1
+BATCH_WORDS = 1 << 16
+
+
+def run_qaoa_batch(g: WeightedGraph, points: list[QaoaParams],
+                   cfg: PipelineConfig = PipelineConfig(),
+                   trace_writer: TraceWriter | None = None) -> list[EngineRun]:
+    """run_qaoa of each point, all with one layer count, as batches of at
+    most BATCH_WORDS words per row (see the module docstring).  Each item's
+    words, flag and counts are those of its own run: an item that leaves a
+    batch finishes its run on its own, as a batch of one runs from the
+    start, and only a batch of one takes a trace_writer."""
+    if trace_writer is not None and len(points) != 1:
+        raise ValueError("a per-clock trace needs a batch of one point")
+    if len({params.p for params in points}) > 1:
+        raise ValueError("the points of a batch need one layer count")
     n = g.num_vertices
     n_states = 1 << n
     diag = g.cost_table  # rejects n above MAX_QUBITS before allocating
+    size = max(1, BATCH_WORDS // (n_states // 2))
+    if len(points) > size:
+        return [run for start in range(0, len(points), size)
+                for run in run_qaoa_batch(g, points[start:start + size], cfg)]
     _, scale_exp = _uniform_start(n, cfg.fmt)
-    words = np.zeros((2, n_states // 2), dtype=np.int64)
+    mixer = mixer_table(n)
+    words = np.zeros((2, len(points), n_states // 2), dtype=np.int64)
     words[0] = 1 << (cfg.fmt.frac_bits - (n + 1) // 2)  # the start value 2**-ceil(n/2)
-    ctx = FxContext()
-    for layer in range(params.p):
-        words = run_layer(words, cost_half_angles(diag, params.gamma[layer]),
-                          mixer_level_angles(mixer_table(n), params.beta[layer]),
-                          cfg, ctx, trace_writer, layer=layer, diag=diag)
-    ops = 2 * params.p
-    counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
-                      cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,
-                      overflow=ctx.overflow)
-    amps = np.empty(n_states, dtype=np.complex128)
-    for part, row in zip((amps.real, amps.imag), words):
-        part[:row.size] = fxp.vec_to_float(row, cfg.fmt)
-        if row.size < n_states:  # the sector's h: the state is h, then h reversed
-            part[row.size:] = part[row.size - 1::-1]
-    return EngineRun(StateVector(amps=amps, scale_exp=scale_exp, n=n), counts)
+    ctx = FxContext(np.zeros(len(points), dtype=bool))
+    rows = list(range(len(points)))  # the point of each batch row
+    alone = {}  # point -> (register, context), once it runs on its own
+    if len(points) == 1:
+        alone, rows = {0: (words[:, 0], FxContext())}, []
+    p = points[0].p if points else 0
+    for layer in range(p):
+        def angles(point):
+            return (cost_half_angles(diag, points[point].gamma[layer]),
+                    mixer_level_angles(mixer, points[point].beta[layer]))
+        for point, (register, item_ctx) in alone.items():
+            alone[point] = (run_layer(register, *angles(point), cfg, item_ctx, trace_writer,
+                                      layer=layer, diag=diag), item_ctx)
+        if rows:
+            cost, mix = (np.stack(a) for a in zip(*map(angles, rows)))
+            words, left = run_layer(words, cost, mix, cfg, ctx, layer=layer, diag=diag)
+            alone.update((rows[row], item) for row, item in left.items())
+            rows = [point for point in rows if point not in alone]
+    alone.update((point, (words[:, row], FxContext(bool(ctx.overflow[row]))))
+                 for row, point in enumerate(rows))
+    ops = 2 * p
+    runs = []
+    for point in range(len(points)):
+        register, item_ctx = alone[point]
+        counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
+                          cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,
+                          overflow=item_ctx.overflow)
+        amps = np.empty(n_states, dtype=np.complex128)
+        for part, half in zip((amps.real, amps.imag), register):
+            part[:half.size] = fxp.vec_to_float(half, cfg.fmt)
+            if half.size < n_states:  # the sector's h: the state is h, then h reversed
+                part[half.size:] = part[half.size - 1::-1]
+        runs.append(EngineRun(StateVector(amps=amps, scale_exp=scale_exp, n=n), counts))
+    return runs

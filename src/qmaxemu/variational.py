@@ -118,14 +118,19 @@ def _expected_cut(state: StateVector, d: CostDiagonal) -> tuple[float, np.ndarra
 
 def make_objective(g: WeightedGraph, p: int, engine: EngineFn,
                    trace: OptimizationTrace):
-    """Negated-f_p objective over a flat [gamma..., beta...] vector, which
-    appends each evaluation to trace's log."""
-    def objective(x: np.ndarray) -> float:
+    """Negated-f_p objective over a batch of flat [gamma..., beta...]
+    vectors, the rows of x, which returns their values and appends each
+    evaluation to trace's log: through the engine's batch(g, points) when
+    it has one (engines.make_engine), else one point at a time."""
+    run_batch = getattr(engine, "batch", None)
+
+    def objective(x: np.ndarray) -> list[float]:
         folded = np.mod(x, DOMAIN)
-        params = QaoaParams(p, tuple(folded[:p]), tuple(folded[p:]))
-        f_p = _expected_cut(engine(g, params).state, g.cost_table)[0]
-        trace.iterations.append((params, f_p))
-        return -f_p
+        points = [QaoaParams(p, tuple(row[:p]), tuple(row[p:])) for row in folded]
+        runs = run_batch(g, points) if run_batch else [engine(g, params) for params in points]
+        f_ps = [_expected_cut(run.state, g.cost_table)[0] for run in runs]
+        trace.iterations += zip(points, f_ps)
+        return [-f_p for f_p in f_ps]
 
     return objective
 
@@ -134,8 +139,11 @@ def optimize(g: WeightedGraph, p: int, engine: EngineFn,
              cfg: OptimizerConfig = OptimizerConfig(), seed: int = 0) -> OptimizationTrace:
     """Maximize f_p over the 2p parameters with restarted Nelder-Mead.
 
-    Restart points are drawn once from a seeded generator and the restarts
-    run in index order, so the trace is deterministic.  If no restart
+    Restart points are drawn once from a seeded generator.  The restarts
+    run in lockstep: each round hands the objective one batch, the next
+    point of every restart that has one, in restart order.  They are
+    independent, so each evaluates the points it would alone, and the
+    trace is their logs in restart order, deterministic.  If no restart
     converges within its share of the budget, the best evaluation seen so
     far is still reported, with converged=False.
     """
@@ -145,34 +153,63 @@ def optimize(g: WeightedGraph, p: int, engine: EngineFn,
         raise ValueError("need at least one restart")
     if cfg.max_evals < 1:
         raise ValueError("need at least one evaluation")
-    trace = OptimizationTrace()
-    objective = make_objective(g, p, engine, trace)
+    log = OptimizationTrace()
+    objective = make_objective(g, p, engine, log)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, DOMAIN, size=(cfg.restarts, 2 * p))
     per_restart = max(2 * p + 2, cfg.max_evals // cfg.restarts)
-    for x0 in starts:
-        converged = _nelder_mead(objective, x0, per_restart, XATOL, FATOL)
-        trace.converged = trace.converged or converged
-    return trace
+    owners, converged = _lockstep([_simplex(x0, per_restart, XATOL, FATOL) for x0 in starts],
+                                  objective)
+    order = sorted(range(len(owners)), key=owners.__getitem__)  # stable: each log in order
+    return OptimizationTrace([log.iterations[i] for i in order], converged)
+
+
+def _lockstep(runs: list, evaluate: Callable[[np.ndarray], list[float]]
+              ) -> tuple[list[int], bool]:
+    """Step the _simplex generators runs together: each round, evaluate
+    gets one batch, the next point of every run that has one, in run
+    order, and returns their values.  Returns the run of each evaluation,
+    in order, and whether any run converged."""
+    pending = dict.fromkeys(range(len(runs)))  # run -> the value it is sent next
+    owners: list[int] = []
+    converged = False
+    while pending:
+        points = {}
+        for k, value in pending.items():
+            try:
+                points[k] = runs[k].send(value)
+            except StopIteration as done:
+                converged = converged or done.value
+        owners += points
+        pending = dict(zip(points, evaluate(np.array(list(points.values()))))) if points else {}
+    return owners, converged
 
 
 class _BudgetSpent(Exception):
-    """_nelder_mead's evaluation budget ran out inside a step."""
+    """_simplex's evaluation budget ran out inside a step."""
 
 
 def _nelder_mead(fun: Callable[[np.ndarray], float], x0: np.ndarray, maxfev: int,
                  xatol: float, fatol: float) -> bool:
     """Minimize fun from x0 with the non-adaptive Nelder-Mead simplex (Nelder
     and Mead, Comput. J. 7, 1965; Lagarias et al., SIAM J. Optim. 9, 1998)
-    in at most maxfev evaluations; True if it converged.
+    in at most maxfev evaluations; True if it converged.  It evaluates
+    _simplex's points with fun.
+    """
+    return _lockstep([_simplex(x0, maxfev, xatol, fatol)], lambda x: [fun(x[0])])[1]
+
+
+def _simplex(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
+    """_nelder_mead's simplex as a generator: it yields each point to
+    evaluate, is sent its value, and returns whether it converged.
 
     It evaluates the points that scipy 1.17's minimize(method="Nelder-Mead")
     evaluates with these options, bit for bit and in the same order, and
     returns its success: the same initial simplex, coefficients (reflect 1,
     expand 2, contract 1/2, shrink 1/2) and arithmetic, the same unstable
     argsort after every step (twice after the first n + 1 evaluations), and
-    the convergence test only at the top of a step.  fun gets a copy of
-    each point.  No evaluation is made past maxfev, even inside a shrink.
+    the convergence test only at the top of a step.  Each point yielded is
+    a copy.  No evaluation is made past maxfev, even inside a shrink.
     """
     n = len(x0)
     sim = np.tile(x0, (n + 1, 1))
@@ -181,12 +218,12 @@ def _nelder_mead(fun: Callable[[np.ndarray], float], x0: np.ndarray, maxfev: int
     fsim = np.full(n + 1, np.inf)
     calls = 0
 
-    def f(x: np.ndarray) -> float:
+    def f(x: np.ndarray):
         nonlocal calls
         if calls == maxfev:
             raise _BudgetSpent
         calls += 1
-        return fun(x.copy())
+        return (yield x.copy())
 
     def by_value(sim, fsim):
         order = np.argsort(fsim)
@@ -194,7 +231,7 @@ def _nelder_mead(fun: Callable[[np.ndarray], float], x0: np.ndarray, maxfev: int
 
     try:
         for k in range(n + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = yield from f(sim[k])
         sim, fsim = by_value(*by_value(sim, fsim))
         while calls < maxfev:
             if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
@@ -202,28 +239,28 @@ def _nelder_mead(fun: Callable[[np.ndarray], float], x0: np.ndarray, maxfev: int
                 return True
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
+            fxr = yield from f(xr)
             if fxr < fsim[0]:
                 xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
+                fxe = yield from f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
+                    fxc = yield from f(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
                     xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
+                    fxc = yield from f(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink towards the best vertex
                     for j in range(1, n + 1):
                         sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
+                        fsim[j] = yield from f(sim[j])
             sim, fsim = by_value(sim, fsim)
     except _BudgetSpent:
         pass
@@ -248,7 +285,6 @@ def grid_search_p1(g: WeightedGraph, resolution: int,
     trace = OptimizationTrace(converged=True)
     objective = make_objective(g, 1, engine or decomposed_run_qaoa_f64, trace)
     step = math.pi / resolution
-    for i in range(resolution):
-        for j in range((resolution + 1) // 2):
-            objective(np.array([i * step, j * step]))  # inside [0, DOMAIN): unfolded
+    for i in range(resolution):  # one batch per lattice row, inside [0, DOMAIN): unfolded
+        objective(np.array([[i * step, j * step] for j in range((resolution + 1) // 2)]))
     return trace

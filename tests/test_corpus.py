@@ -28,6 +28,13 @@ def test_corpus_matches_its_golden():
     assert saturated == golden["saturated"] and 3 * saturated >= corpus.CASES
 
 
+def test_corpus_batches_match_their_single_runs():
+    # each case's graph as one batch of its own point and three more, one
+    # saturating in CALCULATE_RAD: every item is its own run, to the byte
+    differ = [i for i in range(corpus.CASES) if corpus.batch_differs(i)]
+    assert not differ, f"{len(differ)} batches differ, first {differ[:10]}"
+
+
 def _streamed_in_place(words, fmt, ctx):
     words[...] = streamed_n_add(words, fmt, ctx)
     return words

@@ -22,6 +22,7 @@ from qmaxemu.pipeline import (PIPELINE_LATENCY, PipelineConfig, _n_add,
                               hadamard_sign_column)
 
 from conftest import complete_graph, path_graph, random_graph, streamed_n_add
+from corpus import run_bytes
 
 CFG = PipelineConfig()
 
@@ -1136,3 +1137,101 @@ def test_each_pass_raises_its_own_calculate_rad_flag():
                                          order=order, diag=diag)
         words >>= n
     assert json.dumps(records) == json.dumps(want)
+
+
+# Points on one n = 9 graph in q7.25, p = 2, each with its own run: the
+# first stays certified to the end; CALCULATE_RAD saturates in the second
+# (u*beta = 85.5 > 64) and in the third (2C gamma past 64), in passes that
+# the batch runs; N_ADD saturates in the fourth's first mixer pass and in
+# the fifth's second; the sixth's second mixer pass fails the pair bound
+# but saturates no row.
+_BATCH_POINTS = [([0.37, 0.51], [2.65, 1.31]), ([0.61, 1.14], [0.46, 9.5]),
+                 ([0.54, 1.15], [3.05, 2.55]), ([0.75, 0.93], [1.96, 2.94]),
+                 ([0.04, 0.22], [2.16, 1.83]), ([0.66, 0.03], [2.41, 1.72])]
+
+
+@pytest.mark.parametrize("batch_words", [pipeline.BATCH_WORDS, 2 * 256, 256],
+                         ids=["one-batch", "split-in-pairs", "batches-of-one"])
+def test_batch_items_match_their_own_runs(batch_words, monkeypatch):
+    # every item of run_qaoa_batch gives its own run_qaoa's amplitudes,
+    # scale, flag and counts, to the byte, wherever it saturates or leaves
+    # the batch, and when the size cap splits the batch (N/2 = 256 words)
+    g = random_graph(np.random.default_rng(1), 9, weight_range=(0.2, 3.0))
+    points = [QaoaParams.from_lists(*point) for point in _BATCH_POINTS]
+    cfg = PipelineConfig(fmt=FxFormat(32, 25))
+    rejected = []  # the full-N passes, which run where the pair bound rejects a pass
+    stream_passes = pipeline._stream_passes
+    monkeypatch.setattr(pipeline, "_stream_passes",
+                        lambda *args: rejected.append(1) or stream_passes(*args))
+    want = [run_qaoa(g, params, cfg) for params in points]
+    alone = len(rejected)
+    monkeypatch.setattr(pipeline, "BATCH_WORDS", batch_words)
+    got = pipeline.run_qaoa_batch(g, points, cfg)
+    assert [run_bytes(run) for run in got] == [run_bytes(run) for run in want]
+    assert [run.counts.overflow for run in got] == [False, True, True, True, True, False]
+    assert len(rejected) == 2 * alone >= 4
+    assert pipeline.run_qaoa_batch(g, [], cfg) == []
+
+
+def test_batch_pass_raises_each_items_own_flags():
+    # at n = 1 a mixer pass streams its one word and a 0, so the pair bound
+    # certifies any word up to max_raw, and the first item stays in the
+    # batch when its 1_MULT saturates; the second's 1_MULT clips to
+    # min_raw, whose N_ADD the bound rejects, and it leaves the batch.  The
+    # batch takes the clipping path for all, and each item's words and
+    # flag are those of its own pass; CALCULATE_RAD decides each row's flag
+    fmt = FxFormat(16, 10)
+    cfg, diag, mixer = PipelineConfig(fmt=fmt), WeightedGraph(1, ()).cost_table, mixer_table(1)
+    big = int(0.9 * fmt.max_raw)
+    words = np.array([[[big], [big], [3], [5]], [[big], [-big], [4], [-2]]], dtype=np.int64)
+    angles = np.stack([mixer_level_angles(mixer, beta) for beta in (0.4, 0.8, 0.4, 40.0)])
+    ctx = FxContext(np.zeros(4, dtype=bool))
+    kept, left = run_elemental_ansatz(words.copy(), angles, cfg, ctx, order="mixer", diag=diag)
+    assert list(left) == [1]
+    got = {item: (kept[:, row], bool(ctx.overflow[row]))
+           for row, item in enumerate((0, 2, 3))}
+    got.update((row, (register, item_ctx.overflow)) for row, (register, item_ctx) in left.items())
+    for item in range(4):
+        item_ctx = FxContext()
+        want = run_elemental_ansatz(words[:, item].copy(), angles[item], cfg, item_ctx,
+                                    order="mixer", diag=diag)
+        assert got[item][0].tobytes() == want.tobytes()
+        assert got[item][1] == item_ctx.overflow
+    assert [got[item][1] for item in range(4)] == [True, True, False, True]
+
+
+def test_a_batch_takes_no_trace():
+    g = path_graph(3)
+    params = QaoaParams(1, (0.3,), (0.2,))
+    records = []
+    with pytest.raises(ValueError, match="batch of one"):
+        pipeline.run_qaoa_batch(g, [params, params], CFG, records.append)
+    assert not records
+    pipeline.run_qaoa_batch(g, [params], CFG, records.append)
+    assert len(records) == 2 * (8 + PIPELINE_LATENCY)
+
+
+@given(n=st.integers(1, 10), fmt=st.sampled_from(N_ADD_FORMATS), items=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), bits=st.integers(1, 32), stretch=st.floats(0.5, 1.05))
+@settings(max_examples=100, deadline=None)
+def test_cost_pair_bound_takes_one_scan(n, fmt, items, seed, bits, stretch):
+    # a cost pass's pair (2h, 0): the verdict from M = max|2h| per row,
+    # M + 2 l_lo and 3M + 2 l_up against 4 max_raw, is the two-array
+    # form's, on words scaled to put that bound at 0.5 to 1.05 times its
+    # limit, and a batch's verdict is each item's own
+    half = 1 << (n - 1)
+    rng = np.random.default_rng(seed)
+    bits = min(bits, fmt.word_bits)
+    words = rng.integers(-(1 << bits - 1), 1 << bits - 1, size=(2, items, half), dtype=np.int64)
+    if words.any():
+        h = 2 * np.abs(pipeline._exact_transform(words)).max(axis=-1)
+        scale = stretch * 4 * fmt.max_raw / (3 * h + 2 * np.abs(words).sum(axis=-1)).max()
+        words = np.clip(np.rint(words * scale).astype(np.int64), fmt.min_raw, fmt.max_raw)
+    image = 2 * pipeline._exact_transform(words)
+    sums = np.abs(words).sum(axis=-1)
+    one = pipeline._pair_bound_holds(image, 0, sums, sums, fmt)
+    assert one.tolist() == pipeline._pair_bound_holds(image, np.zeros_like(image), sums, sums,
+                                                      fmt).tolist()
+    assert one.tolist() == [bool(pipeline._pair_bound_holds(image[:, k], 0, sums[:, k],
+                                                            sums[:, k], fmt))
+                            for k in range(items)]

@@ -12,10 +12,10 @@ from qmaxemu import (EngineRun, OpCounts, QaoaParams, StateVector, WeightedGraph
                      grid_search_p1, init_uniform_state, make_engine, optimize,
                      probabilities, run_qaoa)
 from qmaxemu import diagonals
-from qmaxemu.variational import (FATOL, XATOL, OptimizationTrace, OptimizerConfig,
-                                 ZeroStateError, _nelder_mead)
+from qmaxemu.variational import (DOMAIN, FATOL, XATOL, OptimizationTrace, OptimizerConfig,
+                                 ZeroStateError, _nelder_mead, make_objective)
 
-from conftest import complete_graph, random_instance
+from conftest import complete_graph, random_graph, random_instance
 
 
 def test_probabilities_uniform_and_basis(triangle):
@@ -317,3 +317,53 @@ def test_nelder_mead_hands_each_call_a_copy():
         return log
 
     assert len(log_of(False)) == 60 and log_of(True) == log_of(False)
+
+
+def _restart_by_restart(g, p, engine, cfg, seed):
+    """optimize's trace with its restarts run one after another, each on its
+    own, point by point, and each restart's evaluation count."""
+    trace = OptimizationTrace()
+    objective = make_objective(g, p, engine, trace)
+    starts = np.random.default_rng(seed).uniform(0.0, DOMAIN, size=(cfg.restarts, 2 * p))
+    counts = []
+    for x0 in starts:
+        before = trace.evaluations
+        converged = _nelder_mead(lambda x: objective(x[None])[0], x0,
+                                 max(2 * p + 2, cfg.max_evals // cfg.restarts), XATOL, FATOL)
+        trace.converged = trace.converged or converged
+        counts.append(trace.evaluations - before)
+    return trace, counts
+
+
+def _step_engine(g, params):
+    # f_p is a step function of gamma, a quarter per quarter of its range
+    q = math.floor(4 * params.gamma[0] / math.pi) / 4
+    amps = np.array([math.sqrt(1 - q), math.sqrt(q), 0.0, 0.0], dtype=np.complex128)
+    return EngineRun(StateVector(amps=amps, scale_exp=Fraction(0), n=2), OpCounts())
+
+
+@pytest.mark.parametrize("case", ["pipeline-n6", "step-stub"])
+def test_lockstep_restarts_log_as_restarts_run_one_by_one(case, single_edge):
+    # optimize steps its restarts in lockstep, one batch per round, through
+    # the pipeline's batch or point by point: its log, in restart order,
+    # and converged equal those of the restarts run one after another.
+    # The restarts end at different steps: at n = 6 three spend their
+    # budget of 100 evaluations and two converge after 94 and 88
+    if case == "pipeline-n6":
+        g, p, engine = random_graph(np.random.default_rng(11), 6), 1, make_engine("pipeline")
+        cfg, seed = OptimizerConfig(restarts=5, max_evals=500), 0
+    else:
+        g, p, engine = single_edge, 1, _step_engine
+        cfg, seed = OptimizerConfig(restarts=4, max_evals=200), 3  # converge after 39 to 47
+    want, counts = _restart_by_restart(g, p, lambda g, params: engine(g, params), cfg, seed)
+    got = optimize(g, p, engine, cfg, seed=seed)
+    assert got.iterations == want.iterations and got.converged == want.converged
+    assert len(set(counts)) > 1
+
+
+def test_grid_batches_its_rows_as_points(triangle):
+    # each lattice row goes to the pipeline as one batch; the log is the
+    # point-by-point one, in (i, j) order
+    engine = make_engine("pipeline")
+    batched = grid_search_p1(triangle, 9, engine)
+    assert batched.iterations == grid_search_p1(triangle, 9, lambda g, q: engine(g, q)).iterations

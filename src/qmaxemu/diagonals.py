@@ -47,9 +47,9 @@ class CostDiagonal:
     n: int
 
     def expand(self, half: np.ndarray) -> np.ndarray:
-        """Per-state values from those of the lower half: half, then half
-        reversed, so out[l] == out[2**n - 1 - l] as for entries."""
-        return np.concatenate((half, half[::-1]))
+        """Per-state values from those of the lower half along the last axis:
+        half, then half reversed, so out[l] == out[2**n - 1 - l] as for entries."""
+        return np.concatenate((half, half[..., ::-1]), axis=-1)
 
     @cached_property
     def peak(self) -> float:
@@ -84,8 +84,8 @@ class MixerExponents:
         return float(self.n)
 
     def expand(self, levels: np.ndarray) -> np.ndarray:
-        """Per-state values from the n + 1 per-exponent ones, by popcount."""
-        return levels[self.popcount]
+        """Per-state values from the n + 1 per-exponent ones along the last axis, by popcount."""
+        return levels.take(self.popcount, axis=-1)
 
     @cached_property
     def odd(self) -> np.ndarray:  # uint8, length 2**(n-1)
@@ -132,14 +132,16 @@ def mixer_table(n: int) -> MixerExponents:
     return m
 
 
-def _scaled(factor: float, values: np.ndarray, peak: float) -> np.ndarray:
-    """factor * values, where peak bounds |values|; a product past float64
-    saturates at +/-max float64, without numpy's overflow warning."""
-    if math.isfinite(factor * peak):
-        return factor * values
+def _scaled(factor, values: np.ndarray, peak: float) -> np.ndarray:
+    """factor * values, a row per factor of an array, where peak bounds |values|;
+    a product past float64 saturates at +/-max float64, without numpy's overflow
+    warning, and a finite one, checked in Python floats, enters no np.errstate."""
+    factor = np.asarray(factor)
+    if math.isfinite(max(map(abs, factor.ravel().tolist())) * peak):
+        return np.multiply.outer(factor, values)
     top = np.finfo(np.float64).max
     with np.errstate(over="ignore"):
-        return np.clip(factor * values, -top, top)
+        return np.clip(np.multiply.outer(factor, values), -top, top)
 
 
 def cost_angles(d: CostDiagonal, gamma: float) -> np.ndarray:
@@ -147,10 +149,10 @@ def cost_angles(d: CostDiagonal, gamma: float) -> np.ndarray:
     return -gamma * d.entries
 
 
-def cost_half_angles(d: CostDiagonal, gamma: float) -> np.ndarray:
+def cost_half_angles(d: CostDiagonal, gamma) -> np.ndarray:
     """The cost angles of the lower half, which hold every distinct one:
     d.expand(cost_half_angles(d, gamma)) equals cost_angles(d, gamma) bit
-    for bit."""
+    for bit.  An array of gammas gives a row per gamma, that of its own call."""
     return _scaled(-gamma, d.entries[:len(d.entries) // 2], d.peak)
 
 
@@ -159,8 +161,9 @@ def mixer_angles(m: MixerExponents, beta: float) -> np.ndarray:
     return m.u.astype(np.float64) * beta
 
 
-def mixer_level_angles(m: MixerExponents, beta: float) -> np.ndarray:
+def mixer_level_angles(m: MixerExponents, beta) -> np.ndarray:
     """The n + 1 distinct mixer angles u*beta, u = -n, -n+2, ..., n, in the
     order popcount indexes them: mixer_angles(m, beta) equals
-    mixer_level_angles(m, beta)[m.popcount] bit for bit."""
-    return _scaled(beta, np.arange(-m.n, m.n + 1, 2, dtype=np.int64).astype(np.float64), m.peak)
+    m.expand(mixer_level_angles(m, beta)) bit for bit.  An array of betas
+    gives a row per beta, that of its own call."""
+    return _scaled(beta, np.arange(-m.n, m.n + 1, 2, dtype=np.float64), m.peak)

@@ -67,10 +67,10 @@ class FxFormat:
 
 @dataclass
 class FxContext:
-    """Sticky overflow carrier: once set it stays set for the whole run.  A
-    batch's holds one flag per item, a bool array, which the vector kernels
-    raise from the item's own words: a row of vec_from_real's angles, or an
-    item [:, b] of a (2, B, M) register."""
+    """Sticky overflow carrier: once set it stays set for the whole run.  The
+    pipeline's holds a (B,) bool array, a flag per item of its (2, B, M)
+    register, which the vector kernels raise from the item's own words: a
+    row of vec_from_real's angles, or an item [:, b] of the register."""
 
     overflow: bool | np.ndarray = False
 
@@ -515,13 +515,13 @@ def _fold_tables(fmt: FxFormat) -> tuple:
 
 
 def vec_sincos(raw: np.ndarray, fmt: FxFormat) -> tuple[np.ndarray, np.ndarray]:
-    """Vector twin of fx_sincos on raw angle values, in one pass: reduce,
+    """Vector twin of fx_sincos on raw angle values, in one flat pass: reduce,
     find the branch q by one search, fold to |rad - centre[q]|, look the
     CORDIC words up, and restore signs by gathers, which never saturates:
     CORDIC words are below 2**(frac_bits + 1) in magnitude."""
     two_pi, starts, centre, cos_sign, sin_sign = _fold_tables(fmt)
-    rad = raw % two_pi
-    q = np.searchsorted(starts, rad, "right")
+    rad = raw.reshape(-1) % two_pi  # the search and gathers run faster in 1-D
+    q = starts.searchsorted(rad, "right")
     rad -= centre[q]
     _, x, y = _cordic_table(fmt)
     leaf = _cordic_leaf(np.abs(rad, out=rad), fmt)
@@ -530,4 +530,4 @@ def vec_sincos(raw: np.ndarray, fmt: FxFormat) -> tuple[np.ndarray, np.ndarray]:
     del leaf
     cos *= cos_sign[q]
     sin *= sin_sign[q]
-    return cos, sin
+    return cos.reshape(raw.shape), sin.reshape(raw.shape)

@@ -8,18 +8,21 @@ after every addition.  An operation therefore takes N + PIPELINE_LATENCY
 clocks and costs N complex multiplies plus N*N complex additions; those
 modelled counts and the per-clock trace describe that streamed datapath.
 
-The state is one int64 register, real and imaginary rows, which each pass
-overwrites in place, as the result register replaces the state memory at
-drain; run_qaoa builds the float64 StateVector once, at readout (words of
-<= 32 bits make that image lossless).  run_qaoa holds it in the state's
-parity sector (complement symmetry; Shaydulin & Wild, IEEE TQE 2, 2021):
-N/2 words per row, the lower half h before a cost pass and the words e at
-the even-popcount states after one.  Every pass runs an N/2 1_MULT and an
-N/2 transform (_sector_n_add), which is its N_ADD when the pair bound
-over the two halves of its N-stream, read off that transform, certifies
-that no row saturates (_pair_bound_holds); any other pass runs
-_stream_passes on the full (2, N) product, and the run returns to the
-sector unless a row saturated; after that it stays on the full register.
+The state is a batch register, the one shape every pass takes: the
+(2, B, M) int64 real and imaginary rows of B items, item b at [:, b],
+M = N/2 words per row in the state's parity sector and M = N on the full
+register.  Each pass overwrites it in place, as the result register
+replaces the state memory at drain; run_qaoa_batch builds each item's
+float64 StateVector once, at readout (words of <= 32 bits make that image
+lossless), and run_qaoa is its batch of one.  A run starts in the parity
+sector (complement symmetry; Shaydulin & Wild, IEEE TQE 2, 2021): the
+lower half h before a cost pass, the even-popcount words e after one.
+Every pass runs an N/2 1_MULT and an N/2 transform (_sector_n_add), which
+is an item's N_ADD when the pair bound over the two halves of its
+N-stream, read off that transform, certifies that no row saturates
+(_pair_bound_holds); any other item runs _stream_passes on its full
+(2, 1, N) product and stays in its batch unless a row saturated.  Only an
+item whose N_ADD saturates leaves, onto its own (2, 1, N) register.
 1_MULT (fxp.vec_cmul) rounds its products in place on the register.  It
 is given the CORDIC table's peak |cos|, |sin| word (fxp.cordic_peak), and
 when one extreme scan of the register shows that no product and no sum can
@@ -33,15 +36,13 @@ image, with no N/2 temporary.  A pass that takes the full-N passes holds
 the N/2 words beside them (up to 4.45 times where a q7.25 pass at n = 16
 clamps).
 
-run_qaoa_batch runs B points on one (2, B, N/2) sector register, item b
-at [:, b], with (B, K) angles: every stage acts elementwise or along the
-last axis, so it runs once per batch.  Each decision is the item's own,
-its flag one of a batch's FxContext: CALCULATE_RAD's by its row's
-extremes, 1_MULT's by its words (if the batch-wide scan is not safe, all
-items take the clips, which change no word that would not clip), and
-the certificates by reductions along the last axis.  An item whose pass
-the bound rejects leaves the batch: it reruns that N_ADD, then its run,
-on its own.  A batch holds at most BATCH_WORDS = 2**16 words per row.
+Every stage acts elementwise or along the last axis, on (B, K) angles, so
+it runs once per batch.  Each decision is the item's own, its flag one of
+the batch's FxContext: CALCULATE_RAD's by its row's extremes, 1_MULT's by
+its words (if the batch-wide scan is not safe, all items take the clips,
+which change no word that would not clip), and the certificates by
+reductions along the last axis.  A batch holds at most BATCH_WORDS =
+2**16 words per row.
 
 The host evaluates the datapath in a different order with identical words
 and flags.  Each pass evaluates its per-element stages on whole arrays,
@@ -300,15 +301,16 @@ def _prefix_combine(left: Halves, right: Halves, plus: Halves, minus: Halves) ->
 
 def _clamp_combine(left: Halves, right: Halves, plus: Halves, minus: Halves) -> None:
     # clamp map a -> clip(a + d, lo, hi) of L then R, and of L then -R,
-    # whose map is (-d, -hi - 1, -lo - 1)
+    # whose map is (-d, -hi - 1, -lo - 1); np.clip's wrapper costs more
+    # than its work at most levels' sizes, so it is spelt maximum, minimum
     (dl, lol, hil), (dr, lor, hir) = left, right
     np.add(dl, dr, out=plus[0])
-    np.clip(lol + dr, lor, hir, out=plus[1])
-    np.clip(hil + dr, lor, hir, out=plus[2])
+    np.minimum(np.maximum(lol + dr, lor, out=plus[1]), hir, out=plus[1])
+    np.minimum(np.maximum(hil + dr, lor, out=plus[2]), hir, out=plus[2])
     neg_lo, neg_hi = -hir - 1, -lor - 1
     np.subtract(dl, dr, out=minus[0])
-    np.clip(lol - dr, neg_lo, neg_hi, out=minus[1])
-    np.clip(hil - dr, neg_lo, neg_hi, out=minus[2])
+    np.minimum(np.maximum(lol - dr, neg_lo, out=minus[1]), neg_hi, out=minus[1])
+    np.minimum(np.maximum(hil - dr, neg_lo, out=minus[2]), neg_hi, out=minus[2])
 
 
 # _exact_transform's Sylvester factors have at most 2**FACTOR_BITS rows
@@ -408,37 +410,43 @@ def _pair_bound_holds(y_lo: np.ndarray, y_up: np.ndarray | int, l_lo: np.ndarray
 
 
 def _n_add(words: np.ndarray, fmt: FxFormat, ctx: FxContext) -> np.ndarray:
-    """N_ADD of the (2, N) register of 1_MULT words, in place; returns words.
+    """N_ADD of the (2, B, N) register of 1_MULT words, in place; returns
+    words.  Row i of item b's result is the saturating accumulation, from
+    zero and in ascending column order c, of hadamard_sign(i, c) *
+    words[:, b, c]; a row that saturates raises ctx.overflow[b].
 
-    Row i of the result is the saturating accumulation, from zero and in
-    ascending column order c, of hadamard_sign(i, c) * words[:, c].  A row
-    whose prefix sums all stay in [min_raw, max_raw] is the plain +/-1
-    transform Y.  _exact_transform computes Y into a float64 image beside
-    words, exact while every row's sum of |w| is at most EXACT_L1, and
-    when the pair bound over its two halves holds (_pair_bound_holds), Y
-    is written to words and the flag is left as it is.  Otherwise a row
-    whose whole sum, read off the image, leaves the range saturates, and
-    _stream_passes finds the result from the 1_MULT words.  Past EXACT_L1,
-    possible only at n >= 23, no image is taken: it could never certify
-    such a row, but an inexact one could fake the whole-sum shortcut.
+    A row whose prefix sums all stay in [min_raw, max_raw] is the plain
+    +/-1 transform Y.  _exact_transform computes Y into a float64 image
+    beside words, exact while every row's sum of |w| is at most EXACT_L1,
+    and an item whose pair bound over its two halves holds
+    (_pair_bound_holds) takes its Y from the image.  For any other item, a
+    row whose whole sum, read off the image, leaves the range saturates,
+    and _stream_passes finds the result from its 1_MULT words.  Past
+    EXACT_L1, possible only at n >= 23, no image is taken: it could never
+    certify such a row, but an inexact one could fake that shortcut.
     """
     half = words.shape[-1] // 2
-    l_lo, l_up = np.abs(words).reshape(2, 2, half).sum(axis=-1).T
-    saturates = False
+    l_lo, l_up = np.moveaxis(np.abs(words).reshape(words.shape[:-1] + (2, half)).sum(-1), -1, 0)
+    fallback = dict.fromkeys(range(words.shape[1]), False)  # item -> a whole sum leaves
     if (l_lo + l_up <= EXACT_L1).all():
         image = _exact_transform(words)
-        if _pair_bound_holds(image[:, :half], image[:, half:], l_lo, l_up, fmt):
-            np.copyto(words, image, casting="unsafe")
-            return words
-        saturates = image.max() > fmt.max_raw or image.min() < fmt.min_raw
+        holds = _pair_bound_holds(image[..., :half], image[..., half:], l_lo, l_up, fmt)
+        for row, certified in enumerate(holds.tolist()):
+            if certified:
+                np.copyto(words[:, row], image[:, row], casting="unsafe")
+                del fallback[row]
+            else:
+                fallback[row] = bool(image[:, row].max() > fmt.max_raw
+                                     or image[:, row].min() < fmt.min_raw)
         del image  # free it before the passes
-    if _stream_passes(words, fmt, saturates):
-        ctx.overflow = True
+    for row, saturates in fallback.items():
+        if _stream_passes(words[:, row], fmt, saturates):
+            ctx.overflow[row] = True
     return words
 
 
 def _stream_passes(words: np.ndarray, fmt: FxFormat, saturates: bool) -> bool:
-    """N_ADD of the (2, N) register of 1_MULT words, in place, by butterfly
+    """N_ADD of one item's (2, N) 1_MULT words, in place, by butterfly
     passes; returns whether a row saturated.  saturates says that a row's
     whole sum is known to leave the range.
 
@@ -476,7 +484,7 @@ def _stream_passes(words: np.ndarray, fmt: FxFormat, saturates: bool) -> bool:
         words >>= words.shape[-1].bit_length() - 1
     d, lo, hi = butterfly((words, np.full_like(words, fmt.min_raw),
                            np.full_like(words, fmt.max_raw)), _clamp_combine)
-    np.clip(d, lo, hi, out=words)
+    np.minimum(np.maximum(d, lo, out=words), hi, out=words)
     return True
 
 
@@ -533,11 +541,11 @@ def _emit_op_trace(write: TraceWriter, n_states: int, layer: int, order: str,
 
 
 def _sector_n_add(words: np.ndarray, order: str, mixer: MixerExponents, fmt: FxFormat,
-                  ctx: FxContext):
-    """N_ADD of a pass run in the parity sector (see run_qaoa) on its N/2
-    1_MULT words; returns the register the pass leaves.
+                  ctx: FxContext) -> tuple[np.ndarray, dict]:
+    """N_ADD of a pass run in the parity sector (see run_qaoa) on the
+    (2, B, N/2) register of its 1_MULT words; returns (register, left).
 
-    The pass's N product words stream as two halves: words, then words
+    An item's N product words stream as two halves: words, then words
     reversed, for a cost pass; for a mixer pass, words at the sector's
     states, 0 elsewhere, that is the words off mixer.odd, then those on
     it.  Its plain transform Y follows from the N/2 transform h of words,
@@ -549,21 +557,20 @@ def _sector_n_add(words: np.ndarray, order: str, mixer: MixerExponents, fmt: FxF
     - after a mixer pass the result is its own mirror, and its lower half
       is h, the register: Y's pairs are (h, rev h), rev h = h[::-1].
 
-    _exact_transform computes h as a float64 image, doubled in place after
-    a cost pass, while words keep the 1_MULT words.  When _pair_bound_holds
-    certifies Y, the image is written to words.  Otherwise no transform
-    needs undoing: Y's whole sums are the image's and 0, so a row saturates
-    where the image leaves the range, and _stream_passes runs on the full
-    (2, N) product built from words.  If no row saturated, its result
-    is still the plain transform, and the run returns to the sector in
-    words.  If one did, the flag is raised and the full register is
-    returned: a saturating cost pass can leave odd-popcount rows non-zero,
-    though a mixer pass's result is still its own mirror, row N-1-i
-    signing every streamed word as row i does.
-
-    A batch's (2, B, N/2) words return (register, left): the certified
-    items' images, and for each other item, by its row, its own N_ADD's
-    (register, context), which leave the batch.
+    _exact_transform computes every item's h as one float64 image, doubled
+    in place after a cost pass, while words keep the 1_MULT words.  An
+    item whose Y _pair_bound_holds certifies takes its row of the image.
+    For any other item no transform needs undoing: Y's whole sums are its
+    row's and 0, so a row saturates where that row leaves the range, and
+    _stream_passes runs on the item's full (2, 1, N) product built from its
+    words.  If no row saturated, the result is still the plain transform,
+    which goes back into the item's row: the item stays.  If one did, its
+    flag is raised and it leaves: left maps its row to its full register
+    and context, as a saturating cost pass can leave odd-popcount rows
+    non-zero, though a mixer pass's result is still its own mirror, row
+    N-1-i signing every streamed word as row i does.  The register is
+    words, in place, unless an item leaves; ctx then keeps the flags of the
+    items that stay.
     """
     half = words.shape[-1]
     cost = order == "cost"
@@ -579,66 +586,63 @@ def _sector_n_add(words: np.ndarray, order: str, mixer: MixerExponents, fmt: FxF
     y_lo, y_up = (h, 0) if cost else (h[..., :rows], h[..., ::-1][..., :rows])
     holds = _pair_bound_holds(y_lo, y_up, l_lo, l_up, fmt)
     del y_lo, y_up
-    if words.ndim == 3:  # a batch
-        kept = h[:, holds].astype(np.int64)
-        left = {}
-        for row in np.flatnonzero(~holds).tolist():
-            item_ctx = FxContext(bool(ctx.overflow[row]))
-            left[row] = (_sector_n_add(words[:, row], order, mixer, fmt, item_ctx), item_ctx)
-        ctx.overflow = ctx.overflow[holds]
-        return kept, left
-    if holds:
-        np.copyto(words, h, casting="unsafe")
-        return words
-    saturates = ((l_lo + l_up <= EXACT_L1).all()
-                 and (h.max() > fmt.max_raw or h.min() < fmt.min_raw))
-    del h  # words still hold the 1_MULT words: free the image first
-    full = np.empty((2, 2 * half), dtype=np.int64)
-    lower, upper = full[:, :half], full[:, half:]
-    if cost:
-        lower[...] = words
-        upper[...] = words[:, ::-1]
-    else:  # no scatter: word j goes to state j + N/2 where odd[j], else to j
-        np.multiply(words, mixer.odd, out=upper)
-        np.subtract(words, upper, out=lower)
-    if _stream_passes(full, fmt, saturates):
-        ctx.overflow = True
-        return full
-    if cost:  # one word of each pair {j, j + N/2} is 0
-        return np.add(lower, upper, out=words)
-    words[...] = lower
-    return words
+    fallback = {}  # item -> (its full product, whether a whole sum leaves the range)
+    for row in [row for row, certified in enumerate(holds.tolist()) if not certified]:
+        # no scatter: a mixer pass's word j goes to state j + N/2 where odd[j], else to j
+        item = words[:, row:row + 1]
+        upper = item[..., ::-1] if cost else item * mixer.odd
+        exact = (l_lo[:, row] + l_up[:, row] <= EXACT_L1).all()
+        fallback[row] = (np.concatenate((item if cost else item - upper, upper), axis=-1),
+                         bool(exact and (h[:, row].max() > fmt.max_raw
+                                         or h[:, row].min() < fmt.min_raw)))
+    np.copyto(words, h, casting="unsafe")
+    del h  # the products hold the rejected items' 1_MULT words: free the image first
+    left = {}
+    for row, (full, saturates) in fallback.items():
+        if _stream_passes(full[:, 0], fmt, saturates):
+            left[row] = (full, FxContext(np.array([True])))
+        else:  # the plain transform; a cost pass's pairs {j, j + N/2} hold one 0
+            words[:, row] = full[:, 0, :half] + full[:, 0, half:] if cost else full[:, 0, :half]
+    if left:
+        stay = [row for row in range(words.shape[1]) if row not in left]
+        words, ctx.overflow = words.take(stay, axis=1), ctx.overflow.take(stay)
+    return words, left
 
 
 def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineConfig,
                          ctx: FxContext | None = None,
                          trace_writer: TraceWriter | None = None,
                          layer: int = 0, order: str = "cost",
-                         diag: CostDiagonal | None = None) -> np.ndarray:
+                         diag: CostDiagonal | None = None) -> tuple[np.ndarray, dict]:
     """One streamed phase-and-transform pass: out = H1 . (diag(e^{i angles}) . in).
 
-    words is the (2, N) int64 register of the N input amplitudes; the pass
-    overwrites it with the result register, which replaces the state at
-    drain, N + PIPELINE_LATENCY clocks later, and returns it, holding beside
-    it only the phasors and 1_MULT's rounding temporaries.  Saturation
-    anywhere sets the sticky flag on ctx but the run continues.
+    words is a batch, the (2, B, M) int64 register of B items, item b at
+    [:, b] with its flag ctx.overflow[b] (a bool array, all clear if ctx is
+    None), and angles are (B, K), row b item b's; every decision is the
+    item's own (see the module docstring).  The pass returns (register,
+    left): the result register, which replaces the state at drain, N +
+    PIPELINE_LATENCY clocks later, and {b: (register, context)} for the
+    items that leave the batch, which only an item whose N_ADD saturates
+    does.  The register is words, overwritten in place, unless an item
+    leaves; beside it the pass holds only the phasors and 1_MULT's
+    rounding temporaries.  Saturation sets the item's sticky flag but its
+    run continues.
 
-    With diag=None the elements stream the N angles as given.  Given the
-    run's cost table diag, angles are the distinct angles of the pass's
-    table, diag or mixer_table(diag.n): N/2 in a cost pass, n + 1 in a
-    mixer pass, or a ValueError.  The elements stream the table's expand
-    of them: the angle stages and CORDIC run once per distinct angle, and
-    their words are expanded before 1_MULT.  CALCULATE_RAD raises the flag
-    when one of the pass's own angles saturates.
+    With diag=None the register holds M = N words per row and the elements
+    stream the N angles as given.  Given the run's cost table diag, angles
+    are the distinct angles of the pass's table, diag or mixer_table(diag.n):
+    N/2 in a cost pass, n + 1 in a mixer pass, or a ValueError.  The
+    elements stream the table's expand of them: the angle stages and
+    CORDIC run once per distinct angle, and their words are expanded before
+    1_MULT.  CALCULATE_RAD raises the flag when one of the item's own
+    angles saturates.
 
-    A register of N/2 words then holds the state in its parity sector (see
-    run_qaoa): 1_MULT takes the distinct angles' words as they are in a
-    cost pass and by the mixer's sector_expand in a mixer pass, N_ADD is
-    _sector_n_add, whose register is returned, and the trace still streams
-    the table's expand.
-
-    A batch, a (2, B, N/2) register with (B, K) angles and a batch's
-    context, returns _sector_n_add's (register, left), and takes no trace.
+    A register of M = N/2 words then holds the state in its parity sector
+    (see run_qaoa): 1_MULT takes the distinct angles' words as they are in
+    a cost pass and by the mixer's sector_expand in a mixer pass, N_ADD is
+    _sector_n_add, and the trace still streams the table's expand.  On the
+    full register, M = N, N_ADD is _n_add and no item leaves.  Only a batch
+    of one takes a trace_writer.
     """
     n_states = words.shape[-1] if diag is None else len(diag.entries)
     in_sector = words.shape[-1] < n_states
@@ -651,7 +655,7 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
             raise ValueError(f"expected {distinct} distinct {order} angles, "
                              f"got {angles.shape[-1]}")
     if ctx is None:
-        ctx = FxContext()
+        ctx = FxContext(np.zeros(words.shape[1], dtype=bool))
     fmt = cfg.fmt
 
     # Per-element stages, on whole arrays (elements interact only in N_ADD):
@@ -677,56 +681,51 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     # N_ADD: the hardware accumulates the product stream into all N slots in
     # ascending stream order, saturating after each addition; _n_add gives
     # the same words and flag by butterflies over the register, in place.
-    words = (_sector_n_add(words, order, mixer, fmt, ctx) if in_sector
-             else _n_add(words, fmt, ctx))
+    words, left = (_sector_n_add(words, order, mixer, fmt, ctx) if in_sector
+                   else (_n_add(words, fmt, ctx), {}))
 
-    if trace_writer is not None:
-        _emit_op_trace(trace_writer, n_states, layer, order,
-                       expand(neg_cos), expand(neg_sin), ctx.overflow)
-    return words
+    if trace_writer is not None:  # a batch of one leaves only on saturation
+        _emit_op_trace(trace_writer, n_states, layer, order, expand(neg_cos)[0],
+                       expand(neg_sin)[0], bool(left or ctx.overflow[0]))
+    return words, left
 
 
 def run_layer(words: np.ndarray, d_cost_angles: np.ndarray,
               d_mixer_angles: np.ndarray, cfg: PipelineConfig,
               ctx: FxContext | None = None, trace_writer: TraceWriter | None = None,
-              layer: int = 0, diag: CostDiagonal | None = None) -> np.ndarray:
-    """Cost pass, mixer pass, then the end-of-layer arithmetic right shift.
+              layer: int = 0, diag: CostDiagonal | None = None) -> tuple[np.ndarray, dict]:
+    """Cost pass, mixer pass, then the end-of-layer arithmetic right shift,
+    on the (2, B, M) register of a batch (see run_elemental_ansatz).
 
-    Updates the (2, N) register words in place and returns it.  The two
-    passes grow the state by exactly 2**n in norm, so the n-bit shift
-    realizes the layer's 1/2**n factor and leaves the scale exponent
-    unchanged.  Each pass runs its own angle stages, on N angles or, given
-    the cost table diag, on its table's distinct ones; a pass from the
-    parity sector may return a new register, and the layer returns the one
-    it leaves (run_elemental_ansatz).
-
-    A batch (see run_elemental_ansatz) returns (register, left) as a pass
-    does, each item in left having finished the layer on its own.
+    Returns (register, left) as a pass does, each item in left having
+    finished the layer on its own register.  The two passes grow the state
+    by exactly 2**n in norm, so the n-bit shift realizes the layer's 1/2**n
+    factor and leaves the scale exponent unchanged.  Each pass runs its own
+    angle stages, on N angles or, given the cost table diag, on its table's
+    distinct ones.
     """
     n = diag.n if diag is not None else words.shape[-1].bit_length() - 1
-    words = run_elemental_ansatz(words, d_cost_angles, cfg, ctx, trace_writer, layer=layer,
-                                 order="cost", diag=diag)
-    if isinstance(words, tuple):  # a batch
-        words, left = words
-        rows = [row for row in range(len(d_cost_angles)) if row not in left]
-        left = {row: (run_elemental_ansatz(register, d_mixer_angles[row], cfg, item_ctx,
-                                           layer=layer, order="mixer", diag=diag), item_ctx)
-                for row, (register, item_ctx) in left.items()}
-        words, later = run_elemental_ansatz(words, d_mixer_angles[rows], cfg, ctx, layer=layer,
-                                            order="mixer", diag=diag)
-        left.update((rows[row], item) for row, item in later.items())
-        for register in [words] + [register for register, _ in left.values()]:
+    words, left = run_elemental_ansatz(words, d_cost_angles, cfg, ctx, trace_writer, layer=layer,
+                                       order="cost", diag=diag)
+    rows = [row for row in range(len(d_cost_angles)) if row not in left]
+    for row, (register, item_ctx) in left.items():  # a full register: the pass leaves it there
+        run_elemental_ansatz(register, d_mixer_angles[row:row + 1], cfg, item_ctx, trace_writer,
+                             layer=layer, order="mixer", diag=diag)
+        register >>= n
+    if rows:
+        words, later = run_elemental_ansatz(words, d_mixer_angles.take(rows, axis=0), cfg, ctx,
+                                            trace_writer, layer=layer, order="mixer", diag=diag)
+        for row, (register, item_ctx) in later.items():
             register >>= n
-        return words, left
-    words = run_elemental_ansatz(words, d_mixer_angles, cfg, ctx, trace_writer, layer=layer,
-                                 order="mixer", diag=diag)
+            left[rows[row]] = register, item_ctx
     words >>= n
-    return words
+    return words, left
 
 
 def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = PipelineConfig(),
              trace_writer: TraceWriter | None = None) -> EngineRun:
-    """Full accelerator run: uniform init, then p layers of cost+mixer passes.
+    """Full accelerator run: uniform init, then p layers of cost+mixer passes,
+    as a batch of one (run_qaoa_batch), the only batch that takes a trace.
 
     Each pass is given the cost table g.cost_table and evaluates its
     table's distinct angles only (run_elemental_ansatz).
@@ -736,10 +735,9 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
     a cost pass it is the lower half h, and after one the words e at the
     even-popcount states (the mixer table's odd; _sector_n_add says why).
     Every pass certifies with _pair_bound_holds, as _n_add does.  After an
-    N_ADD that saturates, the run holds the full (2, N) register to the
-    end, as a cost pass may then leave odd-popcount states non-zero (a
-    mixer pass from the sector stays its own mirror).  Words, flags,
-    counts and traces are those of the full-N passes (run_qaoa_batch).
+    N_ADD that saturates, the run holds the full (2, 1, N) register to the
+    end, as a cost pass may then leave odd-popcount states non-zero.
+    Words, flags, counts and traces are those of the full-N passes.
     """
     return run_qaoa_batch(g, [params], cfg, trace_writer)[0]
 
@@ -752,10 +750,14 @@ def run_qaoa_batch(g: WeightedGraph, points: list[QaoaParams],
                    cfg: PipelineConfig = PipelineConfig(),
                    trace_writer: TraceWriter | None = None) -> list[EngineRun]:
     """run_qaoa of each point, all with one layer count, as batches of at
-    most BATCH_WORDS words per row (see the module docstring).  Each item's
-    words, flag and counts are those of its own run: an item that leaves a
-    batch finishes its run on its own, as a batch of one runs from the
-    start, and only a batch of one takes a trace_writer."""
+    most BATCH_WORDS words per row (see the module docstring).
+
+    A batch is a group (register, context, points): its (2, B, M) register,
+    B flags and each item's point.  Each layer runs every group through
+    run_layer, with (B, K) angles of one broadcast product per pass; an
+    item that leaves its batch, only on saturation, is a group of its own.
+    Each item's words, flag and counts are those of its own run, and only a
+    batch of one takes a trace_writer."""
     if trace_writer is not None and len(points) != 1:
         raise ValueError("a per-clock trace needs a batch of one point")
     if len({params.p for params in points}) > 1:
@@ -771,37 +773,31 @@ def run_qaoa_batch(g: WeightedGraph, points: list[QaoaParams],
     mixer = mixer_table(n)
     words = np.zeros((2, len(points), n_states // 2), dtype=np.int64)
     words[0] = 1 << (cfg.fmt.frac_bits - (n + 1) // 2)  # the start value 2**-ceil(n/2)
-    ctx = FxContext(np.zeros(len(points), dtype=bool))
-    rows = list(range(len(points)))  # the point of each batch row
-    alone = {}  # point -> (register, context), once it runs on its own
-    if len(points) == 1:
-        alone, rows = {0: (words[:, 0], FxContext())}, []
-    p = points[0].p if points else 0
-    for layer in range(p):
-        def angles(point):
-            return (cost_half_angles(diag, points[point].gamma[layer]),
-                    mixer_level_angles(mixer, points[point].beta[layer]))
-        for point, (register, item_ctx) in alone.items():
-            alone[point] = (run_layer(register, *angles(point), cfg, item_ctx, trace_writer,
-                                      layer=layer, diag=diag), item_ctx)
-        if rows:
-            cost, mix = (np.stack(a) for a in zip(*map(angles, rows)))
-            words, left = run_layer(words, cost, mix, cfg, ctx, layer=layer, diag=diag)
-            alone.update((rows[row], item) for row, item in left.items())
-            rows = [point for point in rows if point not in alone]
-    alone.update((point, (words[:, row], FxContext(bool(ctx.overflow[row]))))
-                 for row, point in enumerate(rows))
-    ops = 2 * p
-    runs = []
-    for point in range(len(points)):
-        register, item_ctx = alone[point]
-        counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
-                          cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,
-                          overflow=item_ctx.overflow)
-        amps = np.empty(n_states, dtype=np.complex128)
-        for part, half in zip((amps.real, amps.imag), register):
-            part[:half.size] = fxp.vec_to_float(half, cfg.fmt)
-            if half.size < n_states:  # the sector's h: the state is h, then h reversed
-                part[half.size:] = part[half.size - 1::-1]
-        runs.append(EngineRun(StateVector(amps=amps, scale_exp=scale_exp, n=n), counts))
+    groups = [(words, FxContext(np.zeros(len(points), dtype=bool)), list(range(len(points))))]
+    del words  # held by its group alone, so it is freed once its items leave it
+    gamma = np.array([params.gamma for params in points]).T  # (p, B): layer, then point
+    beta = np.array([params.beta for params in points]).T
+    for layer in range(len(gamma)):
+        stepped = []
+        for register, ctx, rows in groups:
+            register, left = run_layer(register, cost_half_angles(diag, gamma[layer].take(rows)),
+                                       mixer_level_angles(mixer, beta[layer].take(rows)), cfg, ctx,
+                                       trace_writer, layer=layer, diag=diag)
+            stepped += [(item, item_ctx, [rows[row]]) for row, (item, item_ctx) in left.items()]
+            if len(rows) > len(left):
+                stepped.append((register, ctx, [point for row, point in enumerate(rows)
+                                                if row not in left]))
+        groups = stepped
+    ops = 2 * len(gamma)
+    runs = [None] * len(points)
+    for register, ctx, rows in groups:
+        half = register.shape[-1]
+        for row, point in enumerate(rows):
+            counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
+                              cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,
+                              overflow=bool(ctx.overflow[row]))
+            amps = np.empty(n_states, dtype=np.complex128)
+            amps.real[:half], amps.imag[:half] = fxp.vec_to_float(register[:, row], cfg.fmt)
+            amps[half:] = amps[:n_states - half][::-1]  # the sector's h: h, then h reversed
+            runs[point] = EngineRun(StateVector(amps=amps, scale_exp=scale_exp, n=n), counts)
     return runs

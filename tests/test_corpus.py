@@ -36,7 +36,10 @@ def test_corpus_batches_match_their_single_runs():
 
 
 def _streamed_in_place(words, fmt, ctx):
-    words[...] = streamed_n_add(words, fmt, ctx)
+    # the streamed N_ADD of a batch of one's (2, 1, N) register and flag
+    item_ctx = FxContext(bool(ctx.overflow[0]))
+    words[:, 0] = streamed_n_add(words[:, 0], fmt, item_ctx)
+    ctx.overflow[0] = item_ctx.overflow
     return words
 
 
@@ -53,19 +56,20 @@ def test_small_cases_match_the_streamed_definition():
             continue
         cfg = PipelineConfig(fmt=fmt)
         state, counts = run_qaoa(g, params, cfg)
-        words = np.zeros((2, 1 << n), dtype=np.int64)
+        words = np.zeros((2, 1, 1 << n), dtype=np.int64)
         words[0] = fxp.vec_from_real(init_uniform_state(n, fmt).amps.real, fmt)
-        ctx = FxContext()
+        ctx = FxContext(np.zeros(1, dtype=bool))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pipeline, "_n_add", _streamed_in_place)
             for layer in range(params.p):
-                run_layer(words, cost_angles(g.cost_table, params.gamma[layer]),
-                          mixer_angles(mixer_table(n), params.beta[layer]), cfg, ctx)
+                run_layer(words, cost_angles(g.cost_table, params.gamma[layer])[None],
+                          mixer_angles(mixer_table(n), params.beta[layer])[None], cfg, ctx)
         want = np.empty(1 << n, dtype=np.complex128)
-        want.real, want.imag = fxp.vec_to_float(words[0], fmt), fxp.vec_to_float(words[1], fmt)
+        want.real = fxp.vec_to_float(words[0, 0], fmt)
+        want.imag = fxp.vec_to_float(words[1, 0], fmt)
         assert state.amps.tobytes() == want.tobytes(), index
-        assert counts.overflow == ctx.overflow, index
+        assert counts.overflow == ctx.overflow[0], index
         checked += 1
-        saturated += ctx.overflow
+        saturated += ctx.overflow[0]
     # the saturating passes are among those checked
     assert checked == corpus.CASES * STREAMED_UP_TO // 12 and 3 * saturated >= checked

@@ -259,3 +259,30 @@ def test_angles_past_float64_saturate_without_a_warning():
         assert mixer_level_angles(m, 1e308).tolist() == [-top, -1e308, 1e308, top]
         # a product that fits is float64's own
         assert cost_half_angles(d, 1e307).tobytes() == (-1e307 * d.entries[:4]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_angles_of_a_parameter_array_are_each_parameters_own(n):
+    # row b of a call over B parameters, and of either table's expand over
+    # (B, K) values, is the call on parameter b alone, to the byte.  A row
+    # at 1e308 saturates beside finite rows, with no warning, and leaves
+    # them unclipped
+    rng = np.random.default_rng(400 + n)
+    g = random_graph(rng, n, weight_range=(0.1, 3.0)) if n > 1 else WeightedGraph(1, ())
+    d, m = build_cost_diagonal(g, n), mixer_table(n)
+    params = np.array([0.0, 0.37, -1.9, 1e308, 11.0, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for table, angles in ((d, cost_half_angles), (m, mixer_level_angles)):
+            rows = angles(table, params)
+            assert rows.shape == (len(params), angles(table, 0.5).size)
+            expanded = table.expand(rows)
+            assert expanded.shape == (len(params), 1 << n)
+            for row, param, wide in zip(rows, params, expanded):
+                alone = angles(table, float(param))
+                assert row.tobytes() == alone.tobytes()
+                assert wide.tobytes() == table.expand(alone).tobytes()
+            finite = params != 1e308
+            assert np.isfinite(rows).all()
+            assert rows[finite].tobytes() == np.multiply.outer(
+                params[finite], angles(table, 1.0)).tobytes()

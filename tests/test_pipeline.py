@@ -28,19 +28,32 @@ CFG = PipelineConfig()
 
 
 def to_words(amps):
-    """The (2, N) register of complex amplitudes, as the pipeline holds them."""
+    """The (2, 1, N) register of complex amplitudes, as the pipeline holds a
+    batch of one."""
     amps = np.asarray(amps, dtype=np.complex128)
     return np.array([fxp.vec_from_real(amps.real, CFG.fmt),
-                     fxp.vec_from_real(amps.imag, CFG.fmt)])
+                     fxp.vec_from_real(amps.imag, CFG.fmt)])[:, None]
 
 
 def to_amps(words, fmt=CFG.fmt):
-    return fxp.vec_to_float(words[0], fmt) + 1j * fxp.vec_to_float(words[1], fmt)
+    """The amplitudes of a batch of one's (2, 1, N) register."""
+    return fxp.vec_to_float(words[0, 0], fmt) + 1j * fxp.vec_to_float(words[1, 0], fmt)
 
 
 def to_state(words, scale_exp) -> StateVector:
     return StateVector(amps=to_amps(words), scale_exp=Fraction(scale_exp),
-                       n=words.shape[1].bit_length() - 1)
+                       n=words.shape[-1].bit_length() - 1)
+
+
+def one_ctx() -> FxContext:
+    """The context of a batch of one, its flag clear."""
+    return FxContext(np.zeros(1, dtype=bool))
+
+
+def n_add_one(words, fmt, ctx):
+    """_n_add of one item's (2, N) words, as a batch of one on a copy;
+    returns its (2, N) result."""
+    return _n_add(words[:, None].copy(), fmt, ctx)[:, 0]
 
 
 def test_hadamard_sign_basics():
@@ -76,13 +89,13 @@ def sign_matrix(n):
 
 def assert_n_add_matches_stream(words, fmt) -> bool:
     """Compare _n_add with the streamed oracle, words and flag; return the flag."""
-    want_ctx, got_ctx = FxContext(), FxContext()
+    want_ctx, got_ctx = FxContext(), one_ctx()
     want = streamed_n_add(words, fmt, want_ctx)
-    got = _n_add(words.copy(), fmt, got_ctx)
+    got = n_add_one(words, fmt, got_ctx)
     assert got.dtype == np.int64
     assert (got == want).all()
-    assert got_ctx.overflow == want_ctx.overflow
-    return got_ctx.overflow
+    assert got_ctx.overflow[0] == want_ctx.overflow
+    return got_ctx.overflow[0]
 
 
 N_ADD_FORMATS = (FxFormat(32, 25), FxFormat(32, 20), FxFormat(16, 10), FxFormat(12, 8))
@@ -108,7 +121,7 @@ def test_n_add_prefix_saturates_but_sum_returns_to_range():
     words = np.array([[hi, hi, -hi, -hi], [0, 0, 0, 0]], dtype=np.int64)
     assert assert_n_add_matches_stream(words, fmt)
     # row 0 clips at the second addition, so its unclipped sum 0 comes out -hi
-    got = _n_add(words, fmt, FxContext())
+    got = n_add_one(words, fmt, one_ctx())
     assert got[0].tolist() == [-hi, 0, hi, 0]
     assert got[1].tolist() == [0, 0, 0, 0]
 
@@ -131,7 +144,7 @@ def test_n_add_large_block_sums_without_saturation():
     words[0, 0] = fmt.max_raw - 2 * (1 << n)
     words[1, 0] = fmt.min_raw + 2 * (1 << n)
     assert not assert_n_add_matches_stream(words, fmt)
-    got = _n_add(words.copy(), fmt, FxContext())
+    got = n_add_one(words, fmt, one_ctx())
     assert (got == words @ sign_matrix(n)).all()  # the plain +/-1 transform
 
 
@@ -141,7 +154,7 @@ def test_n_add_saturates_in_imaginary_part_only():
     words[0] = [5, -3, 7, 1, 0, -2, 4, 6]
     words[1] = [fmt.min_raw, -fmt.max_raw, 0, 0, 0, 0, 0, 0]
     assert assert_n_add_matches_stream(words, fmt)
-    got = _n_add(words.copy(), fmt, FxContext())
+    got = n_add_one(words, fmt, one_ctx())
     assert (got[0] == words[0] @ sign_matrix(3)).all()  # real part unclipped
     assert got[1, 0] == fmt.min_raw
 
@@ -165,9 +178,9 @@ def test_n_add_bound_holds_at_max_raw(monkeypatch):
     words = np.array([[1000, -47, 600, -400], [3, -3, 0, 9]], dtype=np.int64)
     assert np.abs(words[0]).sum() == fmt.max_raw
     assert n_add_takes_bound_path(words, fmt, monkeypatch)
-    ctx = FxContext()
-    got = _n_add(words.copy(), fmt, ctx)
-    assert not ctx.overflow
+    ctx = one_ctx()
+    got = n_add_one(words, fmt, ctx)
+    assert not ctx.overflow[0]
     assert (got == words @ sign_matrix(2)).all()
     assert got[0, 1] == fmt.max_raw
 
@@ -177,9 +190,9 @@ def test_n_add_one_past_the_bound_saturates(monkeypatch):
     fmt = FxFormat(12, 8)
     words = np.array([[1000, 47, 600, 401], [0, 0, 0, 0]], dtype=np.int64)
     assert not n_add_takes_bound_path(words, fmt, monkeypatch)
-    ctx = FxContext()
-    got = _n_add(words, fmt, ctx)
-    assert ctx.overflow and got[0, 0] == fmt.max_raw
+    ctx = one_ctx()
+    got = n_add_one(words, fmt, ctx)
+    assert ctx.overflow[0] and got[0, 0] == fmt.max_raw
 
 
 def test_n_add_single_min_raw_word_saturates_on_negated_rows(monkeypatch):
@@ -188,9 +201,9 @@ def test_n_add_single_min_raw_word_saturates_on_negated_rows(monkeypatch):
     words = np.zeros((2, 4), dtype=np.int64)
     words[1, 1] = fmt.min_raw
     assert not n_add_takes_bound_path(words, fmt, monkeypatch)
-    ctx = FxContext()
-    got = _n_add(words, fmt, ctx)
-    assert ctx.overflow
+    ctx = one_ctx()
+    got = n_add_one(words, fmt, ctx)
+    assert ctx.overflow[0]
     assert got[1].tolist() == [fmt.min_raw, fmt.max_raw, fmt.min_raw, fmt.max_raw]
 
 
@@ -201,9 +214,9 @@ def test_n_add_certifies_words_past_the_sum_bound(monkeypatch):
     words = np.array([[-800, 100, 600, 300, 300, 0, 0, 0], [0] * 8], dtype=np.int64)
     assert np.abs(words[0]).sum() > fmt.max_raw
     assert n_add_takes_bound_path(words, fmt, monkeypatch)
-    ctx = FxContext()
-    got = _n_add(words.copy(), fmt, ctx)
-    assert not ctx.overflow
+    ctx = one_ctx()
+    got = n_add_one(words, fmt, ctx)
+    assert not ctx.overflow[0]
     assert (got == words @ sign_matrix(3)).all()
 
 
@@ -260,9 +273,9 @@ def test_n_add_never_certifies_saturating_words(monkeypatch):
         for words in cases:
             assert not n_add_takes_bound_path(words, fmt, monkeypatch), (n, words)
             monkeypatch.undo()
-            ctx = FxContext()
-            _n_add(words.copy(), fmt, ctx)
-            assert ctx.overflow
+            ctx = one_ctx()
+            n_add_one(words, fmt, ctx)
+            assert ctx.overflow[0]
 
 
 def prefix_saturating_words(n, fmt):
@@ -319,15 +332,15 @@ def test_n_add_frees_the_prefix_pass_before_clamping():
     # keeping the prefix pass's three arrays through the clamp pass peaked
     # at 10.5 x the words, and N-sized butterfly scratch at 7.5 x
     fmt = FxFormat(12, 8)
-    words = prefix_saturating_words(18, fmt)
-    ctx = FxContext()
+    words = prefix_saturating_words(18, fmt)[:, None]
+    ctx = one_ctx()
     tracemalloc.start()
     try:
         _n_add(words, fmt, ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ctx.overflow
+    assert ctx.overflow[0]
     assert peak <= 4.1 * words.nbytes
 
 
@@ -538,10 +551,10 @@ def test_init_uniform_state():
 
 
 def test_elemental_op_reduces_to_hadamard_on_zero_angles():
-    out = run_elemental_ansatz(to_words([1.0, 0.0]), np.zeros(2), CFG)
+    out, _ = run_elemental_ansatz(to_words([1.0, 0.0]), np.zeros((1, 2)), CFG)
     np.testing.assert_allclose(to_amps(out), [1.0, 1.0], atol=2 ** -12)
 
-    out = run_elemental_ansatz(to_words([1.0, 1.0]), np.zeros(2), CFG)
+    out, _ = run_elemental_ansatz(to_words([1.0, 1.0]), np.zeros((1, 2)), CFG)
     np.testing.assert_allclose(to_amps(out), [2.0, 0.0], atol=2 ** -12)
 
 
@@ -555,7 +568,7 @@ def test_elemental_op_matches_dense_matvec():
         angles = rng.uniform(-math.pi, math.pi, n_states)
         amps = (rng.uniform(-0.5, 0.5, n_states)
                 + 1j * rng.uniform(-0.5, 0.5, n_states))
-        out = run_elemental_ansatz(to_words(amps), angles, CFG)
+        out, _ = run_elemental_ansatz(to_words(amps), angles[None], CFG)
         # exact-arithmetic oracle for the same dataflow
         want = signs @ (np.exp(1j * angles) * amps)
         assert np.abs(to_amps(out) - want).max() <= 2 ** -12
@@ -564,7 +577,7 @@ def test_elemental_op_matches_dense_matvec():
 def test_elemental_op_rejects_wrong_angle_count():
     # one check after the expand, not numpy's broadcast error, rejects it
     with pytest.raises(ValueError, match="expected 2 angles"):
-        run_elemental_ansatz(to_words([1.0, 0.0]), np.zeros(3), CFG)
+        run_elemental_ansatz(to_words([1.0, 0.0]), np.zeros((1, 3)), CFG)
 
 
 @pytest.mark.parametrize("order,count", [("mixer", 9), ("mixer", 3), ("mixer", 16),
@@ -576,7 +589,7 @@ def test_elemental_op_rejects_a_wrong_distinct_angle_count(order, count):
     diag = path_graph(4).cost_table
     words = to_words(np.full(16, 0.25))
     with pytest.raises(ValueError, match=f"expected {5 if order == 'mixer' else 8} distinct"):
-        run_elemental_ansatz(words, np.zeros(count), CFG, order=order, diag=diag)
+        run_elemental_ansatz(words, np.zeros((1, count)), CFG, order=order, diag=diag)
 
 
 def test_run_qaoa_fidelity_at_fourteen_qubits():
@@ -612,8 +625,8 @@ def test_layer_is_identity_at_zero_parameters():
         d = build_cost_diagonal(g, n)
         m = build_mixer_exponents(n)
         before = init_uniform_state(n).amps
-        words = run_layer(to_words(before), cost_angles(d, 0.0),
-                          mixer_angles(m, 0.0), CFG)
+        words, _ = run_layer(to_words(before), cost_angles(d, 0.0)[None],
+                             mixer_angles(m, 0.0)[None], CFG)
         np.testing.assert_allclose(to_amps(words), before, atol=2 ** -12)
 
 
@@ -635,7 +648,7 @@ def test_layer_scale_exp_constant_at_default_shift():
     start = init_uniform_state(3)
     words = to_words(start.amps)
     for _ in range(4):
-        run_layer(words, cost_angles(d, 0.3), mixer_angles(m, 0.2), CFG)
+        run_layer(words, cost_angles(d, 0.3)[None], mixer_angles(m, 0.2)[None], CFG)
     assert abs(to_state(words, start.scale_exp).physical_norm() - 1.0) < 2 ** -10
 
 
@@ -719,7 +732,7 @@ def test_trace_records_stage_occupancy(tmp_path):
 
 
 def _start_register(n, fmt):
-    words = np.zeros((2, 1 << n), dtype=np.int64)
+    words = np.zeros((2, 1, 1 << n), dtype=np.int64)
     words[0] = fxp.vec_from_real(init_uniform_state(n, fmt).amps.real, fmt)
     return words
 
@@ -727,15 +740,15 @@ def _start_register(n, fmt):
 def _run_streaming_every_angle(g, params, cfg, trace_writer=None):
     # run_qaoa's layer loop with both passes streaming all N angles: the
     # oracle for run_qaoa's passes on the distinct angles, N/2 for a cost
-    # pass and n + 1 for a mixer pass; returns the final register
+    # pass and n + 1 for a mixer pass; returns the final register and flag
     n = g.num_vertices
     d, m = build_cost_diagonal(g, n), build_mixer_exponents(n)
     words = _start_register(n, cfg.fmt)
-    ctx = FxContext()
+    ctx = one_ctx()
     for layer in range(params.p):
-        run_layer(words, cost_angles(d, params.gamma[layer]),
-                  mixer_angles(m, params.beta[layer]), cfg, ctx, trace_writer, layer=layer)
-    return words, ctx.overflow
+        run_layer(words, cost_angles(d, params.gamma[layer])[None],
+                  mixer_angles(m, params.beta[layer])[None], cfg, ctx, trace_writer, layer=layer)
+    return words, ctx.overflow[0]
 
 
 def _assert_distinct_angles_match_n_angles(g, params, fmt, trace=False):
@@ -802,19 +815,22 @@ def test_passes_update_the_register_in_place(fmt):
     params = QaoaParams.from_lists([0.9, 0.4], [0.5, 1.1])
     cfg, diag, mixer = PipelineConfig(fmt=fmt), g.cost_table, mixer_table(10)
     by_pass, by_layer = _start_register(10, fmt), _start_register(10, fmt)
-    pass_ctx, layer_ctx = FxContext(), FxContext()
+    pass_ctx, layer_ctx = one_ctx(), one_ctx()
     for layer in range(params.p):
-        cost = cost_half_angles(diag, params.gamma[layer])
-        levels = mixer_level_angles(mixer, params.beta[layer])
-        assert run_elemental_ansatz(by_pass, cost, cfg, pass_ctx, diag=diag) is by_pass
-        assert run_elemental_ansatz(by_pass, levels, cfg, pass_ctx, order="mixer",
-                                    diag=diag) is by_pass
+        cost = cost_half_angles(diag, params.gamma[layer])[None]
+        levels = mixer_level_angles(mixer, params.beta[layer])[None]
+        register, left = run_elemental_ansatz(by_pass, cost, cfg, pass_ctx, diag=diag)
+        assert register is by_pass and not left
+        register, left = run_elemental_ansatz(by_pass, levels, cfg, pass_ctx, order="mixer",
+                                              diag=diag)
+        assert register is by_pass and not left
         by_pass >>= 10
-        assert run_layer(by_layer, cost, levels, cfg, layer_ctx, diag=diag) is by_layer
+        register, left = run_layer(by_layer, cost, levels, cfg, layer_ctx, diag=diag)
+        assert register is by_layer and not left
     want, overflow = _run_streaming_every_angle(g, params, cfg)
     assert by_pass.dtype == by_layer.dtype == np.int64
     assert by_pass.tobytes() == want.tobytes() and by_layer.tobytes() == want.tobytes()
-    assert pass_ctx.overflow == layer_ctx.overflow == overflow == (fmt.name == "q7.25")
+    assert pass_ctx.overflow[0] == layer_ctx.overflow[0] == overflow == (fmt.name == "q7.25")
 
 
 @pytest.mark.parametrize("fmt,gamma", [
@@ -915,9 +931,10 @@ def test_run_leaves_the_parity_sector_after_a_saturating_n_add(fmt, n, seed, gam
     stream_passes = pipeline._stream_passes
 
     def recording(*args, **kwargs):  # run_layer looks the pass up in the module
-        words = run_pass(*args, **kwargs)
-        passes.append((kwargs["order"], words.copy()))
-        return words
+        words, left = run_pass(*args, **kwargs)
+        register = left[0][0] if left else words  # the batch of one's register
+        passes.append((kwargs["order"], register[:, 0].copy()))
+        return words, left
 
     monkeypatch.setattr(pipeline, "run_elemental_ansatz", recording)
     monkeypatch.setattr(pipeline, "_stream_passes",
@@ -961,7 +978,8 @@ def test_certified_passes_keep_the_parity_sector(fmt, n, seed, gamma, beta):
         cos, sin = fxp.vec_sincos(fxp.vec_from_real(angles, fmt), fmt)
         product = fxp.vec_cmul(words.copy(), table.expand(cos), table.expand(sin), fmt)
         assert (np.abs(product).sum(axis=-1) <= fmt.max_raw).all()  # certified
-        out = run_elemental_ansatz(words, angles, cfg, order=order, diag=d)
+        out, _ = run_elemental_ansatz(words[:, None], angles[None], cfg, order=order, diag=d)
+        out = out[:, 0]
         if order == "cost":
             assert not out[:, odd].any()
         else:
@@ -981,12 +999,15 @@ def test_mixer_pass_from_the_sector_returns_its_own_mirror(n, fmt, seed, beta):
     words = rng.integers(fmt.max_raw // 2 + 1, fmt.max_raw + 1, (2, 1 << (n - 1)))
     if beta:
         words *= rng.choice((-1, 1), words.shape)
-    m, ctx = mixer_table(n), FxContext()
-    out = run_elemental_ansatz(words, mixer_level_angles(m, beta), PipelineConfig(fmt=fmt),
-                               ctx, order="mixer", diag=WeightedGraph(n, ()).cost_table)
-    assert beta or ctx.overflow
+    m, ctx = mixer_table(n), one_ctx()
+    out, left = run_elemental_ansatz(words[:, None], mixer_level_angles(m, beta)[None],
+                                     PipelineConfig(fmt=fmt), ctx, order="mixer",
+                                     diag=WeightedGraph(n, ()).cost_table)
+    out, ctx = left[0] if left else (out, ctx)  # an item that saturates leaves its batch
+    out = out[:, 0]
+    assert beta or ctx.overflow[0]
     if out.shape[-1] < 1 << n:  # back in the sector: h, then its mirror
-        assert not ctx.overflow
+        assert not ctx.overflow[0]
         out = np.concatenate((out, out[:, ::-1]), axis=1)
     assert (out == out[:, ::-1]).all()
 
@@ -1037,19 +1058,22 @@ def test_sector_n_add_matches_the_full_stream(n, fmt, order, seed, bits, offset)
                              fmt.min_raw, fmt.max_raw)
     product = sector_product(words, order)
     bound = half_stream_bound(product) <= 2 * fmt.max_raw
-    want_ctx, got_ctx = FxContext(), FxContext()
+    want_ctx, got_ctx = FxContext(), one_ctx()
     want = streamed_n_add(product, fmt, want_ctx)
-    assert (_n_add(product.copy(), fmt, FxContext()) == want).all()
+    assert (n_add_one(product, fmt, one_ctx()) == want).all()
     full_passes = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "_stream_passes", lambda *args, f=pipeline._stream_passes:
                       full_passes.append(1) or f(*args))
-        got = pipeline._sector_n_add(words.copy(), order, mixer_table(n), fmt, got_ctx)
-    assert got_ctx.overflow == want_ctx.overflow
+        got, left = pipeline._sector_n_add(words[:, None].copy(), order, mixer_table(n), fmt,
+                                           got_ctx)
+    got, got_ctx = left[0] if left else (got, got_ctx)  # only a saturating item leaves
+    got = got[:, 0]
+    assert got_ctx.overflow[0] == want_ctx.overflow == bool(left)
     assert bool(full_passes) == (not bound)
     assert not (bound and want_ctx.overflow)
     if got.shape[-1] == half:  # back in the sector: rebuild the full register
-        assert not got_ctx.overflow
+        assert not got_ctx.overflow[0]
         # after a cost pass the words e sit at the even-popcount states, as
         # a mixer pass's product does; after a mixer pass, h then its mirror
         got = (sector_product(got, "mixer") if order == "cost"
@@ -1098,7 +1122,7 @@ def test_rejected_sector_pass_takes_one_transform(order, peak, whole_sum):
     words = np.rint(drawn * scale).astype(np.int64)
     product = sector_product(words, order)
     assert (np.abs(product @ signs).max() > fmt.max_raw) == whole_sum
-    want_ctx, got_ctx = FxContext(), FxContext()
+    want_ctx = FxContext()
     want = streamed_n_add(product, fmt, want_ctx)
     assert want_ctx.overflow
     calls = []
@@ -1106,11 +1130,12 @@ def test_rejected_sector_pass_takes_one_transform(order, peak, whole_sum):
         for name in ("_exact_transform", "_n_add", "_stream_passes", "_prefix_combine"):
             patch.setattr(pipeline, name, lambda *args, name=name, f=getattr(pipeline, name):
                           calls.append(name) or f(*args))
-        got = pipeline._sector_n_add(words, order, mixer_table(n), fmt, got_ctx)
+        _, left = pipeline._sector_n_add(words[:, None], order, mixer_table(n), fmt, one_ctx())
     assert calls.count("_exact_transform") == 1 and "_n_add" not in calls
     assert calls.count("_stream_passes") == 1
     assert ("_prefix_combine" in calls) == (not whole_sum)
-    assert got_ctx.overflow and got.tobytes() == want.tobytes()
+    (got, got_ctx), = left.values()  # the saturating item leaves its batch
+    assert got_ctx.overflow[0] and got[:, 0].tobytes() == want.tobytes()
 
 
 def test_each_pass_raises_its_own_calculate_rad_flag():
@@ -1127,14 +1152,14 @@ def test_each_pass_raises_its_own_calculate_rad_flag():
         (0, False), (1, False), (2, False), (3, True)]
     want = []
     diag, mixer = g.cost_table, mixer_table(n)
-    words = np.zeros((2, 1 << (n - 1)), dtype=np.int64)
+    words = np.zeros((2, 1, 1 << (n - 1)), dtype=np.int64)
     words[0] = fxp.vec_from_real(init_uniform_state(n, cfg.fmt).amps.real[:1], cfg.fmt)
-    ctx = FxContext()
+    ctx = one_ctx()
     for layer in range(params.p):
         for order, angles in (("cost", cost_half_angles(diag, params.gamma[layer])),
                               ("mixer", mixer_level_angles(mixer, params.beta[layer]))):
-            words = run_elemental_ansatz(words, angles, cfg, ctx, want.append, layer=layer,
-                                         order=order, diag=diag)
+            words, _ = run_elemental_ansatz(words, angles[None], cfg, ctx, want.append,
+                                            layer=layer, order=order, diag=diag)
         words >>= n
     assert json.dumps(records) == json.dumps(want)
 
@@ -1142,9 +1167,10 @@ def test_each_pass_raises_its_own_calculate_rad_flag():
 # Points on one n = 9 graph in q7.25, p = 2, each with its own run: the
 # first stays certified to the end; CALCULATE_RAD saturates in the second
 # (u*beta = 85.5 > 64) and in the third (2C gamma past 64), in passes that
-# the batch runs; N_ADD saturates in the fourth's first mixer pass and in
-# the fifth's second; the sixth's second mixer pass fails the pair bound
-# but saturates no row.
+# the batch runs; the pair bound rejects the fourth's first mixer pass, which
+# saturates no row, and N_ADD saturates in the fourth's and the fifth's
+# second mixer pass; the second's and the sixth's second mixer passes fail
+# the pair bound but saturate no row.
 _BATCH_POINTS = [([0.37, 0.51], [2.65, 1.31]), ([0.61, 1.14], [0.46, 9.5]),
                  ([0.54, 1.15], [3.05, 2.55]), ([0.75, 0.93], [1.96, 2.94]),
                  ([0.04, 0.22], [2.16, 1.83]), ([0.66, 0.03], [2.41, 1.72])]
@@ -1155,49 +1181,78 @@ _BATCH_POINTS = [([0.37, 0.51], [2.65, 1.31]), ([0.61, 1.14], [0.46, 9.5]),
 def test_batch_items_match_their_own_runs(batch_words, monkeypatch):
     # every item of run_qaoa_batch gives its own run_qaoa's amplitudes,
     # scale, flag and counts, to the byte, wherever it saturates or leaves
-    # the batch, and when the size cap splits the batch (N/2 = 256 words)
+    # the batch, and when the size cap splits the batch (N/2 = 256 words).
+    # A rejected item's fallback reads its row of the batch's image: every
+    # image is a whole batch's, one per pass, and no item takes one of its
+    # own.  Only an item whose N_ADD saturates leaves its batch: the fourth
+    # and the fifth, in the last pass, but not the sixth, rejected there
     g = random_graph(np.random.default_rng(1), 9, weight_range=(0.2, 3.0))
     points = [QaoaParams.from_lists(*point) for point in _BATCH_POINTS]
     cfg = PipelineConfig(fmt=FxFormat(32, 25))
-    rejected = []  # the full-N passes, which run where the pair bound rejects a pass
-    stream_passes = pipeline._stream_passes
-    monkeypatch.setattr(pipeline, "_stream_passes",
-                        lambda *args: rejected.append(1) or stream_passes(*args))
+    fallbacks, images, leavers = [], [], []  # what the spies below record, in call order
+
+    def spy(name, record):
+        call = getattr(pipeline, name)
+
+        def spied(*args):
+            result = call(*args)
+            record(args, result)
+            return result
+        monkeypatch.setattr(pipeline, name, spied)
+
+    # the full-N passes, which run where the pair bound rejects an item, and
+    # whether a row saturated; each image's shape; the rows that leave a batch
+    spy("_stream_passes", lambda args, saturated: fallbacks.append(saturated))
+    spy("_exact_transform", lambda args, image: images.append(image.shape))
+    spy("_sector_n_add", lambda args, out: leavers.append(sorted(out[1])))
     want = [run_qaoa(g, params, cfg) for params in points]
-    alone = len(rejected)
+    alone = sorted(fallbacks)
+    for record in (fallbacks, images, leavers):
+        record.clear()
     monkeypatch.setattr(pipeline, "BATCH_WORDS", batch_words)
     got = pipeline.run_qaoa_batch(g, points, cfg)
     assert [run_bytes(run) for run in got] == [run_bytes(run) for run in want]
     assert [run.counts.overflow for run in got] == [False, True, True, True, True, False]
-    assert len(rejected) == 2 * alone >= 4
+    assert sorted(fallbacks) == alone and len(alone) >= 4
+    size = min(len(points), batch_words // 256)  # items per batch
+    assert images == [(2, size, 256)] * (2 * 2 * len(points) // size)
+    # each batch's four passes in turn: row b of pass k is point (k // 4) * size + b
+    assert [k // 4 * size + row for k, rows in enumerate(leavers) for row in rows] == [3, 4]
+    assert fallbacks[-1] is False  # the sixth point's last pass, rejected: it stays
     assert pipeline.run_qaoa_batch(g, [], cfg) == []
 
 
 def test_batch_pass_raises_each_items_own_flags():
-    # at n = 1 a mixer pass streams its one word and a 0, so the pair bound
-    # certifies any word up to max_raw, and the first item stays in the
+    # at n = 2 a mixer pass streams the sector's words at states 0 and 3,
+    # and 0 at the others; the first four items have a word at state 0
+    # only, whose angle is u*beta = -2 beta.  The first item stays in the
     # batch when its 1_MULT saturates; the second's 1_MULT clips to
-    # min_raw, whose N_ADD the bound rejects, and it leaves the batch.  The
-    # batch takes the clipping path for all, and each item's words and
-    # flag are those of its own pass; CALCULATE_RAD decides each row's flag
+    # min_raw, whose N_ADD the bound rejects but which saturates no row, and
+    # it stays too; the fifth's N_ADD saturates rows 0 and 3, and only it
+    # leaves the batch.  The batch takes the clipping path for all, and each
+    # item's words and flag are those of its own pass; CALCULATE_RAD
+    # decides each row's flag
     fmt = FxFormat(16, 10)
-    cfg, diag, mixer = PipelineConfig(fmt=fmt), WeightedGraph(1, ()).cost_table, mixer_table(1)
+    cfg, diag, mixer = PipelineConfig(fmt=fmt), WeightedGraph(2, ()).cost_table, mixer_table(2)
     big = int(0.9 * fmt.max_raw)
-    words = np.array([[[big], [big], [3], [5]], [[big], [-big], [4], [-2]]], dtype=np.int64)
-    angles = np.stack([mixer_level_angles(mixer, beta) for beta in (0.4, 0.8, 0.4, 40.0)])
-    ctx = FxContext(np.zeros(4, dtype=bool))
+    words = np.array([[[big, 0], [big, 0], [3, 0], [5, 0], [big, big]],
+                      [[big, 0], [-big, 0], [4, 0], [-2, 0], [0, 0]]], dtype=np.int64)
+    angles = mixer_level_angles(mixer, np.array([0.2, 0.4, 0.2, 20.0, 0.0]))
+    ctx = FxContext(np.zeros(5, dtype=bool))
     kept, left = run_elemental_ansatz(words.copy(), angles, cfg, ctx, order="mixer", diag=diag)
-    assert list(left) == [1]
-    got = {item: (kept[:, row], bool(ctx.overflow[row]))
-           for row, item in enumerate((0, 2, 3))}
-    got.update((row, (register, item_ctx.overflow)) for row, (register, item_ctx) in left.items())
-    for item in range(4):
-        item_ctx = FxContext()
-        want = run_elemental_ansatz(words[:, item].copy(), angles[item], cfg, item_ctx,
-                                    order="mixer", diag=diag)
-        assert got[item][0].tobytes() == want.tobytes()
-        assert got[item][1] == item_ctx.overflow
-    assert [got[item][1] for item in range(4)] == [True, True, False, True]
+    assert list(left) == [4]
+    got = {row: (kept[:, row], bool(ctx.overflow[row])) for row in range(4)}
+    got.update((row, (register[:, 0], bool(item_ctx.overflow[0])))
+               for row, (register, item_ctx) in left.items())
+    for item in range(5):
+        item_ctx = one_ctx()
+        want, item_left = run_elemental_ansatz(words[:, item:item + 1].copy(),
+                                               angles[item:item + 1], cfg, item_ctx,
+                                               order="mixer", diag=diag)
+        want, item_ctx = item_left[0] if item_left else (want, item_ctx)
+        assert got[item][0].tobytes() == want[:, 0].tobytes()
+        assert got[item][1] == item_ctx.overflow[0]
+    assert [got[item][1] for item in range(5)] == [True, True, False, True, True]
 
 
 def test_a_batch_takes_no_trace():

@@ -47,6 +47,17 @@ class WeightedGraph:
             _check_edge(i, j, w, self.num_vertices, seen)
             total = _add_weight(total, w)
 
+    @classmethod
+    def _from_checked(cls, num_vertices: int,
+                      edges: tuple[tuple[int, int, float], ...]) -> WeightedGraph:
+        """An instance whose edges the caller has checked as __post_init__
+        would (parse_graph checks each on its line): the fields are set as
+        the frozen __init__ sets them, and no edge is checked again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "num_vertices", num_vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -118,6 +129,8 @@ def parse_graph(source) -> WeightedGraph:
 
     Lines starting with '#' and blank lines are ignored.  Vertex indices in
     the file are 1-based.  Raises GraphFormatError naming the offending line.
+    Each edge is checked once, on its line, so the graph skips the check
+    that direct construction makes.
     """
     text = source.read() if hasattr(source, "read") else source
     num_vertices = None
@@ -158,7 +171,7 @@ def parse_graph(source) -> WeightedGraph:
 
     if num_vertices is None:
         raise GraphFormatError(0, "empty input: missing vertex count")
-    return WeightedGraph(num_vertices, tuple(edges))
+    return WeightedGraph._from_checked(num_vertices, tuple(edges))
 
 
 def cut_value(g: WeightedGraph, bits: str) -> float:
@@ -168,20 +181,50 @@ def cut_value(g: WeightedGraph, bits: str) -> float:
     return float(sum(w for i, j, w in g.edges if bits[i] != bits[j]))
 
 
+# A broadcast add whose rows are shorter than numpy's 8192-element ufunc
+# buffer runs through that buffer, at about half the speed of a contiguous
+# add, so the cost table adds its pattern tiles 2**13 states at a time.
+_TILE_BITS = 13
+
+
+def bit_planes(bits: int) -> np.ndarray:
+    """planes[k, x] = bit k of x, for every x < 2**bits, as a (bits, 2**bits)
+    bool array.  Built by doubling: the columns from 2**k to 2**(k+1) copy
+    those below 2**k and set bit k."""
+    planes = np.zeros((bits, 1 << bits), dtype=bool)
+    for k in range(bits):
+        h = 1 << k
+        planes[:k, h:2 * h] = planes[:k, :h]
+        planes[k, h:2 * h] = True
+    return planes
+
+
 def cut_values_all(g: WeightedGraph, n: int | None = None) -> np.ndarray:
     """Cut value of every assignment, indexed by basis state (length 2**n).
 
     Padding qubits beyond |V| do not touch any edge, so their bits are inert.
     A cut and its complement cross the same edges, so values[l] equals
     values[2**n - 1 - l]: only the lower half, bit n-1 clear, is summed, and
-    the upper half is its reverse.  In the lower half each edge (lo, hi)
-    adds its weight in place where bits lo and hi differ: to two quarters
-    reached as strided views of the shape (-1, 2, 2**(hi-lo-1), 2, 2**lo),
-    or, when hi = n-1, to the half where bit lo is set.  No index array and
-    no temporaries.  Every entry receives the weights of its crossed edges
-    in edge order, as a sum over all edges of w * (bits differ) would, minus
-    the +0.0 terms, which leave a non-negative sum unchanged; so the table
-    is the same to the last bit.
+    the upper half is its reverse.
+
+    The lower half is a stack of tiles of T = 2**t states, t = min(13, n-1),
+    and each edge (lo, hi) is one in-place pass over it.  An edge with
+    lo < t adds a pattern tile, w where bits lo and hi differ and 0.0
+    elsewhere, with one broadcast add of contiguous rows.  When hi < t the
+    tile repeats with period 2**(hi+1); when hi = n-1, whose bit is clear in
+    the half, it is w where bit lo is set; otherwise bit hi lies above the
+    tile and the pattern is a (2, T) pair along it: w where bit lo is set,
+    for bit hi clear, and w minus that, for bit hi set.  An edge with
+    lo >= t adds w in place to its two quarters, strided views of the shape
+    (-1, 2, 2**(hi-lo-1), 2, 2**lo) whose runs are already 2**lo long, or,
+    when hi = n-1, to the half where bit lo is set.  Beyond its output a
+    call holds the tile's bit planes, one (2, T) pattern and numpy's cast
+    buffer, about 300 KiB at most.
+
+    Every entry receives the weights of its crossed edges in edge order, as
+    a sum over all edges of w * (bits differ) would.  The other terms are
+    zeros, which leave a partial sum unchanged since it is never -0.0, and
+    w * 1.0 is w; so the table is the same to the last bit.
     """
     if n is None:
         n = g.num_vertices
@@ -190,14 +233,27 @@ def cut_values_all(g: WeightedGraph, n: int | None = None) -> np.ndarray:
     check_qubit_count(n)
     values = np.zeros(1 << n, dtype=np.float64)
     half = values[:1 << (n - 1)]
+    t = min(_TILE_BITS, n - 1)
+    tiles = half.reshape(-1, 1 << t)
+    planes = bit_planes(t)
+    pattern = np.empty((2, 1 << t))
     for i, j, w in g.edges:
         lo, hi = min(i, j), max(i, j)
-        if hi == n - 1:
-            half.reshape(-1, 2, 1 << lo)[:, 1, :] += w
+        if lo >= t:
+            if hi == n - 1:
+                half.reshape(-1, 2, 1 << lo)[:, 1, :] += w
+                continue
+            quarters = half.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+            quarters[:, 0, :, 1, :] += w
+            quarters[:, 1, :, 0, :] += w
             continue
-        quarters = half.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-        quarters[:, 0, :, 1, :] += w
-        quarters[:, 1, :, 0, :] += w
+        np.multiply(planes[lo] != planes[hi] if hi < t else planes[lo], w, out=pattern[0])
+        if hi < t or hi == n - 1:
+            np.add(tiles, pattern[0], out=tiles)
+            continue
+        np.subtract(w, pattern[0], out=pattern[1])
+        pairs = half.reshape(-1, 2, 1 << (hi - t), 1 << t)
+        np.add(pairs, pattern[:, None, :], out=pairs)
     values[len(half):] = half[::-1]
     return values
 

@@ -5,7 +5,7 @@ Two independent routes to the same ansatz state:
   * dense: per-gate construction (diagonal two-qubit phase gates for the
     cost step, the 2x2 X-rotation applied to each qubit in turn for the
     mixer), so no N x N matrix is built.  Deliberately shares no code with
-    the decomposed dataflow.
+    the decomposed dataflow beyond graph.bit_planes, the bits of each index.
   * decomposed: diagonal phase multiply followed by a +/-1 Walsh-Hadamard
     transform and a 1/2**n scale per layer -- the pipeline's dataflow in
     float64, transformed by the in-place butterfly.  walsh_streamed, the
@@ -31,7 +31,7 @@ import numpy as np
 
 from .diagonals import cost_half_angles, mixer_level_angles, mixer_table
 from .diagonals import build_cost_diagonal  # noqa: F401  unused; in perfbench's SITES
-from .graph import WeightedGraph, check_qubit_count
+from .graph import WeightedGraph, bit_planes, check_qubit_count
 from .pipeline import (EngineRun, OpCounts, QaoaParams, StateVector, _sum_diff, butterfly,
                        hadamard_sign_column)
 
@@ -41,16 +41,20 @@ def dense_cost_unitary(g: WeightedGraph, gamma: float) -> np.ndarray:
     with angle -2*w*gamma, as a length-2**n vector, n = g.num_vertices.
 
     Each gate contributes exp(-i*theta/2) where the endpoint bits agree and
-    exp(+i*theta/2) where they differ.
+    exp(+i*theta/2) where they differ; its factor is selected where the
+    endpoints' bit planes differ, and it is multiplied in as
+    np.multiply(diag, factor, out=diag), in edge order.  The operand order
+    is part of the output: numpy's complex multiply, on hosts where it uses
+    FMA, does not round x*y and y*x to the same last bits.
     """
-    idx = np.arange(1 << g.num_vertices, dtype=np.int64)
-    diag = np.ones(len(idx), dtype=np.complex128)
+    planes = bit_planes(g.num_vertices)
+    diag = np.ones(planes.shape[1], dtype=np.complex128)
     for i, j, w in g.edges:
         theta = -2.0 * w * gamma
         if not math.isfinite(theta):
             raise ValueError(f"cost phase -2*w*gamma overflows float64 at gamma={gamma!r}")
-        differ = ((idx >> i) ^ (idx >> j)) & 1
-        diag = diag * np.where(differ, np.exp(0.5j * theta), np.exp(-0.5j * theta))
+        factor = np.where(planes[i] != planes[j], np.exp(0.5j * theta), np.exp(-0.5j * theta))
+        np.multiply(diag, factor, out=diag)
     return diag
 
 

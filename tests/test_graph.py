@@ -5,7 +5,8 @@ import pytest
 
 from qmaxemu import (WeightedGraph, assignment_from_index, brute_force_max_cut,
                      cut_value, cut_values_all, index_from_assignment, parse_graph)
-from qmaxemu.graph import GraphFormatError
+from qmaxemu import graph as graph_module
+from qmaxemu.graph import GraphFormatError, bit_planes
 
 from conftest import random_graph
 
@@ -44,6 +45,50 @@ def test_parse_errors(text, fragment):
     with pytest.raises(GraphFormatError) as err:
         parse_graph(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("edge,parsed,direct", [
+    ("1 3 1.0", "line 2: vertex 3 out of range 1..2", "vertex 2 out of range 0..1"),
+    ("0 2 1.0", "line 2: vertex 0 out of range 1..2", "vertex -1 out of range 0..1"),
+    ("2 2 1.0", "line 2: self-loop on vertex 2", "self-loop on vertex 1"),
+    ("1 2 inf", "line 2: non-finite weight on edge (1,2)", "non-finite weight on edge (0,1)"),
+    ("2 1 -0.5", "line 2: negative weight -0.5 on edge (2,1)",
+     "negative weight -0.5 on edge (1,0)"),
+])
+def test_an_edge_error_names_the_numbering_of_its_input(edge, parsed, direct):
+    # parse_graph names 1-based vertices and the line; direct construction
+    # names the 0-based vertices it was given
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(f"2\n{edge}")
+    assert str(err.value) == parsed
+    i, j, w = edge.split()
+    with pytest.raises(ValueError) as err:
+        WeightedGraph(2, ((int(i) - 1, int(j) - 1, float(w)),))
+    assert str(err.value) == direct
+
+
+def test_duplicate_edge_errors_name_the_second_occurrence():
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph("3\n1 2 1.0\n2 3 1.0\n2 1 2.0")
+    assert str(err.value) == "line 4: duplicate edge (2,1)"
+    with pytest.raises(ValueError) as err:
+        WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (1, 0, 2.0)))
+    assert str(err.value) == "duplicate edge (1,0)"
+
+
+def test_a_parsed_graph_checks_each_edge_once(monkeypatch):
+    calls = []
+    real = graph_module._check_edge
+
+    def spy(*args, **kwargs):
+        calls.append(args[:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "_check_edge", spy)
+    g = parse_graph("4\n1 2 1.0\n2 3 2.0\n3 4 1.0\n1 4 1.0\n")
+    assert calls == [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (0, 3, 1.0)]
+    assert g == WeightedGraph(4, g.edges)  # the direct construction checks them again
+    assert len(calls) == 8
 
 
 def test_parse_error_names_line_number():
@@ -158,6 +203,15 @@ def test_cost_table_is_built_once_read_only_and_outside_equality():
         table.entries[0] = 1.0
     assert "cost_table" not in vars(twin)
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+
+
+def test_bit_planes_hold_each_bit_of_each_index():
+    for bits in range(11):
+        x = np.arange(1 << bits)
+        want = (x >> np.arange(bits)[:, None]) & 1 == 1
+        planes = bit_planes(bits)
+        assert planes.dtype == bool and planes.flags.c_contiguous
+        np.testing.assert_array_equal(planes, want)
 
 
 def test_assignment_index_roundtrip():

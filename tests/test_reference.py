@@ -9,7 +9,7 @@ from qmaxemu import (ENGINE_NAMES, EngineRun, QaoaParams, WeightedGraph, align_g
                      decomposed_run_qaoa_f64, dense_cost_unitary,
                      dense_mixer_unitary, dense_run_qaoa, fwht_inplace,
                      mixer_angles, mixer_table, run_engine, walsh_streamed)
-from qmaxemu import pipeline
+from qmaxemu import pipeline, reference
 from qmaxemu.pipeline import hadamard_sign
 from qmaxemu.reference import _apply_mixer
 
@@ -43,6 +43,63 @@ def test_dense_cost_unitary_equals_diagonal_up_to_global_phase():
         ratio = u / d
         np.testing.assert_allclose(ratio, ratio[0], atol=1e-10)
         assert abs(ratio[0] - np.exp(1j * gamma * g.total_weight)) < 1e-10
+
+
+def _dense_cost_unitary_where(g, gamma):
+    # the gate product as it was built before the bit planes: each gate's
+    # factor selected by index arithmetic, multiplied in as diag * factor
+    idx = np.arange(1 << g.num_vertices, dtype=np.int64)
+    diag = np.ones(len(idx), dtype=np.complex128)
+    for i, j, w in g.edges:
+        theta = -2.0 * w * gamma
+        differ = ((idx >> i) ^ (idx >> j)) & 1
+        diag = diag * np.where(differ, np.exp(0.5j * theta), np.exp(-0.5j * theta))
+    return diag
+
+
+def _reversed_random_graph(rng, n):
+    # a random graph with half its edges given high endpoint first
+    g = random_graph(rng, n, edge_prob=float(rng.uniform(0.2, 1.0)), weight_range=(0.1, 3.0))
+    return WeightedGraph(n, tuple((j, i, w) if rng.random() < 0.5 else (i, j, w)
+                                  for i, j, w in g.edges))
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_dense_cost_unitary_equals_the_index_arithmetic_product_bytewise(n):
+    # below 2**14 states numpy multiplies diag * factor in that order, so the
+    # old product and the in-place one round alike
+    rng = np.random.default_rng(400 + n)
+    for _ in range(3):
+        g = _reversed_random_graph(rng, n)
+        gamma = float(rng.uniform(-3.0, 3.0))
+        assert dense_cost_unitary(g, gamma).tobytes() == _dense_cost_unitary_where(g, gamma).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 12, 13])
+def test_dense_run_qaoa_equals_the_index_arithmetic_run_bytewise(n, monkeypatch):
+    rng = np.random.default_rng(500 + n)
+    g = _reversed_random_graph(rng, n)
+    params = QaoaParams.from_lists(list(rng.uniform(-2, 2, 2)), list(rng.uniform(-2, 2, 2)))
+    got = dense_run_qaoa(g, params).state.amps.tobytes()
+    monkeypatch.setattr(reference, "dense_cost_unitary", _dense_cost_unitary_where)
+    assert got == dense_run_qaoa(g, params).state.amps.tobytes()
+
+
+def test_dense_cost_unitary_is_a_left_fold_at_fourteen_qubits():
+    # from 2**14 states numpy would elide diag * np.where(...)'s temporary and
+    # compute where * diag, which an FMA complex multiply rounds differently:
+    # the product is pinned to np.multiply(diag, factor, out=diag)
+    rng = np.random.default_rng(14)
+    for g in (complete_graph(14), _reversed_random_graph(rng, 14)):
+        gamma = float(rng.uniform(0.1, 3.0))
+        idx = np.arange(1 << 14, dtype=np.int64)
+        diag = np.ones(1 << 14, dtype=np.complex128)
+        for i, j, w in g.edges:
+            theta = -2.0 * w * gamma
+            factor = np.where(((idx >> i) ^ (idx >> j)) & 1,
+                              np.exp(0.5j * theta), np.exp(-0.5j * theta))
+            np.multiply(diag, factor, out=diag)
+        assert dense_cost_unitary(g, gamma).tobytes() == diag.tobytes()
 
 
 def test_dense_mixer_unitary_values():

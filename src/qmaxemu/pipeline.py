@@ -8,12 +8,13 @@ after every addition.  An operation therefore takes N + PIPELINE_LATENCY
 clocks and costs N complex multiplies plus N*N complex additions; those
 modelled counts and the per-clock trace describe that streamed datapath.
 
-The state is a batch register, the one shape every pass takes: the
-(2, B, M) int64 real and imaginary rows of B items, item b at [:, b],
-M = N/2 words per row in the state's parity sector and M = N on the full
-register.  Each pass overwrites it in place, as the result register
-replaces the state memory at drain; run_qaoa_batch builds each item's
-float64 StateVector once, at readout (words of <= 32 bits make that image
+The state is a batch register, the one shape every pass takes and all
+that it returns: the (2, B, M) int64 real and imaginary rows of B items,
+item b at [:, b], M = N/2 words per row in the state's parity sector and
+M = N on the full register.  A pass overwrites it in place, as the result
+register replaces the state memory at drain; run_qaoa_batch steps one
+register and one FxContext per batch, builds each item's float64
+StateVector once, at readout (words of <= 32 bits make that image
 lossless), and run_qaoa is its batch of one.  A run starts in the parity
 sector (complement symmetry; Shaydulin & Wild, IEEE TQE 2, 2021): the
 lower half h before a cost pass, the even-popcount words e after one.
@@ -21,8 +22,9 @@ Every pass runs an N/2 1_MULT and an N/2 transform (_sector_n_add), which
 is an item's N_ADD when the pair bound over the two halves of its
 N-stream, read off that transform, certifies that no row saturates
 (_pair_bound_holds); any other item runs _stream_passes on its full
-(2, 1, N) product and stays in its batch unless a row saturated.  Only an
-item whose N_ADD saturates leaves, onto its own (2, 1, N) register.
+(2, N) product.  Once an item's N_ADD saturates, the batch leaves the
+sector together, onto one (2, B, N) register, and _n_add certifies each
+item on its own from there to readout.
 1_MULT (fxp.vec_cmul) rounds its products in place on the register.  It
 is given the CORDIC table's peak |cos|, |sin| word (fxp.cordic_peak), and
 when one extreme scan of the register shows that no product and no sum can
@@ -42,7 +44,7 @@ the batch's FxContext: CALCULATE_RAD's by its row's extremes, 1_MULT's by
 its words (if the batch-wide scan is not safe, all items take the clips,
 which change no word that would not clip), and the certificates by
 reductions along the last axis.  A batch holds at most BATCH_WORDS =
-2**16 words per row.
+2**16 words per row in the sector, twice that on the full register.
 
 The host evaluates the datapath in a different order with identical words
 and flags.  Each pass evaluates its per-element stages on whole arrays,
@@ -541,9 +543,9 @@ def _emit_op_trace(write: TraceWriter, n_states: int, layer: int, order: str,
 
 
 def _sector_n_add(words: np.ndarray, order: str, mixer: MixerExponents, fmt: FxFormat,
-                  ctx: FxContext) -> tuple[np.ndarray, dict]:
+                  ctx: FxContext) -> np.ndarray:
     """N_ADD of a pass run in the parity sector (see run_qaoa) on the
-    (2, B, N/2) register of its 1_MULT words; returns (register, left).
+    (2, B, N/2) register of its 1_MULT words; returns the result register.
 
     An item's N product words stream as two halves: words, then words
     reversed, for a cost pass; for a mixer pass, words at the sector's
@@ -562,15 +564,17 @@ def _sector_n_add(words: np.ndarray, order: str, mixer: MixerExponents, fmt: FxF
     item whose Y _pair_bound_holds certifies takes its row of the image.
     For any other item no transform needs undoing: Y's whole sums are its
     row's and 0, so a row saturates where that row leaves the range, and
-    _stream_passes runs on the item's full (2, 1, N) product built from its
-    words.  If no row saturated, the result is still the plain transform,
-    which goes back into the item's row: the item stays.  If one did, its
-    flag is raised and it leaves: left maps its row to its full register
-    and context, as a saturating cost pass can leave odd-popcount rows
-    non-zero, though a mixer pass's result is still its own mirror, row
-    N-1-i signing every streamed word as row i does.  The register is
-    words, in place, unless an item leaves; ctx then keeps the flags of the
-    items that stay.
+    _stream_passes runs on the item's full (2, N) product, its words
+    _unfold-ed.  If no row saturated, the result is still the plain
+    transform, which goes back into the item's row, and the register is
+    words, in place.  If one did, its flag is raised and the whole batch
+    leaves the sector, as a saturating cost pass can leave odd-popcount
+    rows non-zero (a mixer pass's result is still its own mirror, row
+    N-1-i signing every streamed word as row i does).  The pass then
+    returns one new (2, B, N) register, at most 2 * BATCH_WORDS words per
+    row: a saturating item's row is its own full-N result, and any other
+    row its sector result _unfold-ed in the other order's layout, e spread
+    by mixer.odd after a cost pass, [h, h reversed] after a mixer pass.
     """
     half = words.shape[-1]
     cost = order == "cost"
@@ -588,45 +592,52 @@ def _sector_n_add(words: np.ndarray, order: str, mixer: MixerExponents, fmt: FxF
     del y_lo, y_up
     fallback = {}  # item -> (its full product, whether a whole sum leaves the range)
     for row in [row for row, certified in enumerate(holds.tolist()) if not certified]:
-        # no scatter: a mixer pass's word j goes to state j + N/2 where odd[j], else to j
-        item = words[:, row:row + 1]
-        upper = item[..., ::-1] if cost else item * mixer.odd
         exact = (l_lo[:, row] + l_up[:, row] <= EXACT_L1).all()
-        fallback[row] = (np.concatenate((item if cost else item - upper, upper), axis=-1),
+        fallback[row] = (_unfold(words[:, row], cost, mixer),
                          bool(exact and (h[:, row].max() > fmt.max_raw
                                          or h[:, row].min() < fmt.min_raw)))
     np.copyto(words, h, casting="unsafe")
     del h  # the products hold the rejected items' 1_MULT words: free the image first
-    left = {}
+    saturated = []
     for row, (full, saturates) in fallback.items():
-        if _stream_passes(full[:, 0], fmt, saturates):
-            left[row] = (full, FxContext(np.array([True])))
+        if _stream_passes(full, fmt, saturates):
+            saturated.append(row)
         else:  # the plain transform; a cost pass's pairs {j, j + N/2} hold one 0
-            words[:, row] = full[:, 0, :half] + full[:, 0, half:] if cost else full[:, 0, :half]
-    if left:
-        stay = [row for row in range(words.shape[1]) if row not in left]
-        words, ctx.overflow = words.take(stay, axis=1), ctx.overflow.take(stay)
-    return words, left
+            words[:, row] = full[:, :half] + full[:, half:] if cost else full[:, :half]
+    if not saturated:
+        return words
+    ctx.overflow[saturated] = True
+    words = _unfold(words, not cost, mixer)  # the batch leaves the sector together
+    for row in saturated:
+        words[:, row] = fallback[row][0]
+    return words
+
+
+def _unfold(words: np.ndarray, mirror: bool, mixer: MixerExponents) -> np.ndarray:
+    """Sector words on all N states along the last axis, as a new array:
+    words, then words reversed, if mirror (a cost pass's product); else
+    words at the sector's states, 0 elsewhere (a mixer pass's product),
+    with no scatter: word j goes to state j + N/2 where mixer.odd[j]."""
+    upper = words[..., ::-1] if mirror else words * mixer.odd
+    return np.concatenate((words if mirror else words - upper, upper), axis=-1)
 
 
 def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineConfig,
                          ctx: FxContext | None = None,
                          trace_writer: TraceWriter | None = None,
                          layer: int = 0, order: str = "cost",
-                         diag: CostDiagonal | None = None) -> tuple[np.ndarray, dict]:
+                         diag: CostDiagonal | None = None) -> np.ndarray:
     """One streamed phase-and-transform pass: out = H1 . (diag(e^{i angles}) . in).
 
     words is a batch, the (2, B, M) int64 register of B items, item b at
     [:, b] with its flag ctx.overflow[b] (a bool array, all clear if ctx is
     None), and angles are (B, K), row b item b's; every decision is the
-    item's own (see the module docstring).  The pass returns (register,
-    left): the result register, which replaces the state at drain, N +
-    PIPELINE_LATENCY clocks later, and {b: (register, context)} for the
-    items that leave the batch, which only an item whose N_ADD saturates
-    does.  The register is words, overwritten in place, unless an item
-    leaves; beside it the pass holds only the phasors and 1_MULT's
-    rounding temporaries.  Saturation sets the item's sticky flag but its
-    run continues.
+    item's own (see the module docstring).  The pass returns the result
+    register, which replaces the state at drain, N + PIPELINE_LATENCY
+    clocks later: words, overwritten in place, unless the batch leaves the
+    parity sector (below); beside it the pass holds only the phasors and
+    1_MULT's rounding temporaries.  Saturation sets the item's sticky flag
+    but its run continues.
 
     With diag=None the register holds M = N words per row and the elements
     stream the N angles as given.  Given the run's cost table diag, angles
@@ -640,9 +651,10 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     A register of M = N/2 words then holds the state in its parity sector
     (see run_qaoa): 1_MULT takes the distinct angles' words as they are in
     a cost pass and by the mixer's sector_expand in a mixer pass, N_ADD is
-    _sector_n_add, and the trace still streams the table's expand.  On the
-    full register, M = N, N_ADD is _n_add and no item leaves.  Only a batch
-    of one takes a trace_writer.
+    _sector_n_add, and the trace still streams the table's expand.  When an
+    item's N_ADD saturates there, the pass returns one new (2, B, N)
+    register for the whole batch.  On the full register, M = N, N_ADD is
+    _n_add, in place.  Only a batch of one takes a trace_writer.
     """
     n_states = words.shape[-1] if diag is None else len(diag.entries)
     in_sector = words.shape[-1] < n_states
@@ -681,45 +693,37 @@ def run_elemental_ansatz(words: np.ndarray, angles: np.ndarray, cfg: PipelineCon
     # N_ADD: the hardware accumulates the product stream into all N slots in
     # ascending stream order, saturating after each addition; _n_add gives
     # the same words and flag by butterflies over the register, in place.
-    words, left = (_sector_n_add(words, order, mixer, fmt, ctx) if in_sector
-                   else (_n_add(words, fmt, ctx), {}))
+    words = (_sector_n_add(words, order, mixer, fmt, ctx) if in_sector
+             else _n_add(words, fmt, ctx))
 
-    if trace_writer is not None:  # a batch of one leaves only on saturation
+    if trace_writer is not None:
         _emit_op_trace(trace_writer, n_states, layer, order, expand(neg_cos)[0],
-                       expand(neg_sin)[0], bool(left or ctx.overflow[0]))
-    return words, left
+                       expand(neg_sin)[0], bool(ctx.overflow[0]))
+    return words
 
 
 def run_layer(words: np.ndarray, d_cost_angles: np.ndarray,
               d_mixer_angles: np.ndarray, cfg: PipelineConfig,
               ctx: FxContext | None = None, trace_writer: TraceWriter | None = None,
-              layer: int = 0, diag: CostDiagonal | None = None) -> tuple[np.ndarray, dict]:
+              layer: int = 0, diag: CostDiagonal | None = None) -> np.ndarray:
     """Cost pass, mixer pass, then the end-of-layer arithmetic right shift,
-    on the (2, B, M) register of a batch (see run_elemental_ansatz).
+    on the (2, B, M) register of a batch and its context (all clear if ctx
+    is None); returns the result register, as a pass does (see
+    run_elemental_ansatz).
 
-    Returns (register, left) as a pass does, each item in left having
-    finished the layer on its own register.  The two passes grow the state
-    by exactly 2**n in norm, so the n-bit shift realizes the layer's 1/2**n
-    factor and leaves the scale exponent unchanged.  Each pass runs its own
-    angle stages, on N angles or, given the cost table diag, on its table's
-    distinct ones.
+    The two passes grow the state by exactly 2**n in norm, so the n-bit
+    shift realizes the layer's 1/2**n factor and leaves the scale exponent
+    unchanged.  Each pass runs its own angle stages, on N angles or, given
+    the cost table diag, on its table's distinct ones.
     """
     n = diag.n if diag is not None else words.shape[-1].bit_length() - 1
-    words, left = run_elemental_ansatz(words, d_cost_angles, cfg, ctx, trace_writer, layer=layer,
-                                       order="cost", diag=diag)
-    rows = [row for row in range(len(d_cost_angles)) if row not in left]
-    for row, (register, item_ctx) in left.items():  # a full register: the pass leaves it there
-        run_elemental_ansatz(register, d_mixer_angles[row:row + 1], cfg, item_ctx, trace_writer,
-                             layer=layer, order="mixer", diag=diag)
-        register >>= n
-    if rows:
-        words, later = run_elemental_ansatz(words, d_mixer_angles.take(rows, axis=0), cfg, ctx,
-                                            trace_writer, layer=layer, order="mixer", diag=diag)
-        for row, (register, item_ctx) in later.items():
-            register >>= n
-            left[rows[row]] = register, item_ctx
+    if ctx is None:
+        ctx = FxContext(np.zeros(words.shape[1], dtype=bool))
+    for order, angles in (("cost", d_cost_angles), ("mixer", d_mixer_angles)):
+        words = run_elemental_ansatz(words, angles, cfg, ctx, trace_writer, layer=layer,
+                                     order=order, diag=diag)
     words >>= n
-    return words, left
+    return words
 
 
 def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = PipelineConfig(),
@@ -734,15 +738,16 @@ def run_qaoa(g: WeightedGraph, params: QaoaParams, cfg: PipelineConfig = Pipelin
     start state and each cost-pass product are their own mirror, so before
     a cost pass it is the lower half h, and after one the words e at the
     even-popcount states (the mixer table's odd; _sector_n_add says why).
-    Every pass certifies with _pair_bound_holds, as _n_add does.  After an
-    N_ADD that saturates, the run holds the full (2, 1, N) register to the
-    end, as a cost pass may then leave odd-popcount states non-zero.
-    Words, flags, counts and traces are those of the full-N passes.
+    Every pass certifies with _pair_bound_holds, as _n_add does.  From an
+    N_ADD that saturates, the run's batch holds the full (2, 1, N) register
+    to readout.  Words, flags, counts and traces are those of the full-N
+    passes.
     """
     return run_qaoa_batch(g, [params], cfg, trace_writer)[0]
 
 
-# A batch holds at most this many words per row, B * N/2: from n = 17 on, B = 1
+# A batch holds at most this many words per row in the sector, B * N/2,
+# twice that on the full register: from n = 17 on, B = 1
 BATCH_WORDS = 1 << 16
 
 
@@ -750,14 +755,14 @@ def run_qaoa_batch(g: WeightedGraph, points: list[QaoaParams],
                    cfg: PipelineConfig = PipelineConfig(),
                    trace_writer: TraceWriter | None = None) -> list[EngineRun]:
     """run_qaoa of each point, all with one layer count, as batches of at
-    most BATCH_WORDS words per row (see the module docstring).
+    most BATCH_WORDS words per row in the sector (see the module docstring).
 
-    A batch is a group (register, context, points): its (2, B, M) register,
-    B flags and each item's point.  Each layer runs every group through
-    run_layer, with (B, K) angles of one broadcast product per pass; an
-    item that leaves its batch, only on saturation, is a group of its own.
-    Each item's words, flag and counts are those of its own run, and only a
-    batch of one takes a trace_writer."""
+    A batch is one (2, B, M) register and one FxContext of B flags, item b
+    point b.  Each layer runs it through run_layer, with (B, K) angles of
+    one broadcast product per pass.  It starts in the parity sector, and
+    from the pass where an item's N_ADD saturates it holds one full
+    (2, B, N) register to readout.  Each item's words, flag and counts are
+    those of its own run, and only a batch of one takes a trace_writer."""
     if trace_writer is not None and len(points) != 1:
         raise ValueError("a per-clock trace needs a batch of one point")
     if len({params.p for params in points}) > 1:
@@ -773,31 +778,20 @@ def run_qaoa_batch(g: WeightedGraph, points: list[QaoaParams],
     mixer = mixer_table(n)
     words = np.zeros((2, len(points), n_states // 2), dtype=np.int64)
     words[0] = 1 << (cfg.fmt.frac_bits - (n + 1) // 2)  # the start value 2**-ceil(n/2)
-    groups = [(words, FxContext(np.zeros(len(points), dtype=bool)), list(range(len(points))))]
-    del words  # held by its group alone, so it is freed once its items leave it
+    ctx = FxContext(np.zeros(len(points), dtype=bool))
     gamma = np.array([params.gamma for params in points]).T  # (p, B): layer, then point
     beta = np.array([params.beta for params in points]).T
-    for layer in range(len(gamma)):
-        stepped = []
-        for register, ctx, rows in groups:
-            register, left = run_layer(register, cost_half_angles(diag, gamma[layer].take(rows)),
-                                       mixer_level_angles(mixer, beta[layer].take(rows)), cfg, ctx,
-                                       trace_writer, layer=layer, diag=diag)
-            stepped += [(item, item_ctx, [rows[row]]) for row, (item, item_ctx) in left.items()]
-            if len(rows) > len(left):
-                stepped.append((register, ctx, [point for row, point in enumerate(rows)
-                                                if row not in left]))
-        groups = stepped
+    for layer, (gammas, betas) in enumerate(zip(gamma, beta)):
+        words = run_layer(words, cost_half_angles(diag, gammas), mixer_level_angles(mixer, betas),
+                          cfg, ctx, trace_writer, layer=layer, diag=diag)
     ops = 2 * len(gamma)
-    runs = [None] * len(points)
-    for register, ctx, rows in groups:
-        half = register.shape[-1]
-        for row, point in enumerate(rows):
-            counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
-                              cycles_per_op=[n_states + PIPELINE_LATENCY] * ops,
-                              overflow=bool(ctx.overflow[row]))
-            amps = np.empty(n_states, dtype=np.complex128)
-            amps.real[:half], amps.imag[:half] = fxp.vec_to_float(register[:, row], cfg.fmt)
-            amps[half:] = amps[:n_states - half][::-1]  # the sector's h: h, then h reversed
-            runs[point] = EngineRun(StateVector(amps=amps, scale_exp=scale_exp, n=n), counts)
+    half = words.shape[-1]
+    runs = []
+    for row, overflow in enumerate(ctx.overflow.tolist()):
+        counts = OpCounts(mults=ops * n_states, adds=ops * n_states * n_states,
+                          cycles_per_op=[n_states + PIPELINE_LATENCY] * ops, overflow=overflow)
+        amps = np.empty(n_states, dtype=np.complex128)
+        amps.real[:half], amps.imag[:half] = fxp.vec_to_float(words[:, row], cfg.fmt)
+        amps[half:] = amps[:n_states - half][::-1]  # the sector's h: h, then h reversed
+        runs.append(EngineRun(StateVector(amps=amps, scale_exp=scale_exp, n=n), counts))
     return runs

@@ -101,16 +101,21 @@ def run_case(index: int) -> tuple[str, bool]:
     return h.hexdigest(), counts.overflow
 
 
-def batch_differs(index: int) -> list[int]:
-    """The items of case index's batch whose run_qaoa_batch run differs
-    from their own run_qaoa: the case's point, then BATCH_EXTRA points
-    drawn as the case draws them, from a generator seeded by (SEED, index,
-    k), the last of them saturating."""
+def batch(index: int) -> tuple[WeightedGraph, list[QaoaParams], PipelineConfig]:
+    """Case index's graph, batch and config: the case's point, then
+    BATCH_EXTRA points drawn as the case draws them, from a generator
+    seeded by (SEED, index, k), the last of them saturating."""
     g, params, fmt = case(index)
-    cfg = PipelineConfig(fmt=fmt)
     points = [params] + [draw_params(np.random.default_rng((SEED, index, k)), g, params.p, fmt,
                                      saturate=k == BATCH_EXTRA)
                          for k in range(1, BATCH_EXTRA + 1)]
+    return g, points, PipelineConfig(fmt=fmt)
+
+
+def batch_differs(index: int) -> list[int]:
+    """The items of case index's batch whose run_qaoa_batch run differs
+    from their own run_qaoa."""
+    g, points, cfg = batch(index)
     runs = run_qaoa_batch(g, points, cfg)
     return [k for k, (point, run) in enumerate(zip(points, runs))
             if run_bytes(run) != run_bytes(run_qaoa(g, point, cfg))]

@@ -28,11 +28,24 @@ def test_corpus_matches_its_golden():
     assert saturated == golden["saturated"] and 3 * saturated >= corpus.CASES
 
 
-def test_corpus_batches_match_their_single_runs():
+def test_corpus_batches_match_their_single_runs(monkeypatch):
     # each case's graph as one batch of its own point and three more, one
-    # saturating in CALCULATE_RAD: every item is its own run, to the byte
+    # saturating in CALCULATE_RAD: every item is its own run, to the byte.
+    # A batch of several leaves the parity sector together, onto the full
+    # register, where an item's N_ADD saturates, and the corpus keeps that
+    # path covered after a cost pass and after a mixer pass
+    sector_n_add = pipeline._sector_n_add
+    widened = {"cost": 0, "mixer": 0}  # batches with B > 1, by the pass that widened them
+
+    def counting(words, order, *args):
+        out = sector_n_add(words, order, *args)
+        widened[order] += out.shape != words.shape and words.shape[1] > 1
+        return out
+
+    monkeypatch.setattr(pipeline, "_sector_n_add", counting)
     differ = [i for i in range(corpus.CASES) if corpus.batch_differs(i)]
     assert not differ, f"{len(differ)} batches differ, first {differ[:10]}"
+    assert widened["cost"] > 0 and widened["mixer"] > 0, widened
 
 
 def _streamed_in_place(words, fmt, ctx):

@@ -22,6 +22,7 @@ from qmaxemu.pipeline import (PIPELINE_LATENCY, PipelineConfig, _n_add,
                               hadamard_sign_column)
 
 from conftest import complete_graph, path_graph, random_graph, streamed_n_add
+import corpus
 from corpus import run_bytes
 
 CFG = PipelineConfig()
@@ -551,10 +552,10 @@ def test_init_uniform_state():
 
 
 def test_elemental_op_reduces_to_hadamard_on_zero_angles():
-    out, _ = run_elemental_ansatz(to_words([1.0, 0.0]), np.zeros((1, 2)), CFG)
+    out = run_elemental_ansatz(to_words([1.0, 0.0]), np.zeros((1, 2)), CFG)
     np.testing.assert_allclose(to_amps(out), [1.0, 1.0], atol=2 ** -12)
 
-    out, _ = run_elemental_ansatz(to_words([1.0, 1.0]), np.zeros((1, 2)), CFG)
+    out = run_elemental_ansatz(to_words([1.0, 1.0]), np.zeros((1, 2)), CFG)
     np.testing.assert_allclose(to_amps(out), [2.0, 0.0], atol=2 ** -12)
 
 
@@ -568,7 +569,7 @@ def test_elemental_op_matches_dense_matvec():
         angles = rng.uniform(-math.pi, math.pi, n_states)
         amps = (rng.uniform(-0.5, 0.5, n_states)
                 + 1j * rng.uniform(-0.5, 0.5, n_states))
-        out, _ = run_elemental_ansatz(to_words(amps), angles[None], CFG)
+        out = run_elemental_ansatz(to_words(amps), angles[None], CFG)
         # exact-arithmetic oracle for the same dataflow
         want = signs @ (np.exp(1j * angles) * amps)
         assert np.abs(to_amps(out) - want).max() <= 2 ** -12
@@ -625,8 +626,8 @@ def test_layer_is_identity_at_zero_parameters():
         d = build_cost_diagonal(g, n)
         m = build_mixer_exponents(n)
         before = init_uniform_state(n).amps
-        words, _ = run_layer(to_words(before), cost_angles(d, 0.0)[None],
-                             mixer_angles(m, 0.0)[None], CFG)
+        words = run_layer(to_words(before), cost_angles(d, 0.0)[None],
+                          mixer_angles(m, 0.0)[None], CFG)
         np.testing.assert_allclose(to_amps(words), before, atol=2 ** -12)
 
 
@@ -819,14 +820,14 @@ def test_passes_update_the_register_in_place(fmt):
     for layer in range(params.p):
         cost = cost_half_angles(diag, params.gamma[layer])[None]
         levels = mixer_level_angles(mixer, params.beta[layer])[None]
-        register, left = run_elemental_ansatz(by_pass, cost, cfg, pass_ctx, diag=diag)
-        assert register is by_pass and not left
-        register, left = run_elemental_ansatz(by_pass, levels, cfg, pass_ctx, order="mixer",
-                                              diag=diag)
-        assert register is by_pass and not left
+        register = run_elemental_ansatz(by_pass, cost, cfg, pass_ctx, diag=diag)
+        assert register is by_pass
+        register = run_elemental_ansatz(by_pass, levels, cfg, pass_ctx, order="mixer",
+                                        diag=diag)
+        assert register is by_pass
         by_pass >>= 10
-        register, left = run_layer(by_layer, cost, levels, cfg, layer_ctx, diag=diag)
-        assert register is by_layer and not left
+        register = run_layer(by_layer, cost, levels, cfg, layer_ctx, diag=diag)
+        assert register is by_layer
     want, overflow = _run_streaming_every_angle(g, params, cfg)
     assert by_pass.dtype == by_layer.dtype == np.int64
     assert by_pass.tobytes() == want.tobytes() and by_layer.tobytes() == want.tobytes()
@@ -931,10 +932,9 @@ def test_run_leaves_the_parity_sector_after_a_saturating_n_add(fmt, n, seed, gam
     stream_passes = pipeline._stream_passes
 
     def recording(*args, **kwargs):  # run_layer looks the pass up in the module
-        words, left = run_pass(*args, **kwargs)
-        register = left[0][0] if left else words  # the batch of one's register
-        passes.append((kwargs["order"], register[:, 0].copy()))
-        return words, left
+        words = run_pass(*args, **kwargs)
+        passes.append((kwargs["order"], words[:, 0].copy()))
+        return words
 
     monkeypatch.setattr(pipeline, "run_elemental_ansatz", recording)
     monkeypatch.setattr(pipeline, "_stream_passes",
@@ -978,7 +978,7 @@ def test_certified_passes_keep_the_parity_sector(fmt, n, seed, gamma, beta):
         cos, sin = fxp.vec_sincos(fxp.vec_from_real(angles, fmt), fmt)
         product = fxp.vec_cmul(words.copy(), table.expand(cos), table.expand(sin), fmt)
         assert (np.abs(product).sum(axis=-1) <= fmt.max_raw).all()  # certified
-        out, _ = run_elemental_ansatz(words[:, None], angles[None], cfg, order=order, diag=d)
+        out = run_elemental_ansatz(words[:, None], angles[None], cfg, order=order, diag=d)
         out = out[:, 0]
         if order == "cost":
             assert not out[:, odd].any()
@@ -1000,14 +1000,13 @@ def test_mixer_pass_from_the_sector_returns_its_own_mirror(n, fmt, seed, beta):
     if beta:
         words *= rng.choice((-1, 1), words.shape)
     m, ctx = mixer_table(n), one_ctx()
-    out, left = run_elemental_ansatz(words[:, None], mixer_level_angles(m, beta)[None],
-                                     PipelineConfig(fmt=fmt), ctx, order="mixer",
-                                     diag=WeightedGraph(n, ()).cost_table)
-    out, ctx = left[0] if left else (out, ctx)  # an item that saturates leaves its batch
-    out = out[:, 0]
+    out = run_elemental_ansatz(words[:, None], mixer_level_angles(m, beta)[None],
+                               PipelineConfig(fmt=fmt), ctx, order="mixer",
+                               diag=WeightedGraph(n, ()).cost_table)[:, 0]
     assert beta or ctx.overflow[0]
+    # a batch whose N_ADD saturates leaves the sector, onto the full register
+    assert (out.shape[-1] == 1 << n) == ctx.overflow[0]
     if out.shape[-1] < 1 << n:  # back in the sector: h, then its mirror
-        assert not ctx.overflow[0]
         out = np.concatenate((out, out[:, ::-1]), axis=1)
     assert (out == out[:, ::-1]).all()
 
@@ -1065,11 +1064,10 @@ def test_sector_n_add_matches_the_full_stream(n, fmt, order, seed, bits, offset)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "_stream_passes", lambda *args, f=pipeline._stream_passes:
                       full_passes.append(1) or f(*args))
-        got, left = pipeline._sector_n_add(words[:, None].copy(), order, mixer_table(n), fmt,
-                                           got_ctx)
-    got, got_ctx = left[0] if left else (got, got_ctx)  # only a saturating item leaves
-    got = got[:, 0]
-    assert got_ctx.overflow[0] == want_ctx.overflow == bool(left)
+        got = pipeline._sector_n_add(words[:, None].copy(), order, mixer_table(n), fmt,
+                                     got_ctx)[:, 0]
+    # only a saturating N_ADD widens the register to the full N words
+    assert got_ctx.overflow[0] == want_ctx.overflow == (got.shape[-1] == 2 * half)
     assert bool(full_passes) == (not bound)
     assert not (bound and want_ctx.overflow)
     if got.shape[-1] == half:  # back in the sector: rebuild the full register
@@ -1125,16 +1123,16 @@ def test_rejected_sector_pass_takes_one_transform(order, peak, whole_sum):
     want_ctx = FxContext()
     want = streamed_n_add(product, fmt, want_ctx)
     assert want_ctx.overflow
-    calls = []
+    calls, got_ctx = [], one_ctx()
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_exact_transform", "_n_add", "_stream_passes", "_prefix_combine"):
             patch.setattr(pipeline, name, lambda *args, name=name, f=getattr(pipeline, name):
                           calls.append(name) or f(*args))
-        _, left = pipeline._sector_n_add(words[:, None], order, mixer_table(n), fmt, one_ctx())
+        got = pipeline._sector_n_add(words[:, None], order, mixer_table(n), fmt, got_ctx)
     assert calls.count("_exact_transform") == 1 and "_n_add" not in calls
     assert calls.count("_stream_passes") == 1
     assert ("_prefix_combine" in calls) == (not whole_sum)
-    (got, got_ctx), = left.values()  # the saturating item leaves its batch
+    assert got.shape == (2, 1, 1 << n)  # the saturating batch of one widens
     assert got_ctx.overflow[0] and got[:, 0].tobytes() == want.tobytes()
 
 
@@ -1158,8 +1156,8 @@ def test_each_pass_raises_its_own_calculate_rad_flag():
     for layer in range(params.p):
         for order, angles in (("cost", cost_half_angles(diag, params.gamma[layer])),
                               ("mixer", mixer_level_angles(mixer, params.beta[layer]))):
-            words, _ = run_elemental_ansatz(words, angles[None], cfg, ctx, want.append,
-                                            layer=layer, order=order, diag=diag)
+            words = run_elemental_ansatz(words, angles[None], cfg, ctx, want.append,
+                                         layer=layer, order=order, diag=diag)
         words >>= n
     assert json.dumps(records) == json.dumps(want)
 
@@ -1180,34 +1178,38 @@ _BATCH_POINTS = [([0.37, 0.51], [2.65, 1.31]), ([0.61, 1.14], [0.46, 9.5]),
                          ids=["one-batch", "split-in-pairs", "batches-of-one"])
 def test_batch_items_match_their_own_runs(batch_words, monkeypatch):
     # every item of run_qaoa_batch gives its own run_qaoa's amplitudes,
-    # scale, flag and counts, to the byte, wherever it saturates or leaves
-    # the batch, and when the size cap splits the batch (N/2 = 256 words).
-    # A rejected item's fallback reads its row of the batch's image: every
-    # image is a whole batch's, one per pass, and no item takes one of its
-    # own.  Only an item whose N_ADD saturates leaves its batch: the fourth
-    # and the fifth, in the last pass, but not the sixth, rejected there
+    # scale, flag and counts, to the byte, wherever it saturates or its
+    # batch widens, and when the size cap splits the batch (N/2 = 256
+    # words).  A rejected item's fallback reads its row of the batch's
+    # image: every image is a whole batch's, one per pass, and no item takes
+    # one of its own.  A batch widens to the full register in the pass
+    # where an item's N_ADD saturates: the fourth's and the fifth's last
+    # pass, but not the sixth's, rejected there
     g = random_graph(np.random.default_rng(1), 9, weight_range=(0.2, 3.0))
     points = [QaoaParams.from_lists(*point) for point in _BATCH_POINTS]
     cfg = PipelineConfig(fmt=FxFormat(32, 25))
-    fallbacks, images, leavers = [], [], []  # what the spies below record, in call order
+    fallbacks, images, sector = [], [], []  # what the spies below record, in call order
 
     def spy(name, record):
         call = getattr(pipeline, name)
 
         def spied(*args):
+            before = args[-1].overflow.copy() if name == "_sector_n_add" else None
             result = call(*args)
-            record(args, result)
+            record(args, result, before)
             return result
         monkeypatch.setattr(pipeline, name, spied)
 
     # the full-N passes, which run where the pair bound rejects an item, and
-    # whether a row saturated; each image's shape; the rows that leave a batch
-    spy("_stream_passes", lambda args, saturated: fallbacks.append(saturated))
-    spy("_exact_transform", lambda args, image: images.append(image.shape))
-    spy("_sector_n_add", lambda args, out: leavers.append(sorted(out[1])))
+    # whether a row saturated; each image's shape; whether each sector pass
+    # widened its batch, and the rows whose flag its N_ADD raised
+    spy("_stream_passes", lambda args, saturated, _: fallbacks.append(saturated))
+    spy("_exact_transform", lambda args, image, _: images.append(image.shape))
+    spy("_sector_n_add", lambda args, out, before: sector.append(
+        (out is not args[0], np.flatnonzero(args[-1].overflow & ~before).tolist())))
     want = [run_qaoa(g, params, cfg) for params in points]
     alone = sorted(fallbacks)
-    for record in (fallbacks, images, leavers):
+    for record in (fallbacks, images, sector):
         record.clear()
     monkeypatch.setattr(pipeline, "BATCH_WORDS", batch_words)
     got = pipeline.run_qaoa_batch(g, points, cfg)
@@ -1216,8 +1218,12 @@ def test_batch_items_match_their_own_runs(batch_words, monkeypatch):
     assert sorted(fallbacks) == alone and len(alone) >= 4
     size = min(len(points), batch_words // 256)  # items per batch
     assert images == [(2, size, 256)] * (2 * 2 * len(points) // size)
-    # each batch's four passes in turn: row b of pass k is point (k // 4) * size + b
-    assert [k // 4 * size + row for k, rows in enumerate(leavers) for row in rows] == [3, 4]
+    # each batch's four passes in turn, all in the sector: row b of pass k
+    # is point (k // 4) * size + b, and a pass widens exactly when a row saturates
+    assert len(sector) == 2 * 2 * len(points) // size
+    assert all(widened == bool(rows) for widened, rows in sector)
+    assert [(k % 4, k // 4 * size + row) for k, (_, rows) in enumerate(sector)
+            for row in rows] == [(3, 3), (3, 4)]
     assert fallbacks[-1] is False  # the sixth point's last pass, rejected: it stays
     assert pipeline.run_qaoa_batch(g, [], cfg) == []
 
@@ -1225,13 +1231,13 @@ def test_batch_items_match_their_own_runs(batch_words, monkeypatch):
 def test_batch_pass_raises_each_items_own_flags():
     # at n = 2 a mixer pass streams the sector's words at states 0 and 3,
     # and 0 at the others; the first four items have a word at state 0
-    # only, whose angle is u*beta = -2 beta.  The first item stays in the
-    # batch when its 1_MULT saturates; the second's 1_MULT clips to
-    # min_raw, whose N_ADD the bound rejects but which saturates no row, and
-    # it stays too; the fifth's N_ADD saturates rows 0 and 3, and only it
-    # leaves the batch.  The batch takes the clipping path for all, and each
-    # item's words and flag are those of its own pass; CALCULATE_RAD
-    # decides each row's flag
+    # only, whose angle is u*beta = -2 beta.  The first item's 1_MULT
+    # saturates; the second's 1_MULT clips to min_raw, whose N_ADD the
+    # bound rejects but which saturates no row; the fifth's N_ADD saturates
+    # rows 0 and 3, so the pass returns one full (2, 5, 4) register, whose
+    # rows 0-3 are the mirror of each item's own pass in the sector.  The
+    # batch takes the clipping path for all, and each item's words and flag
+    # are those of its own pass; CALCULATE_RAD decides each row's flag
     fmt = FxFormat(16, 10)
     cfg, diag, mixer = PipelineConfig(fmt=fmt), WeightedGraph(2, ()).cost_table, mixer_table(2)
     big = int(0.9 * fmt.max_raw)
@@ -1239,20 +1245,61 @@ def test_batch_pass_raises_each_items_own_flags():
                       [[big, 0], [-big, 0], [4, 0], [-2, 0], [0, 0]]], dtype=np.int64)
     angles = mixer_level_angles(mixer, np.array([0.2, 0.4, 0.2, 20.0, 0.0]))
     ctx = FxContext(np.zeros(5, dtype=bool))
-    kept, left = run_elemental_ansatz(words.copy(), angles, cfg, ctx, order="mixer", diag=diag)
-    assert list(left) == [4]
-    got = {row: (kept[:, row], bool(ctx.overflow[row])) for row in range(4)}
-    got.update((row, (register[:, 0], bool(item_ctx.overflow[0])))
-               for row, (register, item_ctx) in left.items())
+    got = run_elemental_ansatz(words.copy(), angles, cfg, ctx, order="mixer", diag=diag)
+    assert isinstance(got, np.ndarray) and got.shape == (2, 5, 4)
     for item in range(5):
         item_ctx = one_ctx()
-        want, item_left = run_elemental_ansatz(words[:, item:item + 1].copy(),
-                                               angles[item:item + 1], cfg, item_ctx,
-                                               order="mixer", diag=diag)
-        want, item_ctx = item_left[0] if item_left else (want, item_ctx)
-        assert got[item][0].tobytes() == want[:, 0].tobytes()
-        assert got[item][1] == item_ctx.overflow[0]
-    assert [got[item][1] for item in range(5)] == [True, True, False, True, True]
+        want = run_elemental_ansatz(words[:, item:item + 1].copy(), angles[item:item + 1], cfg,
+                                    item_ctx, order="mixer", diag=diag)[:, 0]
+        assert want.shape[-1] == (4 if item == 4 else 2)
+        if item < 4:  # its own pass stays in the sector: h, then h reversed
+            want = np.concatenate((want, want[:, ::-1]), axis=-1)
+        assert got[:, item].tobytes() == want.tobytes()
+        assert ctx.overflow[item] == item_ctx.overflow[0]
+    assert ctx.overflow.tolist() == [True, True, False, True, True]
+
+
+@pytest.mark.parametrize("index,order", [(5, "cost"), (4, "mixer")])
+def test_a_batch_leaves_the_parity_sector_together(index, order):
+    # corpus case index's batch, the first whose N_ADD saturates for one
+    # item and not for another in a pass of this order.  That pass returns
+    # one (2, B, N) register for the whole batch: a saturating row is that
+    # item's own full-N result, and every other row is its own sector result
+    # laid out on the N states, spread over the even-popcount states after a
+    # cost pass, its mirror after a mixer pass.  Each item keeps its own
+    # flag, and from there to readout its own run's bytes
+    g, points, cfg = corpus.batch(index)
+    sector_n_add, calls = pipeline._sector_n_add, []
+
+    def recording(words, *args):
+        given = (words.copy(), args[-1].overflow.copy())
+        out = sector_n_add(words, *args)
+        # the later passes of the run overwrite the register and flags in place
+        calls.append((given, args[:-1], args[-1].overflow.copy(),
+                      out.copy() if isinstance(out, np.ndarray) else out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_sector_n_add", recording)
+        runs = pipeline.run_qaoa_batch(g, points, cfg)
+    (words, before), (got_order, mixer, fmt), after, out = calls[-1]
+    assert [o.shape == w.shape for (w, _), _, _, o in calls].count(False) == 1
+    assert got_order == order
+    assert isinstance(out, np.ndarray) and out.dtype == np.int64
+    assert out.shape == (2, len(points), 1 << g.num_vertices)  # one register
+    saturating = []
+    for item in range(len(points)):
+        item_ctx = FxContext(before[item:item + 1].copy())
+        own = sector_n_add(words[:, item:item + 1].copy(), order, mixer, fmt, item_ctx)[:, 0]
+        if own.shape[-1] == out.shape[-1]:  # its N_ADD saturates
+            saturating.append(item)
+        else:
+            own = sector_product(own, "mixer" if order == "cost" else "cost")
+        assert out[:, item].tobytes() == own.tobytes()
+        assert after[item] == item_ctx.overflow[0]
+    assert 0 < len(saturating) < len(points)
+    assert [run_bytes(run) for run in runs] == [run_bytes(run_qaoa(g, point, cfg))
+                                               for point in points]
 
 
 def test_a_batch_takes_no_trace():
